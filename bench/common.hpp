@@ -16,10 +16,7 @@
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
 #include "netlist/netlist.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
-#include "obs/events.hpp"
-#include "obs/telemetry.hpp"
 #include "sat/cec.hpp"
 #include "sat/session.hpp"
 #include "obs/report.hpp"
@@ -47,36 +44,19 @@ namespace compsyn::bench {
 ///   --budget=TICKS      deterministic anytime budget (DESIGN.md §10)
 ///   --deadline=SECS     wall-clock watchdog (non-deterministic)
 ///   --inject=SPEC       scripted fault injection for chaos testing
-/// Any observability flag also enables runtime recording, so without them
-/// the binaries' stdout is byte-identical to an uninstrumented build; the
-/// profile-grade flags (--trace-out/--events/--progress) additionally turn
-/// on extended telemetry, which adds the histograms/phases/hot_cones report
-/// sections -- plain --report output stays byte-identical either way. The
-/// exec layer guarantees identical results (and counters) at any --jobs
-/// value; only the timings change. A budget trip winds the tables down to
-/// their verified best-so-far state and finish() returns exit code 20.
+/// The observability flags set the recording level (obs_cli_start, obs.hpp),
+/// so without them the binaries' stdout is byte-identical to an
+/// uninstrumented build; the profile-grade flags (--trace-out/--events/
+/// --progress) select the extended level, which adds the histograms/phases/
+/// hot_cones report sections -- plain --report output stays byte-identical
+/// either way. The exec layer guarantees identical results (and counters)
+/// at any --jobs value; only the timings change. A budget trip winds the
+/// tables down to their verified best-so-far state and finish() returns exit
+/// code 20.
 class BenchRun {
  public:
   BenchRun(std::string name, const Cli& cli) : cli_(cli), report_(std::move(name)) {
-    if (cli_.has("report") || cli_.has("trace")) obs_set_enabled(true);
-    if (cli_.has("trace-out")) {
-      telemetry_set_extended(true);
-      ChromeTrace::enable();
-      ChromeTrace::arm_output(cli_.get("trace-out"));
-    }
-    if (cli_.has("events")) {
-      telemetry_set_extended(true);
-      std::string err;
-      if (!EventLog::open(cli_.get("events"), report_.name(), &err)) {
-        std::cerr << "error: " << err << "\n";
-        std::exit(2);
-      }
-    }
-    if (cli_.has("progress")) {
-      telemetry_set_extended(true);
-      const double interval = cli_.get_double("progress", 1.0);
-      telemetry_set_progress(report_.name(), interval > 0 ? interval : 1.0);
-    }
+    if (!obs_cli_start(cli_, report_.name())) std::exit(2);
     if (cli_.has("jobs")) {
       const int j = cli_.get_int("jobs", 1);
       if (j < 1) {
@@ -136,47 +116,29 @@ class BenchRun {
     report_.add_record("circuits", std::move(rec));
   }
 
-  /// Flag-gated sinks + unknown-flag warnings; returns a process exit code
+  /// Flag-gated artifacts + unknown-flag warnings; returns a process exit code
   /// (nonzero when a requested report could not be written, kExitDegraded
   /// when the tick budget stopped the tables early).
   int finish() {
     int rc = 0;
     const robust::StopReason reason = robust::stop_reason();
-    if (cli_.has("report")) {
-      // Status block only under a robust flag, so default-flag reports stay
-      // byte-identical across releases.
-      if (robust_active_) {
-        report_.set_meta("status",
-                         robust::to_string(robust::run_status_for(reason)));
-        if (reason != robust::StopReason::None) {
-          report_.set_meta("stop_reason", robust::to_string(reason));
-        }
-        report_.set_meta("ticks", robust::ticks_consumed());
+    // Status block only under a robust flag, so default-flag reports stay
+    // byte-identical across releases.
+    if (robust_active_) {
+      report_.set_meta("status",
+                       robust::to_string(robust::run_status_for(reason)));
+      if (reason != robust::StopReason::None) {
+        report_.set_meta("stop_reason", robust::to_string(reason));
       }
-      const std::string path = cli_.get("report");
-      std::string err;
-      if (!report_.write(path, &err)) {
-        std::cerr << "error: " << err << "\n";
-        rc = 1;
-      }
+      report_.set_meta("ticks", robust::ticks_consumed());
     }
-    if (cli_.has("trace")) {
-      std::cout << "\n";
-      report_.print_summary(std::cout);
+    if (!obs_cli_finish(cli_, report_,
+                        reason == robust::StopReason::None
+                            ? "ok"
+                            : robust::to_string(robust::run_status_for(reason)),
+                        std::cout)) {
+      rc = 1;
     }
-    if (cli_.has("trace-out")) {
-      // Normal-exit write; disarm so the guard's abnormal-exit flush does
-      // not rewrite the file after this (ChromeTrace::write never clears).
-      ChromeTrace::arm_output(std::string());
-      std::string err;
-      if (!ChromeTrace::write(cli_.get("trace-out"), &err)) {
-        std::cerr << "error: " << err << "\n";
-        rc = rc == 0 ? 1 : rc;
-      }
-    }
-    EventLog::finish(reason == robust::StopReason::None
-                         ? "ok"
-                         : robust::to_string(robust::run_status_for(reason)));
     cli_.warn_unrecognized(std::cerr);
     if (rc == 0 && (reason == robust::StopReason::Budget ||
                     reason == robust::StopReason::Injected)) {

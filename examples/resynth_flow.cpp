@@ -33,12 +33,9 @@
 #include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
-#include "obs/events.hpp"
-#include "obs/obs.hpp"
 #include "obs/report.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "paths/paths.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/guard.hpp"
@@ -257,29 +254,7 @@ int flow_main(int argc, char** argv) {
     std::cerr << "\n";
     return robust::kExitUsage;
   }
-  if (cli.has("report") || cli.has("trace")) obs_set_enabled(true);
-  // Extended telemetry (DESIGN.md §12): any of these flags turns on the
-  // profile-grade samples; with none of them the run is byte-identical to a
-  // telemetry-free build.
-  if (cli.has("trace-out")) {
-    telemetry_set_extended(true);
-    ChromeTrace::enable();
-    // Armed so a SIGINT/deadline wind-down still flushes the profile.
-    ChromeTrace::arm_output(cli.get("trace-out"));
-  }
-  if (cli.has("events")) {
-    telemetry_set_extended(true);
-    std::string err;
-    if (!EventLog::open(cli.get("events"), "resynth_flow", &err)) {
-      std::cerr << "error: " << err << "\n";
-      return robust::kExitUsage;
-    }
-  }
-  if (cli.has("progress")) {
-    telemetry_set_extended(true);
-    const double interval = cli.get_double("progress", 1.0);
-    telemetry_set_progress("resynth_flow", interval > 0 ? interval : 1.0);
-  }
+  if (!obs_cli_start(cli, "resynth_flow")) return robust::kExitUsage;
   if (cli.has("jobs")) {
     const int j = cli.get_int("jobs", 1);
     if (j < 1) {
@@ -437,7 +412,7 @@ int flow_main(int argc, char** argv) {
     st = stats_from_json(ck.stats);
     restore_counters(ck.counters);
   } else {
-    PhaseScope phase_rr0("redundancy_removal");
+    const Span phase_rr0("redundancy_removal", SpanKind::Phase);
     auto rr0 = remove_redundancies(nl, rr_opt);
     if (rr0.status == robust::RunStatus::Interrupted) {
       throw robust::CancelledError(rr0.stop_reason);
@@ -467,7 +442,7 @@ int flow_main(int argc, char** argv) {
   }
 
   {
-    PhaseScope phase_resynth("resynth");
+    const Span phase_resynth("resynth", SpanKind::Phase);
     if (ckpt_driver) {
       st = run_passes_checkpointed(nl, cfg, original_bench, st);
     } else if (cfg.proc == "combined") {
@@ -508,8 +483,8 @@ int flow_main(int argc, char** argv) {
                  "verified\n";
   }
 
-  std::optional<PhaseScope> phase_rr1;
-  phase_rr1.emplace("redundancy_removal_post");
+  std::optional<Span> phase_rr1;
+  phase_rr1.emplace("redundancy_removal_post", SpanKind::Phase);
   auto rr1 = remove_redundancies(nl, rr_opt);
   phase_rr1.reset();
   if (rr1.status == robust::RunStatus::Interrupted) {
@@ -533,8 +508,8 @@ int flow_main(int argc, char** argv) {
   if (cfg.verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
     verify_session.emplace();
   }
-  std::optional<PhaseScope> phase_verify;
-  phase_verify.emplace("verify");
+  std::optional<Span> phase_verify;
+  phase_verify.emplace("verify", SpanKind::Phase);
   auto eq = cfg.verify == VerifyMode::Sim
                 ? check_equivalent(original, nl, rng, 128)
                 : check_equivalent_mode(original, nl, rng, cfg.verify, 128,
@@ -593,26 +568,10 @@ int flow_main(int argc, char** argv) {
       rec.set("paths", path_total_json(pr.paths));
       report.add_record("passes", std::move(rec));
     }
-    std::string err;
-    if (!report.write(cli.get("report"), &err)) {
-      std::cerr << "error: " << err << "\n";
-      rc = rc ? rc : robust::kExitVerifyFailed;
-    }
   }
-  if (cli.has("trace")) {
-    std::cout << "\n";
-    report.print_summary(std::cout);
+  if (!obs_cli_finish(cli, report, degraded ? "degraded" : "ok", std::cout)) {
+    rc = rc ? rc : robust::kExitVerifyFailed;
   }
-  if (cli.has("trace-out")) {
-    // Normal completion: disarm the crash-flush path and write the profile.
-    ChromeTrace::arm_output(std::string());
-    std::string err;
-    if (!ChromeTrace::write(cli.get("trace-out"), &err)) {
-      std::cerr << "error: " << err << "\n";
-      rc = rc ? rc : robust::kExitVerifyFailed;
-    }
-  }
-  EventLog::finish(degraded ? "degraded" : "ok");
   cli.warn_unrecognized(std::cerr);
   if (rc == robust::kExitOk && degraded) rc = robust::kExitDegraded;
   return rc;

@@ -8,8 +8,9 @@
 //
 // --guided adds a guided-ATPG + static-compaction section (DESIGN.md §16):
 //   $ ./testability_report --guided syn150
-//   $ ./testability_report --guided --atpg-backtrace=scoap \
+//   $ ./testability_report --guided --atpg-backtrace=scoap
 //         --atpg-frontier=scoap --atpg-order=hard --rtpg=weighted syn150
+//     (one command line)
 #include <iostream>
 
 #include "atpg/compact.hpp"

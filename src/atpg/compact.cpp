@@ -51,7 +51,7 @@ CompactionResult compact_patterns(const Netlist& nl,
                                   const std::vector<StuckFault>& faults,
                                   const std::vector<TestPattern>& patterns,
                                   const CompactionOptions& opt) {
-  const auto sp = Trace::span("atpg.compact");
+  const Span sp("atpg.compact");
   CompactionResult res;
   res.input_patterns = patterns.size();
   const std::size_t ni = nl.inputs().size();

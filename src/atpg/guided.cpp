@@ -48,7 +48,7 @@ void gen_block(Rng& rng, RtpgVariant v, std::uint64_t block_index,
 RandomTpgStats random_tpg(const Netlist& nl, FaultSimulator& sim,
                           const RandomTpgOptions& opt,
                           std::vector<TestPattern>& patterns) {
-  const auto sp = Trace::span("atpg.rtpg");
+  const Span sp("atpg.rtpg");
   RandomTpgStats st;
   const std::size_t ni = nl.inputs().size();
   if (ni == 0 || opt.max_patterns == 0) return st;
@@ -138,7 +138,7 @@ std::vector<std::size_t> order_faults(const Netlist& nl,
 }
 
 GuidedAtpgResult guided_atpg(const Netlist& nl, const GuidedAtpgOptions& opt) {
-  const auto sp = Trace::span("atpg.guided");
+  const Span sp("atpg.guided");
   GuidedAtpgResult res;
   res.faults = enumerate_faults(nl, opt.collapse);
   const std::size_t nf = res.faults.size();

@@ -379,7 +379,7 @@ class Podem {
 
 AtpgResult run_podem(const Netlist& nl, const StuckFault& fault,
                      const AtpgOptions& opt) {
-  const auto sp = Trace::span("atpg.podem");
+  const Span sp("atpg.podem");
   Podem engine(nl, fault, opt);
   AtpgResult res = engine.run();
   // One budget tick per call plus one per backtrack — the same unit

@@ -1,7 +1,6 @@
 #include "atpg/redundancy.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iostream>
 #include <optional>
 
@@ -10,8 +9,8 @@
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
 #include "obs/counters.hpp"
-#include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "sat/satpg.hpp"
 #include "util/rng.hpp"
 
@@ -104,29 +103,14 @@ FaultVerdict evaluate_fault(const Netlist& nl, const StuckFault& f,
     v.stale = true;
     return v;
   }
-  // Per-fault decision time (PODEM plus any inline SAT fallback) for the
-  // extended-telemetry histogram; free when extended telemetry is off.
-  std::uint64_t t0 = 0;
-  const bool telem = telemetry_extended();
-  if (telem) {
-    t0 = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
+  // Per-fault decision time: PODEM plus any inline SAT fallback.
+  const Span sp("atpg.fault", SpanKind::Sample);
   const AtpgResult r = run_podem(nl, f, atpg);
   v.podem = r.status;
   if (r.status == AtpgStatus::Aborted && opt.sat_fallback &&
       opt.backend == SatBackend::Oneshot) {
     v.sat_ran = true;
     v.sat = prove_fault(nl, f, opt.sat_budget).status;
-  }
-  if (telem) {
-    const std::uint64_t t1 = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-    Histogram::observe_ns("atpg.fault.ns", t1 - t0);
   }
   return v;
 }

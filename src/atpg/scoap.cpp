@@ -14,7 +14,7 @@ std::uint32_t min_cc(const ScoapMetrics& m, NodeId n) {
 }  // namespace
 
 ScoapMetrics compute_scoap(const Netlist& nl) {
-  const auto sp = Trace::span("atpg.scoap");
+  const Span sp("atpg.scoap");
   ScoapMetrics m;
   m.cc0.assign(nl.size(), kScoapInf);
   m.cc1.assign(nl.size(), kScoapInf);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <memory>
 #include <optional>
 
@@ -11,9 +10,7 @@
 #include "exec/exec.hpp"
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
-#include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "paths/paths.hpp"
@@ -154,6 +151,9 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
                        const std::vector<std::uint64_t>& np, std::uint64_t np_g,
                        const ReachabilityOracle* reach,
                        const ResynthOptions& opt) {
+  // Per-cone sample: `resynth.cone.ns` histogram plus a slice on the
+  // calling thread's trace track (workers included).
+  const Span sp("resynth.cone", SpanKind::Sample);
   ConeEval ev;
   const TruthTable f = cone_function(nl, cone);
   std::vector<unsigned> kept;
@@ -211,36 +211,6 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
 /// exec.* counter -- is identical for --jobs=1 and --jobs=N.
 constexpr std::size_t kConeGrain = 8;
 
-std::uint64_t cone_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// evaluate_cone plus extended telemetry: a `resynth.cone.ns` histogram
-/// sample and an X slice on the calling thread's trace track (workers
-/// included -- this is what makes per-worker activity visible in a
-/// --trace-out profile). Free when extended telemetry is off.
-ConeEval evaluate_cone_timed(const Netlist& nl, const Cone& cone,
-                             const std::vector<std::uint64_t>& np,
-                             std::uint64_t np_g,
-                             const ReachabilityOracle* reach,
-                             const ResynthOptions& opt) {
-  if (!telemetry_extended()) {
-    return evaluate_cone(nl, cone, np, np_g, reach, opt);
-  }
-  const std::uint64_t t0 = cone_clock_ns();
-  ConeEval ev = evaluate_cone(nl, cone, np, np_g, reach, opt);
-  const std::uint64_t dur = cone_clock_ns() - t0;
-  Histogram::observe_ns("resynth.cone.ns", dur);
-  if (ChromeTrace::enabled()) {
-    const std::uint64_t end = ChromeTrace::now_ns();
-    ChromeTrace::complete("resynth.cone", end >= dur ? end - dur : 0, end);
-  }
-  return ev;
-}
-
 /// Evaluates every cone at root g and returns the best candidate.
 /// `reach` is non-null when SDC-aware identification is enabled.
 ///
@@ -268,7 +238,7 @@ Candidate best_candidate(const Netlist& nl, NodeId g,
     for (const Cone& cone : enumerate_cones(nl, g, cone_opt)) {
       ++stats.cones_considered;
       robust::charge(1);
-      ConeEval ev = evaluate_cone_timed(nl, cone, np, np_g, nullptr, opt);
+      ConeEval ev = evaluate_cone(nl, cone, np, np_g, nullptr, opt);
       if (ev.comparison_cone) ++stats.comparison_cones;
       if (ev.base.valid && better(ev.base, best, opt)) best = ev.base;
       if (reach != nullptr && !ev.base.is_constant) {
@@ -291,7 +261,7 @@ Candidate best_candidate(const Netlist& nl, NodeId g,
   nl.fanouts();
   std::vector<ConeEval> evals =
       parallel_map<ConeEval>(cones.size(), kConeGrain, [&](std::size_t i) {
-        return evaluate_cone_timed(nl, cones[i], np, np_g, reach, opt);
+        return evaluate_cone(nl, cones[i], np, np_g, reach, opt);
       });
 
   // Merge in cone-enumeration order. Every fold replaces only on "strictly
@@ -348,28 +318,24 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
       *stopped = true;
       break;
     }
-    const bool telem = telemetry_extended();
-    const std::uint64_t root_t0 = telem ? cone_clock_ns() : 0;
-    const std::uint64_t cones_before = stats.cones_considered;
     Candidate cand;
-    try {
-      cand = best_candidate(nl, g, pc.np, reach.get(), opt, stats);
-    } catch (const robust::CancelledError&) {
-      *stopped = true;
-      break;
-    }
-    if (telem) {
+    {
       // Hot-cone attribution: whole-root candidate search time, keyed by
-      // the root gate's name (synthesized gates without one fall back to
-      // their node id). Sampled at this serial commit point, so the
-      // per-root totals are jobs-invariant up to timing jitter.
-      const std::string& gname = nl.node(g).name;
-      telemetry_note_cone(
-          gname.empty() ? "n" + std::to_string(g) : gname,
-          cone_clock_ns() - root_t0, stats.cones_considered - cones_before);
+      // the root gate's name (synthesized gates without one key as
+      // "n<id>"), measured on this serial commit path.
+      Span root_span(nl.node(g).name, SpanKind::Root, g);
+      const std::uint64_t cones_before = stats.cones_considered;
+      try {
+        cand = best_candidate(nl, g, pc.np, reach.get(), opt, stats);
+      } catch (const robust::CancelledError&) {
+        *stopped = true;
+        break;
+      }
+      root_span.set_count(stats.cones_considered - cones_before);
     }
     // Progress over visited roots; `total` is the topo-order upper bound
-    // (the sweep skips dead/unmarked nodes, so done stays below it).
+    // (the sweep skips dead/unmarked nodes), so a completed sweep closes
+    // with its own done == total record below.
     telemetry_progress("resynth.roots", ++roots_done, order.size());
 
     if (cand.valid && improves(cand, opt)) {
@@ -401,13 +367,14 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
       }
     }
   }
+  if (!*stopped) telemetry_progress("resynth.roots", roots_done, roots_done);
   return replacements;
 }
 
 }  // namespace
 
 ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt) {
-  const auto whole = Trace::span("resynth");
+  const Span whole("resynth");
   ResynthStats stats;
   stats.gates_before = nl.equivalent_gate_count();
   stats.paths_before = count_paths_clamped(nl).total;
@@ -423,7 +390,7 @@ ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt) {
     std::uint64_t replaced = 0;
     bool stopped = false;
     {
-      const auto sp = Trace::span("resynth.pass");
+      const Span sp("resynth.pass");
       replaced = run_pass(nl, opt, stats, &stopped);
       stats.replacements += replaced;
       nl.simplify();

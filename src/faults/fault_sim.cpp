@@ -95,7 +95,7 @@ std::uint64_t FaultSimulator::propagate_fault(const StuckFault& f,
 std::vector<std::size_t> FaultSimulator::simulate_block(
     const std::vector<std::uint64_t>& pi_words, std::uint64_t base_pattern,
     unsigned num_patterns) {
-  const auto sp = Trace::span("fsim.block");
+  const Span sp("fsim.block");
   assert(num_patterns >= 1 && num_patterns <= 64);
   const std::uint64_t mask =
       num_patterns >= 64 ? ~0ull : ((1ull << num_patterns) - 1);

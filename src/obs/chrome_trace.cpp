@@ -1,13 +1,34 @@
 #include "obs/chrome_trace.hpp"
 
 #include <fstream>
+#include <mutex>
+
+namespace compsyn {
+namespace {
+
+bool write_text(const std::string& path, const std::string& text,
+                std::string* error) {
+  std::ofstream os(path);
+  if (!os) {
+    if (error != nullptr) *error = "cannot open " + path + " for writing";
+    return false;
+  }
+  os << text << '\n';
+  os.flush();
+  if (!os) {
+    if (error != nullptr) *error = "write to " + path + " failed";
+    return false;
+  }
+  return true;
+}
+
+}  // namespace
+}  // namespace compsyn
 
 #if COMPSYN_TRACE
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <mutex>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -15,17 +36,10 @@
 namespace compsyn {
 namespace {
 
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 struct Event {
-  char ph;                // 'B', 'E', 'X', 'i', 'C'
+  char ph;                // 'X', 'i', 'C'
   std::uint32_t tid;
-  std::uint64_t ts_ns;    // relative to enable()
+  std::uint64_t ts_ns;    // relative to open()
   std::uint64_t dur_ns;   // 'X' only
   double value;           // counter sample
   std::string name;
@@ -34,30 +48,25 @@ struct Event {
 struct Collector {
   std::mutex mu;
   std::vector<Event> events;
-  std::atomic<std::uint64_t> epoch_ns{0};  // set once by enable()
-  std::string armed_path;  // flush target for abnormal exits ("" = none)
+  std::uint64_t epoch_ns = 0;  // set by open()
+  std::string armed_path;      // flush target ("" = none)
 };
 
-std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_open{false};
 thread_local std::uint32_t t_track = 0;
-// Open B names on this thread, so end() can stamp the matching name on its
-// E event (the in-repo checker pairs B/E strictly by name).
-thread_local std::vector<std::string>* t_open = nullptr;
-
-std::vector<std::string>& open_stack() {
-  if (t_open == nullptr) t_open = new std::vector<std::string>();  // leaked
-  return *t_open;
-}
 
 Collector& collector() {
   static Collector* c = new Collector();  // leaked: events may land at exit
   return *c;
 }
 
-void push(Event e) {
+void push(char ph, std::uint64_t at_ns, std::uint64_t dur_ns, double value,
+          std::string_view name) {
+  if (!g_open.load(std::memory_order_relaxed)) return;
   Collector& c = collector();
   std::lock_guard<std::mutex> lock(c.mu);
-  c.events.push_back(std::move(e));
+  const std::uint64_t ts = at_ns >= c.epoch_ns ? at_ns - c.epoch_ns : 0;
+  c.events.push_back({ph, t_track, ts, dur_ns, value, std::string(name)});
 }
 
 /// ts in fractional microseconds, the unit the trace-event format uses.
@@ -93,26 +102,62 @@ Json metadata_json(const char* what, std::uint32_t tid, const std::string& name)
   return o;
 }
 
+std::string trace_text(std::vector<Event> events) {
+  // Buffer order is close order; a slice is pushed after the work it
+  // describes. Sort by start time (stable, so equal stamps keep close
+  // order); per thread the recorded intervals nest in real time.
+  std::stable_sort(events.begin(), events.end(),
+                   [](const Event& a, const Event& b) {
+                     return a.ts_ns < b.ts_ns;
+                   });
+  Json out = Json::array();
+  out.push(metadata_json("process_name", 0, "compsyn"));
+  // One thread-name metadata event per track seen, in track order.
+  std::vector<std::uint32_t> tracks;
+  for (const Event& e : events) tracks.push_back(e.tid);
+  std::sort(tracks.begin(), tracks.end());
+  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
+  for (std::uint32_t t : tracks) {
+    out.push(metadata_json("thread_name", t,
+                           t == 0 ? "main/worker-0"
+                                  : "worker-" + std::to_string(t)));
+  }
+  for (const Event& e : events) out.push(event_json(e));
+  Json doc = Json::object();
+  doc.set("traceEvents", std::move(out));
+  doc.set("displayTimeUnit", "ms");
+  return doc.dump(0);
+}
+
 }  // namespace
 
-bool ChromeTrace::enabled() {
-  return g_enabled.load(std::memory_order_relaxed);
-}
-
-void ChromeTrace::enable() {
+void ChromeTrace::open(std::string path) {
   Collector& c = collector();
-  std::uint64_t expected = 0;
-  c.epoch_ns.compare_exchange_strong(expected, steady_ns(),
-                                     std::memory_order_relaxed);
-  g_enabled.store(true, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(c.mu);
+  c.epoch_ns = now_ns();
+  c.armed_path = std::move(path);
+  g_open.store(true, std::memory_order_relaxed);
 }
 
-void ChromeTrace::disable_and_clear() {
-  g_enabled.store(false, std::memory_order_relaxed);
+bool ChromeTrace::flush(std::string* error) {
+  std::string path;
+  std::vector<Event> events;
+  {
+    Collector& c = collector();
+    std::lock_guard<std::mutex> lock(c.mu);
+    path.swap(c.armed_path);
+    events = c.events;
+  }
+  if (path.empty()) return true;
+  return write_text(path, trace_text(std::move(events)), error);
+}
+
+void ChromeTrace::reset() {
+  g_open.store(false, std::memory_order_relaxed);
   Collector& c = collector();
   std::lock_guard<std::mutex> lock(c.mu);
   c.events.clear();
-  c.epoch_ns.store(0, std::memory_order_relaxed);
+  c.armed_path.clear();
 }
 
 std::size_t ChromeTrace::event_count() {
@@ -121,144 +166,49 @@ std::size_t ChromeTrace::event_count() {
   return c.events.size();
 }
 
-std::uint64_t ChromeTrace::now_ns() {
-  const std::uint64_t epoch =
-      collector().epoch_ns.load(std::memory_order_relaxed);
-  if (epoch == 0) return 0;
-  const std::uint64_t now = steady_ns();
-  return now >= epoch ? now - epoch : 0;
+void ChromeTrace::record(std::string_view name, std::uint64_t start_ns,
+                         std::uint64_t dur_ns) {
+  push('X', start_ns, dur_ns, 0.0, name);
 }
 
-bool ChromeTrace::begin(std::string_view name) {
-  if (!enabled()) return false;
-  open_stack().emplace_back(name);
-  push({'B', t_track, now_ns(), 0, 0.0, std::string(name)});
-  return true;
+void ChromeTrace::record_instant(std::string_view name) {
+  push('i', now_ns(), 0, 0.0, name);
 }
 
-void ChromeTrace::end() {
-  std::vector<std::string>& open = open_stack();
-  // Pop even when collection was disabled mid-span: begin() only pushes
-  // (and returns true) while enabled, and the caller latched that it did.
-  if (open.empty()) return;
-  std::string name = std::move(open.back());
-  open.pop_back();
-  if (!enabled()) return;
-  push({'E', t_track, now_ns(), 0, 0.0, std::move(name)});
-}
-
-void ChromeTrace::complete(std::string_view name, std::uint64_t start_ns,
-                           std::uint64_t end_ns) {
-  if (!enabled()) return;
-  if (end_ns < start_ns) end_ns = start_ns;
-  // A single X (complete) event, not a retro-dated B/E pair: it never has
-  // to interleave with the open-span stack of the track it lands on, so
-  // clock-granularity timestamp ties cannot corrupt B/E nesting.
-  push({'X', t_track, start_ns, end_ns - start_ns, 0.0, std::string(name)});
-}
-
-void ChromeTrace::instant(std::string_view name) {
-  if (!enabled()) return;
-  push({'i', t_track, now_ns(), 0, 0.0, std::string(name)});
-}
-
-void ChromeTrace::counter(std::string_view name, double value) {
-  if (!enabled()) return;
-  push({'C', t_track, now_ns(), 0, value, std::string(name)});
+void ChromeTrace::record_counter(std::string_view name, double value) {
+  push('C', now_ns(), 0, value, name);
 }
 
 void ChromeTrace::set_thread_track(std::uint32_t track) { t_track = track; }
-
-std::uint32_t ChromeTrace::thread_track() { return t_track; }
-
-bool ChromeTrace::write(const std::string& path, std::string* error) {
-  std::vector<Event> snapshot;
-  {
-    Collector& c = collector();
-    std::lock_guard<std::mutex> lock(c.mu);
-    snapshot = c.events;
-  }
-  // Buffer order is push order; complete() events are pushed after the work
-  // they describe, so their B timestamps predate earlier pushes. Sort by
-  // time (stable, so a zero-length pair keeps B before E). Per thread the
-  // recorded intervals nest in real time, which makes the time-sorted
-  // per-track sequence a well-formed B/E nesting.
-  std::stable_sort(snapshot.begin(), snapshot.end(),
-                   [](const Event& a, const Event& b) {
-                     return a.ts_ns < b.ts_ns;
-                   });
-  Json events = Json::array();
-  events.push(metadata_json("process_name", 0, "compsyn"));
-  // One thread-name metadata event per track seen, in track order.
-  std::vector<std::uint32_t> tracks;
-  for (const Event& e : snapshot) {
-    bool seen = false;
-    for (std::uint32_t t : tracks) seen = seen || t == e.tid;
-    if (!seen) tracks.push_back(e.tid);
-  }
-  std::sort(tracks.begin(), tracks.end());
-  for (std::uint32_t t : tracks) {
-    events.push(metadata_json("thread_name", t,
-                              t == 0 ? "main/worker-0"
-                                     : "worker-" + std::to_string(t)));
-  }
-  for (const Event& e : snapshot) events.push(event_json(e));
-  Json doc = Json::object();
-  doc.set("traceEvents", std::move(events));
-  doc.set("displayTimeUnit", "ms");
-
-  std::ofstream os(path);
-  if (!os) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  doc.write(os, 0);
-  os << '\n';
-  os.flush();
-  if (!os) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
-}
-
-void ChromeTrace::arm_output(std::string path) {
-  Collector& c = collector();
-  std::lock_guard<std::mutex> lock(c.mu);
-  c.armed_path = std::move(path);
-}
-
-void ChromeTrace::flush_armed() {
-  std::string path;
-  {
-    Collector& c = collector();
-    std::lock_guard<std::mutex> lock(c.mu);
-    path.swap(c.armed_path);
-  }
-  if (!path.empty()) write(path);
-}
 
 }  // namespace compsyn
 
 #else  // COMPSYN_TRACE == 0
 
 namespace compsyn {
+namespace {
+
+std::mutex g_mu;
+std::string g_armed_path;
+
+}  // namespace
+
+void ChromeTrace::open(std::string path) {
+  std::lock_guard<std::mutex> lock(g_mu);
+  g_armed_path = std::move(path);
+}
 
 // Even the compiled-out build honours --trace-out with a valid (empty) trace
 // so tooling pointed at the file does not choke on a missing artifact.
-bool ChromeTrace::write(const std::string& path, std::string* error) {
-  std::ofstream os(path);
-  if (!os) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
+bool ChromeTrace::flush(std::string* error) {
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(g_mu);
+    path.swap(g_armed_path);
   }
-  os << "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n";
-  os.flush();
-  if (!os) {
-    if (error != nullptr) *error = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  if (path.empty()) return true;
+  return write_text(path, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}",
+                    error);
 }
 
 }  // namespace compsyn

@@ -1,20 +1,20 @@
-// Chrome trace-event collector: records B/E span pairs, instant events, and
-// counter-track samples into an in-memory buffer and serialises them as a
-// catapult / Perfetto-loadable trace ({"traceEvents": [...]}, chrome://tracing
-// JSON). Driven by `--trace-out=<file>.json` on every binary.
+// Chrome trace-event sink: buffers span slices (X events), instant events,
+// and counter-track samples in memory and serialises them as a catapult /
+// Perfetto-loadable trace ({"traceEvents": [...]}, chrome://tracing JSON).
+// Driven by `--trace-out=<file>.json` on every binary.
 //
-// Gating follows the obs contract (obs.hpp): compiled out entirely under
-// -DCOMPSYN_TRACE=0, and even when compiled in every record call is a single
-// relaxed atomic load until ChromeTrace::enable() is called. The collector
-// piggybacks on the span layer -- Trace::span() emits a B event on entry and
-// an E event on scope exit when collection is on -- so the trace shows the
-// same labels as the aggregate report, with per-thread tracks fed by the exec
-// layer's worker ids (set_thread_track, called from the pool's worker loop).
+// The sink exists only after open(); it is not a gate. Spans (obs/trace.hpp)
+// that the level lets record hand their label, start and duration here when
+// they close, so the trace shows the same labels as the aggregate report,
+// with per-thread tracks fed by the exec layer's worker ids
+// (set_thread_track, called from the pool's worker loop). Compiled out
+// entirely under -DCOMPSYN_TRACE=0, where flush() still writes a valid,
+// empty trace.
 //
-// Timestamps are nanoseconds from enable() (written as fractional-microsecond
-// `ts` values, the unit the trace-event format specifies). Events are buffered
-// under a mutex; per-thread event order is preserved, which is what the
-// in-repo checker (trace_check.hpp) validates nesting against.
+// Timestamps are nanoseconds from open() (written as fractional-microsecond
+// `ts` values, the unit the trace-event format specifies). Events are
+// buffered under a mutex and sorted by time on write; the in-repo checker
+// (trace_check.hpp) validates the result.
 #pragma once
 
 #include <cstddef>
@@ -30,83 +30,59 @@ namespace compsyn {
 
 class ChromeTrace {
  public:
-  /// True while the collector is recording (single relaxed load).
-  static bool enabled();
+  /// Opens the sink (the open instant is ts 0) and arms `path` as the
+  /// output flush() writes.
+  static void open(std::string path);
 
-  /// Starts collecting; the enable instant is ts 0.
-  static void enable();
+  /// Writes the buffer to the armed path, then disarms. True (and no-op)
+  /// when nothing is armed; false with *error on I/O failure. Called on
+  /// normal completion and by the guard's wind-down, so a budget-exhausted
+  /// or interrupted run still leaves its trace behind.
+  static bool flush(std::string* error = nullptr);
 
-  /// Stops collecting and drops every buffered event. Test helper.
-  static void disable_and_clear();
+  /// Closes the sink and drops every buffered event. Test helper.
+  static void reset();
 
   /// Number of events buffered so far. Test helper.
   static std::size_t event_count();
 
-  /// B (duration begin) on the calling thread's track, stamped now. Returns
-  /// true when an event was recorded; callers must latch the result and only
-  /// call end() for a begin() that returned true, keeping the per-thread B/E
-  /// stack balanced across enable()/disable transitions.
-  [[nodiscard]] static bool begin(std::string_view name);
-
-  /// E (duration end) matching the innermost begin(), stamped now.
-  static void end();
-
-  /// X (complete) event from explicit clock readings (used for work timed
-  /// without a Trace::Span, e.g. per-cone evaluations inside workers).
-  static void complete(std::string_view name, std::uint64_t start_ns,
-                       std::uint64_t end_ns);
+  /// Span sink: one X (complete) slice on the calling thread's track.
+  static void record(std::string_view name, std::uint64_t start_ns,
+                     std::uint64_t dur_ns);
 
   /// i (instant, thread scope): robustness milestones -- budget exhaustion,
-  /// checkpoint writes, cancellation wind-down.
-  static void instant(std::string_view name);
+  /// checkpoint writes, cancellation wind-down. Extended level only.
+  static void instant(std::string_view name) {
+    if (obs_level() == ObsLevel::extended) record_instant(name);
+  }
 
   /// C (counter-track sample): SAT session size, memo hit rate, live fault
-  /// counts. One series per name.
-  static void counter(std::string_view name, double value);
+  /// counts. One series per name. Extended level only.
+  static void counter(std::string_view name, double value) {
+    if (obs_level() == ObsLevel::extended) record_counter(name, value);
+  }
 
-  /// Monotonic nanoseconds since enable() (0 when not enabled); the clock
-  /// complete() timestamps must come from.
-  static std::uint64_t now_ns();
-
-  /// The calling thread's track id (chrome `tid`). Track 0 is the main
-  /// thread; the exec pool assigns its worker ids.
+  /// Sets the calling thread's track id (chrome `tid`). Track 0 is the
+  /// main thread; the exec pool assigns its worker ids.
   static void set_thread_track(std::uint32_t track);
-  static std::uint32_t thread_track();
 
-  /// Serialises the buffer as trace-event JSON (plus process/thread metadata
-  /// events). Returns false and fills *error on I/O failure. Does not clear
-  /// or disable the collector.
-  static bool write(const std::string& path, std::string* error = nullptr);
-
-  /// Arms `path` as the flush target for abnormal exits ("" disarms): the
-  /// top-level guard calls flush_armed() when a run is cancelled, so a
-  /// budget-exhausted or interrupted run still leaves its trace behind.
-  static void arm_output(std::string path);
-
-  /// Best-effort write() to the armed path, then disarms. No-op when
-  /// nothing is armed.
-  static void flush_armed();
+ private:
+  static void record_instant(std::string_view name);
+  static void record_counter(std::string_view name, double value);
 };
 
 #else  // COMPSYN_TRACE == 0
 
 class ChromeTrace {
  public:
-  static bool enabled() { return false; }
-  static void enable() {}
-  static void disable_and_clear() {}
+  static void open(std::string path);
+  static bool flush(std::string* error = nullptr);
+  static void reset() {}
   static std::size_t event_count() { return 0; }
-  [[nodiscard]] static bool begin(std::string_view) { return false; }
-  static void end() {}
-  static void complete(std::string_view, std::uint64_t, std::uint64_t) {}
+  static void record(std::string_view, std::uint64_t, std::uint64_t) {}
   static void instant(std::string_view) {}
   static void counter(std::string_view, double) {}
-  static std::uint64_t now_ns() { return 0; }
   static void set_thread_track(std::uint32_t) {}
-  static std::uint32_t thread_track() { return 0; }
-  static bool write(const std::string&, std::string* error = nullptr);
-  static void arm_output(std::string) {}
-  static void flush_armed() {}
 };
 
 #endif

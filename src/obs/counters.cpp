@@ -37,7 +37,7 @@ Registry& registry() {
 }  // namespace
 
 void Counters::incr(std::string_view name, std::uint64_t delta) {
-  if (!obs_enabled()) return;
+  if (obs_level() == ObsLevel::off) return;
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.counters.find(name);
@@ -49,7 +49,7 @@ void Counters::incr(std::string_view name, std::uint64_t delta) {
 }
 
 void Counters::observe(std::string_view name, double value) {
-  if (!obs_enabled()) return;
+  if (obs_level() == ObsLevel::off) return;
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   auto it = r.dists.find(name);

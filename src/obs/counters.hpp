@@ -6,9 +6,9 @@
 //   Counters::observe("fsim.drops_per_block", 3.0); // distribution sample
 //
 // Hot call sites should accumulate locally and incr once per batch (the
-// fault simulator does this per 64-pattern block). Calls are no-ops until
-// obs_set_enabled(true); snapshots and value() always reflect what has been
-// recorded so far.
+// fault simulator does this per 64-pattern block). Calls are no-ops while
+// the level is off (obs.hpp); snapshots and value() always reflect what has
+// been recorded so far.
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,10 @@
 // parallel region, so spans and counters recorded from workers land in
 // the right lane's report.
 //
-// Only Counters and Trace live in a domain: run reports embed exactly
-// those two sections unconditionally. Histograms, phase attribution and
-// the telemetry registry are extended telemetry -- the daemon never
-// enables it -- and stay process-global.
+// Only Counters and the aggregate span table (Trace) live in a domain: run
+// reports embed exactly those two sections unconditionally. Histograms,
+// phases and hot cones record at ObsLevel::extended only -- the daemon
+// stays at report -- and stay process-global.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,6 @@
 #include "obs/events.hpp"
 
-#if COMPSYN_TRACE
-
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <utility>
@@ -17,7 +14,7 @@ struct LogState {
   std::mutex mu;
   std::FILE* file = nullptr;  // guarded by mu
   std::uint64_t seq = 0;      // guarded by mu
-  std::chrono::steady_clock::time_point epoch;  // guarded by mu
+  std::uint64_t epoch_ns = 0;  // guarded by mu
 };
 
 LogState& state() {
@@ -26,15 +23,14 @@ LogState& state() {
 }
 
 // Cheap pre-check so instrumentation sites skip the mutex when no log is
-// open (the common case).
+// open (the common case). The compiled-out build keeps open/finish, so
+// --events still yields a schema-valid start/finish log with the run's
+// status, and compiles the instrumentation records away.
 std::atomic<bool> g_active{false};
 
 // Must be called with s.mu held.
 void write_record_locked(LogState& s, std::string_view type, Json fields) {
-  double t_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - s.epoch)
-          .count();
+  const double t_ms = static_cast<double>(now_ns() - s.epoch_ns) / 1e6;
   Json rec = Json::object();
   rec.set("type", Json(std::string(type)));
   rec.set("seq", Json(s.seq++));
@@ -72,9 +68,8 @@ bool EventLog::open(const std::string& path, std::string_view name,
     return false;
   }
   s.seq = 0;
-  s.epoch = std::chrono::steady_clock::now();
+  s.epoch_ns = now_ns();
   g_active.store(true, std::memory_order_relaxed);
-  obs_set_enabled(true);
   Json fields = Json::object();
   fields.set("schema", Json(std::string(kEventSchema)));
   fields.set("name", Json(std::string(name)));
@@ -82,6 +77,8 @@ bool EventLog::open(const std::string& path, std::string_view name,
   write_record_locked(s, "start", std::move(fields));
   return true;
 }
+
+#if COMPSYN_TRACE
 
 bool EventLog::active() { return g_active.load(std::memory_order_relaxed); }
 
@@ -126,6 +123,8 @@ void EventLog::milestone(std::string_view what) {
   emit("milestone", std::move(fields));
 }
 
+#endif  // COMPSYN_TRACE
+
 void EventLog::finish(std::string_view status) {
   LogState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -144,44 +143,3 @@ void EventLog::reset() {
 }
 
 }  // namespace compsyn
-
-#else  // COMPSYN_TRACE == 0
-
-#include <cstdint>
-#include <cstdio>
-
-#include <unistd.h>
-
-namespace compsyn {
-
-// The compiled-out build still honours --events with a minimal, schema-valid
-// log (start + finish, no instrumentation records), so tooling pointed at
-// the file does not choke on a missing artifact.
-bool EventLog::open(const std::string& path, std::string_view name,
-                    std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open event log: " + path;
-    return false;
-  }
-  Json start = Json::object();
-  start.set("type", Json("start"));
-  start.set("seq", Json(std::uint64_t{0}));
-  start.set("t_ms", Json(0.0));
-  start.set("schema", Json(std::string(kEventSchema)));
-  start.set("name", Json(std::string(name)));
-  start.set("pid", Json(static_cast<std::int64_t>(::getpid())));
-  Json fin = Json::object();
-  fin.set("type", Json("finish"));
-  fin.set("seq", Json(std::uint64_t{1}));
-  fin.set("t_ms", Json(0.0));
-  fin.set("status", Json("ok"));
-  const std::string text = start.dump() + "\n" + fin.dump() + "\n";
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  return true;
-}
-
-}  // namespace compsyn
-
-#endif

@@ -18,8 +18,9 @@
 //                 "cancel.signal" | ...}
 //   finish     -- last line; {"status": "ok" | "degraded" | ...}
 //
-// The log is a process-global singleton like the other obs sinks; open()
-// also implies obs recording. Writes take a mutex and are line-atomic.
+// The log is a process-global sink like the Chrome buffer: it exists only
+// while open and gates nothing (the level does). Writes take a mutex and
+// are line-atomic.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,7 @@ class EventLog {
 
 class EventLog {
  public:
-  static bool open(const std::string& path, std::string_view,
+  static bool open(const std::string& path, std::string_view name,
                    std::string* error = nullptr);
   static bool active() { return false; }
   static void emit(std::string_view, Json) {}
@@ -74,8 +75,8 @@ class EventLog {
   static void progress(std::string_view, std::uint64_t, std::uint64_t) {}
   static void heartbeat(std::string_view, double) {}
   static void milestone(std::string_view) {}
-  static void finish(std::string_view) {}
-  static void reset() {}
+  static void finish(std::string_view status);
+  static void reset();
 };
 
 #endif

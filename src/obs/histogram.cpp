@@ -7,8 +7,6 @@
 #include <map>
 #include <mutex>
 
-#include "obs/telemetry.hpp"
-
 namespace compsyn {
 namespace {
 
@@ -20,8 +18,8 @@ struct HistData {
 
 struct Registry {
   std::mutex mu;
-  // std::map keeps snapshot() name-sorted for free; the histogram set is
-  // small (a handful of fixed instrumentation sites).
+  // Keyed by span label; the histogram set is small (a handful of fixed
+  // instrumentation sites).
   std::map<std::string, HistData, std::less<>> hists;
 };
 
@@ -32,13 +30,12 @@ Registry& registry() {
 
 }  // namespace
 
-void Histogram::observe_ns(std::string_view name, std::uint64_t ns) {
-  if (!telemetry_extended()) return;
+void Histogram::record(std::string_view label, std::uint64_t ns) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.hists.find(name);
+  auto it = r.hists.find(label);
   if (it == r.hists.end()) {
-    it = r.hists.emplace(std::string(name), HistData{}).first;
+    it = r.hists.emplace(std::string(label), HistData{}).first;
   }
   HistData& h = it->second;
   h.count += 1;
@@ -62,14 +59,17 @@ std::vector<HistStat> Histogram::snapshot() {
   std::lock_guard<std::mutex> lock(r.mu);
   std::vector<HistStat> out;
   out.reserve(r.hists.size());
-  for (const auto& [name, h] : r.hists) {
+  for (const auto& [label, h] : r.hists) {
     HistStat s;
-    s.name = name;
+    s.name = label + ".ns";
     s.count = h.count;
     s.sum_ns = h.sum_ns;
     s.buckets.assign(h.buckets, h.buckets + kHistBuckets);
     out.push_back(std::move(s));
   }
+  std::sort(out.begin(), out.end(), [](const HistStat& a, const HistStat& b) {
+    return a.name < b.name;
+  });
   return out;
 }
 

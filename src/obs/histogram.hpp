@@ -9,9 +9,10 @@
 // pure function of the work performed, hence jobs-invariant (tested at
 // --jobs=1 vs --jobs=8).
 //
-// Recording is gated one level stricter than spans/counters: samples are
-// only taken while telemetry_extended() is on (any of the new telemetry
-// flags), so plain --report runs keep byte-identical reports.
+// Samples come from Sample spans (obs/trace.hpp), which record only at
+// ObsLevel::extended, so plain --report runs keep byte-identical reports.
+// A Sample span labelled "resynth.cone" feeds the histogram reported as
+// "resynth.cone.ns".
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,8 @@ struct HistStat {
 
 class Histogram {
  public:
-  /// Records one duration sample; no-op unless telemetry_extended() is on.
-  static void observe_ns(std::string_view name, std::uint64_t ns);
+  /// Sample-span sink: one duration sample for the histogram of `label`.
+  static void record(std::string_view label, std::uint64_t ns);
 
   /// The fixed bucket a duration falls into: floor(log2(max(ns,1))),
   /// clamped to the last bucket.
@@ -48,7 +49,7 @@ class Histogram {
   /// Inclusive upper bound of bucket k (2^(k+1)-1; ~0 for the last).
   static std::uint64_t bucket_upper_ns(unsigned k);
 
-  /// All histograms, sorted by name.
+  /// All histograms ("<label>.ns"), sorted by name.
   static std::vector<HistStat> snapshot();
 
   /// Drops every histogram. Test helper.
@@ -59,7 +60,7 @@ class Histogram {
 
 class Histogram {
  public:
-  static void observe_ns(std::string_view, std::uint64_t) {}
+  static void record(std::string_view, std::uint64_t) {}
   static unsigned bucket_for(std::uint64_t) { return 0; }
   static std::uint64_t bucket_upper_ns(unsigned) { return 0; }
   static std::vector<HistStat> snapshot() { return {}; }

@@ -49,8 +49,11 @@ std::uint64_t peak_rss_bytes() {
 namespace memstats_detail {
 
 void* counted_alloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  // Phase spans are the only consumer, and they record at extended only.
+  if (obs_level() == ObsLevel::extended) {
+    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  }
   // operator new must never return nullptr for n == 0.
   return std::malloc(n != 0 ? n : 1);
 }

@@ -1,14 +1,13 @@
-// Allocation-count sampling and peak-RSS readings for per-phase resource
-// attribution (obs/telemetry.hpp's PhaseScope).
+// Allocation-count sampling and peak-RSS readings for Phase spans
+// (obs/trace.hpp).
 //
 // When COMPSYN_TRACE is on and the build is not sanitized, memstats.cpp
-// replaces the global operator new/delete with thin counting wrappers (two
-// relaxed atomic adds per allocation on top of malloc). Sanitizer builds
-// keep the sanitizer's own allocator interposition -- alloc counts then read
-// 0 and only the RSS figures are meaningful. The counters are always
-// counting (they cost nothing to read), so a PhaseScope can snapshot deltas
-// without a global enable step; whether anything is *reported* is still
-// gated by telemetry_extended().
+// replaces the global operator new/delete with thin wrappers around malloc
+// that count calls and bytes while the level is extended (the only level at
+// which Phase spans record); below it an allocation costs one relaxed load
+// on top of malloc. Sanitizer builds keep the sanitizer's own allocator
+// interposition -- alloc counts then read 0 and only the RSS figures are
+// meaningful.
 #pragma once
 
 #include <cstdint>

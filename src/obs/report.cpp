@@ -1,13 +1,16 @@
 #include "obs/report.hpp"
 
 #include <fstream>
-#include <ostream>
+#include <iostream>
 
+#include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
+#include "obs/events.hpp"
 #include "obs/histogram.hpp"
 #include "obs/memstats.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace compsyn {
@@ -97,7 +100,7 @@ Json hot_cones_json() {
 }  // namespace
 
 RunReport::RunReport(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
+    : name_(std::move(name)), start_ns_(now_ns()) {}
 
 void RunReport::set_meta(std::string key, Json value) {
   meta_.set(std::move(key), std::move(value));
@@ -133,9 +136,7 @@ void RunReport::add_record(std::string section, Json record) {
 }
 
 Json RunReport::to_json() const {
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
+  const double wall = static_cast<double>(now_ns() - start_ns_) / 1e9;
   Json doc = Json::object();
   doc.set("name", name_);
   doc.set("meta", meta_);
@@ -143,10 +144,10 @@ Json RunReport::to_json() const {
   doc.set("spans", spans_json());
   doc.set("counters", counters_json());
   doc.set("distributions", distributions_json());
-  // Extended-telemetry sections appear ONLY when one of the telemetry flags
-  // was passed: reports from plain --report runs stay byte-identical (the
-  // golden-reference tests depend on it).
-  if (telemetry_extended()) {
+  // Extended sections appear ONLY at the extended level: reports from plain
+  // --report runs stay byte-identical (the golden-reference tests depend on
+  // it).
+  if (obs_level() == ObsLevel::extended) {
     doc.set("histograms", histograms_json());
     doc.set("phases", phases_json());
     doc.set("hot_cones", hot_cones_json());
@@ -230,6 +231,50 @@ void RunReport::print_summary(std::ostream& os) const {
   Trace::print_summary(os);
   os << "\n== " << name_ << ": counters ==\n";
   Counters::print_summary(os);
+}
+
+bool obs_cli_start(const Cli& cli, const std::string& name) {
+  const bool extended =
+      cli.has("trace-out") || cli.has("events") || cli.has("progress");
+  if (extended) {
+    obs_set_level(ObsLevel::extended);
+  } else if (cli.has("report") || cli.has("trace")) {
+    obs_set_level(ObsLevel::report);
+  }
+  // Armed up front so a SIGINT/deadline wind-down still flushes the profile.
+  if (cli.has("trace-out")) ChromeTrace::open(cli.get("trace-out"));
+  if (cli.has("events")) {
+    std::string err;
+    if (!EventLog::open(cli.get("events"), name, &err)) {
+      std::cerr << "error: " << err << "\n";
+      return false;
+    }
+  }
+  if (cli.has("progress")) {
+    const double interval = cli.get_double("progress", 1.0);
+    telemetry_set_progress(name, interval > 0 ? interval : 1.0);
+  }
+  return true;
+}
+
+bool obs_cli_finish(const Cli& cli, const RunReport& report,
+                    std::string_view status, std::ostream& out) {
+  bool ok = true;
+  std::string err;
+  if (cli.has("report") && !report.write(cli.get("report"), &err)) {
+    std::cerr << "error: " << err << "\n";
+    ok = false;
+  }
+  if (cli.has("trace")) {
+    out << "\n";
+    report.print_summary(out);
+  }
+  if (!ChromeTrace::flush(&err)) {
+    std::cerr << "error: " << err << "\n";
+    ok = false;
+  }
+  EventLog::finish(status);
+  return ok;
 }
 
 }  // namespace compsyn

@@ -4,14 +4,18 @@
 // (or JSONL, one record per line, when the path ends in ".jsonl").
 //
 // The report layer is always compiled in -- it is the explicit, user-facing
-// sink behind --report=<file>; only the Trace/Counters snapshots it embeds
-// are subject to the COMPSYN_TRACE / runtime gating (they come out empty when
-// instrumentation is off).
+// sink behind --report=<file>; only the span/counter snapshots it embeds
+// are subject to the COMPSYN_TRACE / ObsLevel gating (they come out empty
+// when instrumentation is off).
+//
+// obs_cli_start / obs_cli_finish are the one place the observability flags
+// of a one-shot binary turn into a level and open sinks.
 #pragma once
 
-#include <chrono>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -19,6 +23,7 @@
 
 namespace compsyn {
 
+class Cli;
 class Table;
 
 class RunReport {
@@ -55,10 +60,25 @@ class RunReport {
 
  private:
   std::string name_;
-  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_ns_;
   Json meta_ = Json::object();
   std::vector<std::pair<std::string, Json>> tables_;    // label -> {headers, rows}
   std::vector<std::pair<std::string, Json>> sections_;  // section -> array
 };
+
+/// Reads the observability flags of a one-shot binary:
+///   --report=F, --trace                            -> ObsLevel::report
+///   --trace-out=F, --events=F, --progress[=SECS]   -> ObsLevel::extended,
+/// and opens the sinks those flags name (`name` labels the event log and
+/// the stderr heartbeat). Returns false after printing "error: ..." to
+/// stderr when the event log cannot be opened.
+bool obs_cli_start(const Cli& cli, const std::string& name);
+
+/// Flag-gated end of a one-shot run: writes --report, prints the --trace
+/// summary to `out`, writes --trace-out, and finishes the event log with
+/// `status`. Returns false after printing "error: ..." to stderr for each
+/// artifact that could not be written.
+bool obs_cli_finish(const Cli& cli, const RunReport& report,
+                    std::string_view status, std::ostream& out);
 
 }  // namespace compsyn

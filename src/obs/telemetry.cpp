@@ -3,28 +3,15 @@
 #if COMPSYN_TRACE
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <utility>
 
-#include "obs/chrome_trace.hpp"
 #include "obs/events.hpp"
-#include "obs/memstats.hpp"
 
 namespace compsyn {
 namespace {
-
-std::atomic<bool> g_extended{false};
-
-std::uint64_t steady_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct ConeData {
   std::uint64_t total_ns = 0;
@@ -49,15 +36,6 @@ TelemetryState& state() {
 
 }  // namespace
 
-bool telemetry_extended() {
-  return g_extended.load(std::memory_order_relaxed);
-}
-
-void telemetry_set_extended(bool on) {
-  g_extended.store(on, std::memory_order_relaxed);
-  if (on) obs_set_enabled(true);
-}
-
 void telemetry_set_progress(std::string name, double interval_seconds) {
   TelemetryState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
@@ -68,13 +46,13 @@ void telemetry_set_progress(std::string name, double interval_seconds) {
   s.progress_name = std::move(name);
   s.progress_interval_ns =
       static_cast<std::uint64_t>(interval_seconds * 1e9);
-  s.progress_epoch_ns = steady_ns();
+  s.progress_epoch_ns = now_ns();
   s.progress_last_ns = 0;  // first tick prints immediately
 }
 
 void telemetry_progress(std::string_view phase, std::uint64_t done,
                         std::uint64_t total) {
-  if (!telemetry_extended()) return;
+  if (obs_level() < ObsLevel::extended) return;
 
   // Event-log record at a fixed work stride (plus the final tick), so the
   // progress sequence is a function of the work, not of --jobs or timing.
@@ -87,7 +65,7 @@ void telemetry_progress(std::string_view phase, std::uint64_t done,
   TelemetryState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   if (s.progress_interval_ns == 0) return;
-  std::uint64_t now = steady_ns();
+  std::uint64_t now = now_ns();
   if (s.progress_last_ns != 0 &&
       now - s.progress_last_ns < s.progress_interval_ns) {
     return;
@@ -105,18 +83,23 @@ void telemetry_progress(std::string_view phase, std::uint64_t done,
   }
 }
 
-void telemetry_note_cone(std::string_view root, std::uint64_t ns,
-                         std::uint64_t cones) {
-  if (!telemetry_extended()) return;
+namespace obs_detail {
+
+void record_phase(PhaseStat stat) {
   TelemetryState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.cones.find(root);
-  if (it == s.cones.end()) {
-    it = s.cones.emplace(std::string(root), ConeData{}).first;
-  }
-  it->second.total_ns += ns;
-  it->second.cones += cones;
+  s.phases.push_back(std::move(stat));
 }
+
+void record_hot_cone(std::string root, std::uint64_t ns, std::uint64_t cones) {
+  TelemetryState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  ConeData& d = s.cones[std::move(root)];
+  d.total_ns += ns;
+  d.cones += cones;
+}
+
+}  // namespace obs_detail
 
 std::vector<HotCone> telemetry_hot_cones(std::size_t top) {
   TelemetryState& s = state();
@@ -150,36 +133,6 @@ void telemetry_reset() {
   s.progress_interval_ns = 0;
   s.progress_epoch_ns = 0;
   s.progress_last_ns = 0;
-}
-
-PhaseScope::PhaseScope(std::string name)
-    : name_(std::move(name)), active_(telemetry_extended()) {
-  if (!active_) return;
-  start_ns_ = steady_ns();
-  MemSnapshot m = mem_snapshot();
-  alloc_count0_ = m.alloc_count;
-  alloc_bytes0_ = m.alloc_bytes;
-  chrome_ = ChromeTrace::begin(name_);
-  EventLog::phase(name_, /*begin=*/true);
-}
-
-PhaseScope::~PhaseScope() {
-  if (!active_) return;
-  std::uint64_t wall_ns = steady_ns() - start_ns_;
-  MemSnapshot m = mem_snapshot();
-  PhaseStat stat;
-  stat.name = name_;
-  stat.wall_ns = wall_ns;
-  stat.alloc_count = m.alloc_count - alloc_count0_;
-  stat.alloc_bytes = m.alloc_bytes - alloc_bytes0_;
-  stat.peak_rss_bytes = peak_rss_bytes();
-  {
-    TelemetryState& s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.phases.push_back(std::move(stat));
-  }
-  EventLog::phase(name_, /*begin=*/false);
-  if (chrome_) ChromeTrace::end();
 }
 
 }  // namespace compsyn

@@ -1,24 +1,15 @@
-// Second-generation telemetry switchboard (DESIGN.md §12).
+// Extended-level report views fed by spans (DESIGN.md §12), plus progress.
 //
-// PR 1's spans/counters answer "where did the time go, on aggregate". This
-// layer adds the profile-grade views on top -- all default-off, all gated
-// behind the *extended* flag so that runs without the new CLI flags keep
-// byte-identical stdout and (masked) reports:
-//
-//  * telemetry_extended()  -- master gate, set when any of --trace-out,
-//    --events or --progress is passed. Guards every new report section
-//    (histograms, phases, hot cones) and every new sample point.
-//  * PhaseScope            -- top-level phase attribution: wall time plus
-//    allocation-count/byte deltas (obs/memstats) and peak RSS, recorded per
-//    named phase and emitted in the report's "phases" section, the Chrome
-//    trace, and the event log.
-//  * telemetry_progress()  -- deterministic commit-point progress ticks from
+//  * phases     -- one PhaseStat per closed Phase span: wall time,
+//    allocation-count/byte deltas (obs/memstats) and peak RSS; the report's
+//    "phases" section.
+//  * hot cones  -- per-root candidate-search time summed per Root span
+//    label (the root gate's name); the report's "hot_cones" section.
+//  * telemetry_progress() -- deterministic commit-point progress ticks from
 //    the engines (resynthesis root sweep, redundancy-removal windows). Feeds
 //    the --events log at a fixed work stride (jobs-invariant sequence) and
 //    the --progress stderr heartbeat (time-gated one-liner; stderr only, so
 //    stdout stays untouched).
-//  * hot-cone registry     -- per-root evaluation time keyed by the root
-//    gate's name, so the report can point at the cones that dominate a run.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +22,7 @@
 
 namespace compsyn {
 
-class Json;
-
-/// Per-phase resource attribution (one entry per completed PhaseScope).
+/// Per-phase resource attribution (one entry per closed Phase span).
 struct PhaseStat {
   std::string name;
   std::uint64_t wall_ns = 0;
@@ -50,81 +39,45 @@ struct HotCone {
   std::uint64_t cones = 0;  // cones evaluated under this root
 };
 
+/// Work stride between event-log progress records (fixed, jobs-invariant).
+inline constexpr std::uint64_t kProgressStride = 16;
+
 #if COMPSYN_TRACE
-
-/// True when extended telemetry is recording (single relaxed load).
-bool telemetry_extended();
-
-/// Turns extended telemetry on or off. Implies obs_set_enabled(true) when
-/// turned on (the extended layer builds on spans/counters).
-void telemetry_set_extended(bool on);
 
 /// Enables the stderr progress heartbeat with the given minimum interval in
 /// seconds (<= 0 disables). `name` prefixes each line ("[resynth_flow] ...").
 void telemetry_set_progress(std::string name, double interval_seconds);
 
-/// Deterministic commit-point progress tick. `phase` names the sweep,
-/// `done`/`total` its position. Emits an event-log progress record every
-/// `kProgressStride` ticks (plus the final one) and, when --progress is
-/// active and the interval elapsed, one stderr heartbeat line.
+/// Deterministic commit-point progress tick (extended level only). `phase`
+/// names the sweep, `done`/`total` its position. Emits an event-log progress
+/// record every `kProgressStride` ticks and on the final one (done == total)
+/// and, when --progress is active and the interval elapsed, one stderr
+/// heartbeat line.
 void telemetry_progress(std::string_view phase, std::uint64_t done,
                         std::uint64_t total);
-
-/// Work stride between event-log progress records (fixed, jobs-invariant).
-inline constexpr std::uint64_t kProgressStride = 16;
-
-/// Attributes `ns` of candidate-evaluation time to the resynthesis root
-/// named `root` (no-op unless telemetry_extended()).
-void telemetry_note_cone(std::string_view root, std::uint64_t ns,
-                         std::uint64_t cones);
 
 /// The `top` hottest roots by total ns (ties broken by name).
 std::vector<HotCone> telemetry_hot_cones(std::size_t top = 10);
 
-/// Completed phases, in completion order.
+/// Closed phases, in closing order.
 std::vector<PhaseStat> telemetry_phases();
 
 /// Drops phases, hot cones, and progress state. Test helper.
 void telemetry_reset();
 
-/// RAII top-level phase: spans the Chrome trace, emits event-log phase
-/// begin/end records, and attributes wall time / allocations / peak RSS to
-/// `name`. Inert unless telemetry_extended() was on at construction.
-class PhaseScope {
- public:
-  explicit PhaseScope(std::string name);
-  ~PhaseScope();
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  std::string name_;
-  bool active_ = false;
-  bool chrome_ = false;  // our ChromeTrace::begin() recorded; end() in dtor
-  std::uint64_t start_ns_ = 0;
-  std::uint64_t alloc_count0_ = 0;
-  std::uint64_t alloc_bytes0_ = 0;
-};
+namespace obs_detail {
+// Sink entries for Phase and Root spans (obs/trace.cpp).
+void record_phase(PhaseStat stat);
+void record_hot_cone(std::string root, std::uint64_t ns, std::uint64_t cones);
+}  // namespace obs_detail
 
 #else  // COMPSYN_TRACE == 0
 
-constexpr bool telemetry_extended() { return false; }
-inline void telemetry_set_extended(bool) {}
 inline void telemetry_set_progress(std::string, double) {}
 inline void telemetry_progress(std::string_view, std::uint64_t, std::uint64_t) {}
-inline constexpr std::uint64_t kProgressStride = 16;
-inline void telemetry_note_cone(std::string_view, std::uint64_t, std::uint64_t) {}
 inline std::vector<HotCone> telemetry_hot_cones(std::size_t = 10) { return {}; }
 inline std::vector<PhaseStat> telemetry_phases() { return {}; }
 inline void telemetry_reset() {}
-
-class PhaseScope {
- public:
-  explicit PhaseScope(std::string) {}
-  ~PhaseScope() {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-};
 
 #endif
 

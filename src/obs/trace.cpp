@@ -1,25 +1,8 @@
 #include "obs/trace.hpp"
 
-#if COMPSYN_TRACE
-
-#include <algorithm>
 #include <chrono>
-#include <limits>
-#include <map>
-#include <mutex>
-#include <ostream>
-
-#include "obs/chrome_trace.hpp"
-#include "obs/domain.hpp"
-#include "util/table.hpp"
 
 namespace compsyn {
-
-namespace obs_detail {
-std::atomic<bool> g_enabled{false};
-}  // namespace obs_detail
-
-namespace {
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -27,6 +10,32 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+}  // namespace compsyn
+
+#if COMPSYN_TRACE
+
+#include <algorithm>
+#include <limits>
+#include <map>
+#include <mutex>
+#include <ostream>
+
+#include "obs/chrome_trace.hpp"
+#include "obs/domain.hpp"
+#include "obs/events.hpp"
+#include "obs/histogram.hpp"
+#include "obs/memstats.hpp"
+#include "obs/telemetry.hpp"
+#include "util/table.hpp"
+
+namespace compsyn {
+
+namespace obs_detail {
+std::atomic<ObsLevel> g_level{ObsLevel::off};
+}  // namespace obs_detail
+
+namespace {
 
 struct Agg {
   std::uint64_t count = 0;
@@ -74,41 +83,61 @@ Registry& registry() {
       [](void* p) { delete static_cast<Registry*>(p); }));
 }
 
-thread_local Trace::Span* t_current = nullptr;
+thread_local Span* t_current = nullptr;  // innermost open Scope span
 
 }  // namespace
 
-Trace::Span::Span(void* registry, std::uint32_t slot, bool chrome)
-    : registry_(registry), slot_(slot), chrome_(chrome) {
-  if (slot_ == kInert) return;
-  parent_ = t_current;
-  t_current = this;
+void Span::open(std::string_view label, SpanKind kind, std::uint64_t id) {
+  active_ = true;
+  kind_ = kind;
+  label_ = label;
+  id_ = id;
+  if (kind == SpanKind::Scope) {
+    Registry& r = registry();
+    registry_ = &r;
+    slot_ = r.slot_for(label);
+    parent_ = t_current;
+    t_current = this;
+  } else if (kind == SpanKind::Phase) {
+    const MemSnapshot m = mem_snapshot();
+    count_ = m.alloc_count;
+    bytes_ = m.alloc_bytes;
+    EventLog::phase(label, /*begin=*/true);
+  }
   start_ns_ = now_ns();
 }
 
-Trace::Span::~Span() {
-  if (slot_ == kInert) return;
-  const std::uint64_t end = now_ns();
-  const std::uint64_t total = end >= start_ns_ ? end - start_ns_ : 0;
-  t_current = parent_;
-  if (parent_ != nullptr) parent_->child_ns_ += total;
-  const std::uint64_t self = total >= child_ns_ ? total - child_ns_ : 0;
-  // Record into the registry the span *started* in: the slot index is
-  // only meaningful there, and a domain rebind mid-span must not leak
-  // the measurement into a neighbouring domain.
-  static_cast<Registry*>(registry_)->record(slot_, total, self);
-  if (chrome_) ChromeTrace::end();
-}
-
-Trace::Span Trace::span(std::string_view label) {
-  if (!obs_enabled()) return Span(nullptr, Span::kInert);
-  // Mirror the span into the Chrome trace here, where the label is at hand;
-  // the matching E is emitted by the destructor. The flag is latched into the
-  // span so an enable()/disable between entry and exit cannot unbalance the
-  // B/E stack.
-  const bool chrome = ChromeTrace::begin(label);
-  Registry& r = registry();
-  return Span(&r, r.slot_for(label), chrome);
+void Span::close() {
+  const std::uint64_t dur = now_ns() - start_ns_;
+  switch (kind_) {
+    case SpanKind::Scope: {
+      t_current = parent_;
+      if (parent_ != nullptr) parent_->child_ns_ += dur;
+      // Record into the registry the span *started* in: the slot index is
+      // only meaningful there, and a domain rebind mid-span must not leak
+      // the measurement into a neighbouring domain.
+      static_cast<Registry*>(registry_)->record(
+          slot_, dur, dur - std::min(child_ns_, dur));
+      break;
+    }
+    case SpanKind::Sample:
+      Histogram::record(label_, dur);
+      break;
+    case SpanKind::Phase: {
+      const MemSnapshot m = mem_snapshot();
+      obs_detail::record_phase({std::string(label_), dur,
+                                m.alloc_count - count_,
+                                m.alloc_bytes - bytes_, peak_rss_bytes()});
+      EventLog::phase(label_, /*begin=*/false);
+      break;
+    }
+    case SpanKind::Root:
+      obs_detail::record_hot_cone(
+          label_.empty() ? "n" + std::to_string(id_) : std::string(label_),
+          dur, count_);
+      return;  // per-root totals are a report view, not a timeline slice
+  }
+  ChromeTrace::record(label_, start_ns_, dur);
 }
 
 std::vector<SpanStats> Trace::snapshot() {

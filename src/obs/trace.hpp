@@ -1,16 +1,15 @@
-// Scoped-span tracer: monotonic-clock timing with nesting-aware self time
-// and a thread-safe global registry aggregated per label.
+// Span: the one timing primitive (see obs.hpp for the sink table).
 //
 //   {
-//     auto s = Trace::span("resynth.pass");
+//     const Span sp("resynth.pass");                   // aggregate table
+//     const Span cone("resynth.cone", SpanKind::Sample);  // histogram
 //     ...work...
-//   }  // elapsed time recorded on scope exit
+//   }  // each span records once, on scope exit
 //
-// Per label the registry keeps call count, total time, self time (total minus
-// the time spent in child spans started while this one was active on the same
-// thread), and min/max per-call duration. Spans are cheap: one label lookup
-// and two clock reads when enabled, a single relaxed atomic load when not
-// (see obs.hpp for the gating contract).
+// The aggregate table keeps, per label, call count, total time, self time
+// (total minus the Scope spans nested in it on the same thread), and
+// min/max per-call duration. It lives in the thread's bound ObsDomain, so
+// each serving lane reports only its own job's spans.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +21,14 @@
 #include "obs/obs.hpp"
 
 namespace compsyn {
+
+/// Which sinks a span feeds when it closes (obs.hpp has the table).
+enum class SpanKind : std::uint8_t {
+  Scope,   // aggregate table; from ObsLevel::report
+  Sample,  // duration histogram "<label>.ns"; extended only
+  Phase,   // wall/allocation/peak-RSS attribution + event log; extended only
+  Root,    // hot-cone registry keyed by label; extended only
+};
 
 /// Aggregated statistics for one span label.
 struct SpanStats {
@@ -35,32 +42,47 @@ struct SpanStats {
 
 #if COMPSYN_TRACE
 
+/// RAII span. Not copyable or movable: keep it in a local for the scope
+/// being measured. `label` must outlive the span. A Root span with an empty
+/// label (a nameless gate) is keyed "n<id>".
+class Span {
+ public:
+  explicit Span(std::string_view label, SpanKind kind = SpanKind::Scope,
+                std::uint64_t id = 0) {
+    if (obs_level() >= (kind == SpanKind::Scope ? ObsLevel::report
+                                                : ObsLevel::extended)) {
+      open(label, kind, id);
+    }
+  }
+  ~Span() {
+    if (active_) close();
+  }
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+  /// Work items covered by a Root span (the cones evaluated under it).
+  void set_count(std::uint64_t n) { count_ = n; }
+
+ private:
+  void open(std::string_view label, SpanKind kind, std::uint64_t id);
+  void close();
+
+  bool active_ = false;
+  SpanKind kind_ = SpanKind::Scope;
+  std::uint32_t slot_ = 0;      // Scope: aggregate slot
+  void* registry_ = nullptr;    // Scope: registry of the opening domain
+  Span* parent_ = nullptr;      // Scope: enclosing Scope span on this thread
+  std::string_view label_;
+  std::uint64_t id_ = 0;
+  std::uint64_t count_ = 0;     // Root: cones; Phase: allocations at open
+  std::uint64_t bytes_ = 0;     // Phase: bytes allocated at open
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t child_ns_ = 0;  // Scope: accumulated by direct children
+};
+
+/// The aggregate table of the calling thread's domain.
 class Trace {
  public:
-  /// RAII span; records on destruction. Not copyable or movable -- keep it in
-  /// a local variable for the duration of the scope being measured.
-  class Span {
-   public:
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-    ~Span();
-
-   private:
-    friend class Trace;
-    explicit Span(void* registry, std::uint32_t slot, bool chrome = false);
-
-    static constexpr std::uint32_t kInert = ~0u;
-    void* registry_ = nullptr;  // registry of the domain the span started in
-    std::uint32_t slot_;
-    bool chrome_ = false;  // emitted a ChromeTrace begin; end on destruction
-    std::uint64_t start_ns_ = 0;
-    std::uint64_t child_ns_ = 0;  // accumulated by direct children
-    Span* parent_ = nullptr;
-  };
-
-  /// Starts a span; inert (two loads, no clock read) when recording is off.
-  [[nodiscard]] static Span span(std::string_view label);
-
   /// Snapshot of every label seen so far, sorted by descending total time.
   static std::vector<SpanStats> snapshot();
 
@@ -73,22 +95,20 @@ class Trace {
 
 #else  // COMPSYN_TRACE == 0
 
+class Span {
+ public:
+  explicit Span(std::string_view, SpanKind = SpanKind::Scope,
+                std::uint64_t = 0) {}
+  // Non-trivial so an unused `const Span sp(...)` never trips
+  // -Wunused-variable in the compiled-out configuration.
+  ~Span() {}
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  void set_count(std::uint64_t) {}
+};
+
 class Trace {
  public:
-  class Span {
-   public:
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-    // Non-trivial so `auto s = Trace::span(...)` never trips
-    // -Wunused-variable in the compiled-out configuration.
-    ~Span() {}
-
-   private:
-    friend class Trace;
-    Span() = default;
-  };
-
-  [[nodiscard]] static Span span(std::string_view) { return Span(); }
   static std::vector<SpanStats> snapshot() { return {}; }
   static void reset() {}
   static void print_summary(std::ostream&) {}

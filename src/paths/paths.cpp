@@ -33,7 +33,7 @@ bool is_source(GateType t) {
 }  // namespace
 
 PathCounts count_paths(const Netlist& nl) {
-  const auto sp = Trace::span("paths.count");
+  const Span sp("paths.count");
   Counters::incr("paths.count_sweeps");
   PathCounts pc;
   pc.np.assign(nl.size(), 0);
@@ -59,7 +59,7 @@ PathCounts count_paths(const Netlist& nl) {
 }
 
 PathCounts count_paths_clamped(const Netlist& nl) {
-  const auto sp = Trace::span("paths.count");
+  const Span sp("paths.count");
   Counters::incr("paths.count_sweeps");
   PathCounts pc;
   pc.np.assign(nl.size(), 0);

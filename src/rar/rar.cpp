@@ -207,7 +207,7 @@ unsigned resubstitute_divisors(Netlist& nl) {
 }
 
 RarStats rar_optimize(Netlist& nl, const RarOptions& opt) {
-  const auto whole = Trace::span("rar.optimize");
+  const Span whole("rar.optimize");
   RarStats stats;
   stats.gates_before = nl.equivalent_gate_count();
   stats.paths_before = count_paths(nl).total;
@@ -215,13 +215,13 @@ RarStats rar_optimize(Netlist& nl, const RarOptions& opt) {
   std::uint64_t connections_tried = 0;
 
   if (opt.run_redundancy_removal) {
-    const auto sp = Trace::span("rar.redundancy_removal");
+    const Span sp("rar.redundancy_removal");
     RedundancyRemovalOptions rr;
     rr.atpg = opt.atpg;
     remove_redundancies(nl, rr);
   }
   if (opt.run_extraction) {
-    const auto sp = Trace::span("rar.extraction");
+    const Span sp("rar.extraction");
     merge_duplicate_gates(nl);
     stats.extracted = extract_common_pairs(nl);
     resubstitute_divisors(nl);
@@ -229,7 +229,7 @@ RarStats rar_optimize(Netlist& nl, const RarOptions& opt) {
     nl.simplify();
   }
   if (opt.run_factoring) {
-    const auto sp = Trace::span("rar.factoring");
+    const Span sp("rar.factoring");
     factor_cones(nl);
     if (opt.run_extraction) {
       merge_duplicate_gates(nl);
@@ -239,7 +239,7 @@ RarStats rar_optimize(Netlist& nl, const RarOptions& opt) {
   }
 
   if (opt.run_addition_removal) {
-    const auto sp = Trace::span("rar.addition_removal");
+    const Span sp("rar.addition_removal");
     // Snapshot of candidate destinations (new gates created later by
     // accepted transactions are not revisited; one sweep is the budget).
     std::vector<NodeId> destinations;
@@ -331,7 +331,7 @@ RarStats rar_optimize(Netlist& nl, const RarOptions& opt) {
   }
 
   if (opt.run_redundancy_removal) {
-    const auto sp = Trace::span("rar.redundancy_removal");
+    const Span sp("rar.redundancy_removal");
     RedundancyRemovalOptions rr;
     rr.atpg = opt.atpg;
     remove_redundancies(nl, rr);

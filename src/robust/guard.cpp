@@ -72,7 +72,7 @@ int guard_main(const char* name, int argc, char** argv,
     // run still leaves its profile behind.
     ChromeTrace::instant(std::string("cancel.") + to_string(e.reason));
     EventLog::finish(status);
-    ChromeTrace::flush_armed();
+    ChromeTrace::flush();
     std::cerr << name << ": run " << status << " (" << to_string(e.reason)
               << ")\n";
     write_error_report(name, report_path, status, to_string(e.reason));

@@ -27,7 +27,7 @@ std::optional<VerifyMode> parse_verify_mode(std::string_view s) {
 
 EquivalenceResult check_equivalent_sat(const Netlist& a, const Netlist& b,
                                        const SolverBudget& budget) {
-  const auto sp = Trace::span("sat.cec");
+  const Span sp("sat.cec");
   EquivalenceResult res;
   if (a.inputs().size() != b.inputs().size() ||
       a.outputs().size() != b.outputs().size()) {

@@ -8,7 +8,7 @@ namespace compsyn {
 
 SatFaultResult prove_fault(const Netlist& nl, const StuckFault& fault,
                            const SolverBudget& budget) {
-  const auto sp = Trace::span("sat.atpg");
+  const Span sp("sat.atpg");
   SatFaultResult res;
   Solver solver;
   const FaultMiterEncoding miter = encode_fault_miter(nl, fault, solver);

@@ -1,13 +1,10 @@
 #include "sat/session.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
-#include "obs/histogram.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "robust/checkpoint.hpp"  // fnv1a64
 
@@ -21,21 +18,19 @@ namespace {
 // workers never consult it.
 thread_local SatBackend t_sat_backend{SatBackend::Session};
 
-std::uint64_t query_clock_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Per-query extended telemetry: one `sat.query.ns` histogram sample and a
-/// `sat.session.vars` counter-track point (the incremental session's size,
-/// which sawtooths as circuits accumulate and compactions reset it).
-void note_query(std::uint64_t t0_ns, std::uint64_t t1_ns,
-                std::size_t session_vars) {
-  Histogram::observe_ns("sat.query.ns", t1_ns - t0_ns);
+/// One solver query: a `sat.query.ns` sample, then a `sat.session.vars`
+/// counter-track point (the incremental session's size, which sawtooths as
+/// circuits accumulate and compactions reset it).
+SolveStatus timed_solve(Solver& solver, SatLit act,
+                        const SolverBudget& budget) {
+  SolveStatus st;
+  {
+    const Span sp("sat.query", SpanKind::Sample);
+    st = solver.solve({act}, budget);
+  }
   ChromeTrace::counter("sat.session.vars",
-                       static_cast<double>(session_vars));
+                       static_cast<double>(solver.num_vars()));
+  return st;
 }
 
 /// Exact structural serialisation of a netlist: node count, interface, and
@@ -120,17 +115,14 @@ void SatSession::compact() {
 
 SatFaultResult SatSession::prove_fault(CircuitId id, const StuckFault& fault,
                                        const SolverBudget& budget) {
-  const auto sp = Trace::span("sat.atpg");
+  const Span sp("sat.atpg");
   Entry& e = circuits_[id];
   SatFaultResult res;
   const SatLit act = new_activation();
   const FaultMiterEncoding miter =
       encode_fault_miter_gated(e.netlist, fault, solver_, e.enc, act);
   const std::uint64_t conflicts_before = solver_.stats().conflicts;
-  const bool telem = telemetry_extended();
-  const std::uint64_t t0 = telem ? query_clock_ns() : 0;
-  const SolveStatus st = solver_.solve({act}, budget);
-  if (telem) note_query(t0, query_clock_ns(), solver_.num_vars());
+  const SolveStatus st = timed_solve(solver_, act, budget);
   res.conflicts = solver_.stats().conflicts - conflicts_before;
   Counters::incr("sat.atpg.calls");
   Counters::incr("sat.session.queries");
@@ -155,7 +147,7 @@ SatFaultResult SatSession::prove_fault(CircuitId id, const StuckFault& fault,
 
 EquivalenceResult SatSession::check_equivalent(CircuitId a, CircuitId b,
                                                const SolverBudget& budget) {
-  const auto sp = Trace::span("sat.cec");
+  const Span sp("sat.cec");
   EquivalenceResult res;
   const Entry& ea = circuits_[a];
   const Entry& eb = circuits_[b];
@@ -181,10 +173,7 @@ EquivalenceResult SatSession::check_equivalent(CircuitId a, CircuitId b,
   const SatLit act = new_activation();
   encode_miter_gated(ea.netlist, ea.enc, eb.netlist, eb.enc, solver_, act);
   const std::uint64_t conflicts_before = solver_.stats().conflicts;
-  const bool telem = telemetry_extended();
-  const std::uint64_t t0 = telem ? query_clock_ns() : 0;
-  const SolveStatus st = solver_.solve({act}, budget);
-  if (telem) note_query(t0, query_clock_ns(), solver_.num_vars());
+  const SolveStatus st = timed_solve(solver_, act, budget);
   const std::uint64_t conflicts = solver_.stats().conflicts - conflicts_before;
   std::ostringstream ss;
   switch (st) {

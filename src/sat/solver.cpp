@@ -393,7 +393,7 @@ SolveStatus Solver::solve(const std::vector<SatLit>& assumptions,
 }
 
 void Solver::publish_counters() {
-  if (!obs_enabled()) {
+  if (obs_level() == ObsLevel::off) {
     published_ = stats_;
     return;
   }

@@ -117,7 +117,7 @@ JobExecution run_resynth_job(const JobSpec& spec) {
 
     Netlist original;
     {
-      PhaseScope phase_rr0("redundancy_removal");
+      const Span phase_rr0("redundancy_removal", SpanKind::Phase);
       auto rr0 = remove_redundancies(nl, rr_opt);
       if (rr0.status == robust::RunStatus::Interrupted) {
         throw robust::CancelledError(rr0.stop_reason);
@@ -133,7 +133,7 @@ JobExecution run_resynth_job(const JobSpec& spec) {
 
     ResynthStats st;
     {
-      PhaseScope phase_resynth("resynth");
+      const Span phase_resynth("resynth", SpanKind::Phase);
       if (spec.proc == "combined") {
         st = resynthesize(nl, resynth_options(spec));
       } else {
@@ -168,8 +168,8 @@ JobExecution run_resynth_job(const JobSpec& spec) {
               "verified\n";
     }
 
-    std::optional<PhaseScope> phase_rr1;
-    phase_rr1.emplace("redundancy_removal_post");
+    std::optional<Span> phase_rr1;
+    phase_rr1.emplace("redundancy_removal_post", SpanKind::Phase);
     auto rr1 = remove_redundancies(nl, rr_opt);
     phase_rr1.reset();
     if (rr1.status == robust::RunStatus::Interrupted) {
@@ -190,8 +190,8 @@ JobExecution run_resynth_job(const JobSpec& spec) {
     if (*verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
       verify_session.emplace();
     }
-    std::optional<PhaseScope> phase_verify;
-    phase_verify.emplace("verify");
+    std::optional<Span> phase_verify;
+    phase_verify.emplace("verify", SpanKind::Phase);
     auto eq = *verify == VerifyMode::Sim
                   ? check_equivalent(original, nl, rng, 128)
                   : check_equivalent_mode(original, nl, rng, *verify, 128,

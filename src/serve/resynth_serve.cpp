@@ -4,8 +4,8 @@
 // job lanes so every result is byte-identical to a one-shot `resynth_flow`
 // run with the same flags, at any lane count (DESIGN.md §13, §15).
 //
-//   $ ./resynth_serve --socket=/tmp/compsyn.sock --lanes=4 \
-//         --wal=/tmp/compsyn.wal --cache-mb=64 &
+//   $ ./resynth_serve --socket=/tmp/compsyn.sock --lanes=4
+//         --wal=/tmp/compsyn.wal --cache-mb=64 &      (one command line)
 //   $ ./resynth_client --socket=/tmp/compsyn.sock --proc=2 --k=5 add8
 //
 // With --wal=PATH the daemon journals every deadline-free job and, after a

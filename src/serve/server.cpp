@@ -854,8 +854,8 @@ int Server::run() {
   // not a process-killing SIGPIPE.
   ::signal(SIGPIPE, SIG_IGN);
   // Job reports embed counters/spans exactly like a one-shot run with
-  // --report, which turns obs recording on; match it.
-  obs_set_enabled(true);
+  // --report, which records at the report level; match it.
+  obs_set_level(ObsLevel::report);
   if (!config_.events_path.empty()) {
     std::string err;
     if (!EventLog::open(config_.events_path, "resynth_serve", &err)) {

@@ -32,10 +32,10 @@ struct JobsGuard {
 struct ObsGuard {
   ObsGuard() {
     Counters::reset();
-    obs_set_enabled(true);
+    obs_set_level(ObsLevel::report);
   }
   ~ObsGuard() {
-    obs_set_enabled(false);
+    obs_set_level(ObsLevel::off);
     Counters::reset();
   }
 };

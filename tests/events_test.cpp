@@ -8,10 +8,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "atpg/redundancy.hpp"
 #include "core/resynth.hpp"
 #include "exec/exec.hpp"
 #include "gen/circuits.hpp"
@@ -80,7 +82,6 @@ TEST(EventLog, MinimalLogIsSchemaValid) {
   EXPECT_EQ(str_field(records.front(), "name"), "events_test");
   EXPECT_EQ(str_field(records.back(), "status"), "ok");
   std::remove(path.c_str());
-  obs_set_enabled(false);
 }
 
 TEST(EventLog, OpenFailsOnBadPath) {
@@ -95,9 +96,8 @@ class EventLogTest : public ::testing::Test {
  protected:
   void TearDown() override {
     EventLog::reset();
-    telemetry_set_extended(false);
+    obs_set_level(ObsLevel::off);
     telemetry_reset();
-    obs_set_enabled(false);
   }
 };
 
@@ -145,7 +145,7 @@ TEST_F(EventLogTest, RecordsNothingAfterFinish) {
 TEST_F(EventLogTest, ProgressTicksFollowTheStride) {
   const std::string path = temp_path("stride.jsonl");
   ASSERT_TRUE(EventLog::open(path, "events_test"));
-  telemetry_set_extended(true);
+  obs_set_level(ObsLevel::extended);
   const std::uint64_t total = kProgressStride * 2 + 5;
   for (std::uint64_t done = 1; done <= total; ++done) {
     telemetry_progress("sweep", done, total);
@@ -164,34 +164,61 @@ TEST_F(EventLogTest, ProgressTicksFollowTheStride) {
   std::remove(path.c_str());
 }
 
-/// Progress records produced by one resynthesis run, as (done, total) pairs
-/// per phase, in order. t_ms and heartbeats (both timing data) are ignored.
-std::vector<std::string> progress_sequence(unsigned jobs) {
+struct ProgressRecord {
+  std::string phase;
+  std::uint64_t done = 0;
+  std::uint64_t total = 0;
+  bool operator==(const ProgressRecord&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ProgressRecord& p) {
+  return os << p.phase << ":" << p.done << "/" << p.total;
+}
+
+/// Progress records produced by one resynthesis run followed by redundancy
+/// removal, in order. t_ms and heartbeats (both timing data) are ignored.
+std::vector<ProgressRecord> progress_records(unsigned jobs) {
   const std::string path = temp_path("jobs" + std::to_string(jobs) + ".jsonl");
   EXPECT_TRUE(EventLog::open(path, "events_test"));
-  telemetry_set_extended(true);
+  obs_set_level(ObsLevel::extended);
   set_jobs(jobs);
   Netlist nl = make_benchmark("alu4");
   (void)procedure2(nl, 5);
+  (void)remove_redundancies(nl);
   set_jobs(1);
   EventLog::finish("ok");
-  std::vector<std::string> out;
+  std::vector<ProgressRecord> out;
   for (const Json& r : read_log(path)) {
-    const std::string type = str_field(r, "type");
-    if (type != "progress") continue;
-    out.push_back(str_field(r, "phase") + ":" +
-                  std::to_string(r.find("done")->as_u64()) + "/" +
-                  std::to_string(r.find("total")->as_u64()));
+    if (str_field(r, "type") != "progress") continue;
+    out.push_back({str_field(r, "phase"), r.find("done")->as_u64(),
+                   r.find("total")->as_u64()});
   }
   std::remove(path.c_str());
   return out;
 }
 
+// The progress stream is jobs-invariant, and every sweep closes with a
+// done == total record: the last record of each phase, and every record a
+// new sweep of the same phase follows (its done restarts lower).
 TEST_F(EventLogTest, ProgressSequenceIsJobsInvariant) {
-  const auto serial = progress_sequence(1);
-  const auto parallel = progress_sequence(8);
+  const auto serial = progress_records(1);
+  const auto parallel = progress_records(8);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+
+  std::map<std::string, ProgressRecord> last;
+  for (const ProgressRecord& p : serial) {
+    const auto it = last.find(p.phase);
+    if (it != last.end() && p.done < it->second.done) {
+      EXPECT_EQ(it->second.done, it->second.total)
+          << p.phase << " sweep ended without a final record";
+    }
+    last[p.phase] = p;
+  }
+  EXPECT_EQ(last.size(), 2u);  // resynth.roots and redundancy.faults
+  for (const auto& [phase, p] : last) {
+    EXPECT_EQ(p.done, p.total) << phase;
+  }
 }
 
 #endif  // COMPSYN_TRACE

@@ -37,7 +37,7 @@ struct JobsGuard {
     set_jobs(prev);
     Counters::reset();
     Trace::reset();
-    obs_set_enabled(false);
+    obs_set_level(ObsLevel::off);
   }
   unsigned prev;
 };
@@ -180,7 +180,7 @@ TEST(ExecDeterminism, RunReportCountersAndTables) {
   expect_jobs_invariant("report", [&] {
     Counters::reset();
     Trace::reset();
-    obs_set_enabled(true);
+    obs_set_level(ObsLevel::report);
     RunReport report("exec_determinism");
 
     Netlist nl = make_benchmark("syn150");

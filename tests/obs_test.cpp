@@ -10,10 +10,14 @@
 
 #include "core/resynth.hpp"
 #include "gen/circuits.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
+#include "obs/events.hpp"
+#include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/report.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "paths/paths.hpp"
 #include "util/table.hpp"
@@ -28,12 +32,12 @@ namespace {
 class ObsFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs_set_enabled(true);
+    obs_set_level(ObsLevel::report);
     Trace::reset();
     Counters::reset();
   }
   void TearDown() override {
-    obs_set_enabled(false);
+    obs_set_level(ObsLevel::off);
     Trace::reset();
     Counters::reset();
   }
@@ -51,7 +55,7 @@ void spin_for(std::chrono::microseconds d) {
 
 TEST_F(TraceTest, RecordsCountAndDuration) {
   for (int i = 0; i < 3; ++i) {
-    auto s = Trace::span("unit.work");
+    const Span s("unit.work");
     spin_for(std::chrono::microseconds(200));
   }
   const auto snap = Trace::snapshot();
@@ -66,10 +70,10 @@ TEST_F(TraceTest, RecordsCountAndDuration) {
 
 TEST_F(TraceTest, SelfTimeExcludesNestedChildren) {
   {
-    auto outer = Trace::span("outer");
+    const Span outer("outer");
     spin_for(std::chrono::microseconds(300));
     {
-      auto inner = Trace::span("inner");
+      const Span inner("inner");
       spin_for(std::chrono::microseconds(300));
     }
     spin_for(std::chrono::microseconds(300));
@@ -90,9 +94,9 @@ TEST_F(TraceTest, SelfTimeExcludesNestedChildren) {
 
 TEST_F(TraceTest, SameLabelNestsCorrectly) {
   {
-    auto a = Trace::span("rec");
+    const Span a("rec");
     {
-      auto b = Trace::span("rec");
+      const Span b("rec");
       spin_for(std::chrono::microseconds(200));
     }
   }
@@ -102,15 +106,6 @@ TEST_F(TraceTest, SameLabelNestsCorrectly) {
   // Self time counts the inner call's body exactly once, so self <= total
   // strictly when nesting occurred.
   EXPECT_LT(snap[0].self_ns, snap[0].total_ns);
-}
-
-TEST_F(TraceTest, DisabledSpansRecordNothing) {
-  obs_set_enabled(false);
-  {
-    auto s = Trace::span("ghost");
-    spin_for(std::chrono::microseconds(50));
-  }
-  EXPECT_TRUE(Trace::snapshot().empty());
 }
 
 TEST_F(CountersTest, IncrAndValue) {
@@ -154,7 +149,7 @@ TEST_F(CountersTest, DistributionsSummarise) {
 }
 
 TEST_F(CountersTest, DisabledIncrIsNoOp) {
-  obs_set_enabled(false);
+  obs_set_level(ObsLevel::off);
   Counters::incr("dark");
   EXPECT_EQ(Counters::value("dark"), 0u);
 }
@@ -206,7 +201,7 @@ TEST(Json, ParseRejectsMalformedInput) {
 }
 
 TEST_F(ReportTest, CapturesTablesSpansAndCounters) {
-  { auto s = Trace::span("phase"); }
+  { const Span s("phase"); }
   Counters::incr("widgets", 5);
 
   RunReport report("unit_report");
@@ -256,7 +251,7 @@ TEST_F(ReportTest, CapturesTablesSpansAndCounters) {
 }
 
 TEST_F(ReportTest, JsonlEmitsOneParseableRecordPerLine) {
-  { auto s = Trace::span("p"); }
+  { const Span s("p"); }
   Counters::incr("c", 2);
   Counters::observe("d", 1.5);
   RunReport report("jsonl_demo");
@@ -324,20 +319,110 @@ TEST_F(ReportTest, ResynthCountersMatchReturnedStats) {
   EXPECT_TRUE(saw_pass);
 }
 
-#else  // COMPSYN_TRACE == 0
+#endif  // COMPSYN_TRACE
 
-TEST(ObsDisabled, StubsCompileAndReturnEmpty) {
-  obs_set_enabled(true);  // runtime enable has no effect when compiled out
-  {
-    auto s = Trace::span("nothing");
-  }
-  Counters::incr("nothing");
-  EXPECT_FALSE(obs_enabled());
-  EXPECT_TRUE(Trace::snapshot().empty());
-  EXPECT_EQ(Counters::value("nothing"), 0u);
+// ---------------------------------------------------------- sink matrix --
+
+/// Which sinks received a record: the span's sinks, plus the Chrome
+/// markers (an instant and a counter-track sample) and a counter bumped at
+/// the same level.
+struct SinkHits {
+  bool aggregate = false;
+  bool histogram = false;
+  bool phase = false;
+  bool hot_cone = false;
+  bool chrome = false;
+  bool events = false;
+  bool markers = false;
+  bool counter = false;
+  bool operator==(const SinkHits&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const SinkHits& h) {
+  return os << "{aggregate=" << h.aggregate << " histogram=" << h.histogram
+            << " phase=" << h.phase << " hot_cone=" << h.hot_cone
+            << " chrome=" << h.chrome << " events=" << h.events
+            << " markers=" << h.markers << " counter=" << h.counter << "}";
 }
 
-#endif
+/// Opens the Chrome buffer and the event log, closes one span of `kind` at
+/// `level` (then emits the markers and the counter), and reports which
+/// sinks received a record.
+SinkHits hits_for(ObsLevel level, SpanKind kind) {
+  const std::string events_path = testing::TempDir() + "compsyn_obs_sinks.jsonl";
+  Trace::reset();
+  Counters::reset();
+  Histogram::reset();
+  telemetry_reset();
+  ChromeTrace::reset();
+  ChromeTrace::open(testing::TempDir() + "compsyn_obs_sinks.json");
+  EXPECT_TRUE(EventLog::open(events_path, "obs_test"));
+  obs_set_level(level);
+  // The level is the one runtime gate; compiled out it is constant off.
+  EXPECT_EQ(obs_level(), COMPSYN_TRACE ? level : ObsLevel::off);
+  { const Span sp("matrix", kind); }
+  const std::size_t span_events = ChromeTrace::event_count();
+  ChromeTrace::instant("matrix.instant");
+  ChromeTrace::counter("matrix.series", 1.0);
+  Counters::incr("matrix.counter");
+  obs_set_level(ObsLevel::off);
+  SinkHits h;
+  h.aggregate = !Trace::snapshot().empty();
+  h.histogram = !Histogram::snapshot().empty();
+  h.phase = !telemetry_phases().empty();
+  h.hot_cone = !telemetry_hot_cones().empty();
+  h.chrome = span_events > 0;
+  h.markers = ChromeTrace::event_count() > span_events;
+  h.counter = Counters::value("matrix.counter") > 0;
+  ChromeTrace::reset();
+  EventLog::finish("ok");
+  std::ifstream is(events_path);
+  std::string line;
+  while (std::getline(is, line)) {
+    h.events |= line.find("\"type\":\"phase\"") != std::string::npos;
+  }
+  std::remove(events_path.c_str());
+  Trace::reset();
+  Counters::reset();
+  Histogram::reset();
+  telemetry_reset();
+  return h;
+}
+
+// For each level x span kind, exactly which sinks received a record. The
+// Chrome buffer and the event log are open in every cell -- they are sinks,
+// not gates -- so the level and the kind alone decide. Off records nothing;
+// under -DCOMPSYN_TRACE=0 every cell is empty (spans and counters compile
+// out).
+TEST(SpanSinks, EachLevelAndKindFeedsExactlyItsSinks) {
+  constexpr bool T = COMPSYN_TRACE != 0;
+  constexpr bool F = false;
+  const struct {
+    ObsLevel level;
+    SpanKind kind;
+    SinkHits want;
+  } matrix[] = {
+      //                           aggr hist phase hot chrome events markers counter
+      {ObsLevel::off, SpanKind::Scope, {F, F, F, F, F, F, F, F}},
+      {ObsLevel::off, SpanKind::Sample, {F, F, F, F, F, F, F, F}},
+      {ObsLevel::off, SpanKind::Phase, {F, F, F, F, F, F, F, F}},
+      {ObsLevel::off, SpanKind::Root, {F, F, F, F, F, F, F, F}},
+      {ObsLevel::report, SpanKind::Scope, {T, F, F, F, T, F, F, T}},
+      {ObsLevel::report, SpanKind::Sample, {F, F, F, F, F, F, F, T}},
+      {ObsLevel::report, SpanKind::Phase, {F, F, F, F, F, F, F, T}},
+      {ObsLevel::report, SpanKind::Root, {F, F, F, F, F, F, F, T}},
+      {ObsLevel::extended, SpanKind::Scope, {T, F, F, F, T, F, T, T}},
+      {ObsLevel::extended, SpanKind::Sample, {F, T, F, F, T, F, T, T}},
+      {ObsLevel::extended, SpanKind::Phase, {F, F, T, F, T, T, T, T}},
+      {ObsLevel::extended, SpanKind::Root, {F, F, F, T, F, F, T, T}},
+  };
+  for (const auto& cell : matrix) {
+    SCOPED_TRACE(testing::Message()
+                 << "level " << static_cast<int>(cell.level) << ", kind "
+                 << static_cast<int>(cell.kind));
+    EXPECT_EQ(hits_for(cell.level, cell.kind), cell.want);
+  }
+}
 
 // Consumers parse report files long after the producing run is gone, so the
 // failure modes of interest are on-disk: a complete file must round-trip,

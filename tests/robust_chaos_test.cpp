@@ -37,7 +37,7 @@ struct ChaosGuard {
     robust::clear_cancel();
     Counters::reset();
     Trace::reset();
-    obs_set_enabled(false);
+    obs_set_level(ObsLevel::off);
   }
   unsigned prev;
 };

@@ -195,7 +195,7 @@ TEST(SatSession, BackendFlagParsesAndRoundTrips) {
 
 #if COMPSYN_TRACE
 TEST(SatSession, CountersRecordEncodingReuseAndQueries) {
-  obs_set_enabled(true);
+  obs_set_level(ObsLevel::report);
   Counters::reset();
   const Netlist a = make_c17();
   SatSession session;
@@ -209,7 +209,7 @@ TEST(SatSession, CountersRecordEncodingReuseAndQueries) {
   EXPECT_EQ(Counters::value("sat.session.queries"), 2u);
   EXPECT_EQ(Counters::value("sat.session.structural_proofs"), 1u);
   EXPECT_GE(Counters::value("sat.session.retired"), 1u);
-  obs_set_enabled(false);
+  obs_set_level(ObsLevel::off);
   Counters::reset();
 }
 #endif

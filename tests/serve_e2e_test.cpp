@@ -574,7 +574,7 @@ TEST(ServeE2e, LanesFourProducesByteIdenticalArtifactsToLanesOne) {
   const std::string manifest_path = temp_path("lanes_manifest.json");
   spit(manifest_path, manifest.dump(2));
 
-  for (const std::string& lanes : {"1", "4"}) {
+  for (const std::string lanes : {"1", "4"}) {
     Daemon d("lanes" + lanes);
     d.start("--lanes=" + lanes + " --cache-mb=0");
     const std::string dir = temp_path("lanes" + lanes + "_out");
@@ -609,7 +609,7 @@ TEST(ServeE2e, SigkillRestartServesByteIdenticalAnswersFromTheWal) {
   // SIGKILL the daemon mid-execution.
   Daemon d1("wal1");
   d1.start("--wal=" + wal_path);
-  for (const std::string& c : {"c17", "add8"}) {
+  for (const std::string c : {"c17", "add8"}) {
     const RunResult r =
         run_cmd(std::string(RESYNTH_CLIENT_PATH) + " --socket=" +
                 d1.socket_path + " --proc=2 --k=" + std::to_string(k) +

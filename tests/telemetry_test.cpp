@@ -1,13 +1,15 @@
 // Unit tests for the profile-grade telemetry layer (DESIGN.md §12): the
-// strict Chrome-trace checker, the ChromeTrace collector itself, the fixed
+// strict Chrome-trace checker, the Chrome sink fed by spans, the fixed
 // log-scale histograms (including jobs-invariance of sample counts), phase
-// attribution, the bench-v2 schema normalizer, and the Json double
-// round-trip contract the schemas rely on.
+// and hot-cone attribution, the bench-v2 schema normalizer, and the Json
+// double round-trip contract the schemas rely on. Which sinks each span kind
+// reaches at each level is pinned by obs_test's sink matrix.
 //
 // Everything here must pass under -DCOMPSYN_TRACE=0 as well: collector tests
 // are gated on the macro, checker/schema/Json tests are pure functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "atpg/redundancy.hpp"
 #include "core/resynth.hpp"
 #include "exec/exec.hpp"
 #include "gen/circuits.hpp"
@@ -24,6 +27,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 
 namespace compsyn {
@@ -110,70 +114,65 @@ TEST(TraceCheck, RejectsBadEvents) {
 
 // -------------------------------------------------------------- collector --
 
-#if COMPSYN_TRACE
-
 class ChromeTraceTest : public ::testing::Test {
  protected:
-  void SetUp() override { ChromeTrace::disable_and_clear(); }
+  void SetUp() override { ChromeTrace::reset(); }
   void TearDown() override {
-    ChromeTrace::disable_and_clear();
-    telemetry_set_extended(false);
+    obs_set_level(ObsLevel::off);
+    ChromeTrace::reset();
+    Trace::reset();
+    Histogram::reset();
     telemetry_reset();
-    obs_set_enabled(false);
   }
 };
 
-TEST_F(ChromeTraceTest, RecordsNothingWhileDisabled) {
-  EXPECT_FALSE(ChromeTrace::enabled());
-  EXPECT_FALSE(ChromeTrace::begin("x"));
-  ChromeTrace::instant("x");
-  ChromeTrace::counter("x", 1.0);
-  EXPECT_EQ(ChromeTrace::event_count(), 0u);
-}
-
-TEST_F(ChromeTraceTest, WritesCheckerCleanTrace) {
-  ChromeTrace::enable();
-  ASSERT_TRUE(ChromeTrace::begin("outer"));
-  ASSERT_TRUE(ChromeTrace::begin("inner"));
-  ChromeTrace::instant("milestone");
-  ChromeTrace::counter("series", 42.0);
-  ChromeTrace::end();  // inner
-  const std::uint64_t t0 = ChromeTrace::now_ns();
-  const std::uint64_t t1 = ChromeTrace::now_ns();
-  ChromeTrace::complete("slice", t0, t1);
-  ChromeTrace::end();  // outer
-
-  // A second thread records on its own track.
-  std::thread worker([] {
-    ChromeTrace::set_thread_track(1);
-    if (ChromeTrace::begin("worker-span")) ChromeTrace::end();
-  });
-  worker.join();
-
-  const std::string path = temp_path("basic.json");
-  std::string err;
-  ASSERT_TRUE(ChromeTrace::write(path, &err)) << err;
-  const TraceCheckResult r = check_chrome_trace(slurp(path));
-  EXPECT_TRUE(r.ok) << (r.errors.empty() ? "" : r.errors.front());
-  EXPECT_EQ(r.span_pairs, 4u);  // outer, inner, worker-span, and the X slice
-  EXPECT_EQ(r.instants, 1u);
-  EXPECT_EQ(r.counter_samples, 1u);
-  EXPECT_GE(r.thread_tracks, 2u);
-  std::remove(path.c_str());
-}
-
-TEST_F(ChromeTraceTest, ArmedOutputFlushesOnce) {
-  ChromeTrace::enable();
-  if (ChromeTrace::begin("span")) ChromeTrace::end();
+// Holds in the compiled-out build too, which writes a valid empty trace.
+TEST_F(ChromeTraceTest, FlushWritesOnceThenDisarms) {
   const std::string path = temp_path("armed.json");
-  ChromeTrace::arm_output(path);
-  ChromeTrace::flush_armed();
+  ChromeTrace::open(path);
+  obs_set_level(ObsLevel::extended);
+  { const Span sp("span"); }
+  EXPECT_TRUE(ChromeTrace::flush());
   EXPECT_TRUE(check_chrome_trace(slurp(path)).ok);
   // Disarmed after the flush: removing the file and flushing again must not
   // recreate it.
   std::remove(path.c_str());
-  ChromeTrace::flush_armed();
+  EXPECT_TRUE(ChromeTrace::flush());
   EXPECT_TRUE(slurp(path).empty());
+}
+
+#if COMPSYN_TRACE
+
+TEST_F(ChromeTraceTest, WritesCheckerCleanTrace) {
+  const std::string path = temp_path("basic.json");
+  ChromeTrace::open(path);
+  obs_set_level(ObsLevel::extended);
+  {
+    const Span outer("outer");
+    {
+      const Span inner("inner");
+      ChromeTrace::instant("milestone");
+      ChromeTrace::counter("series", 42.0);
+    }
+    const Span slice("slice", SpanKind::Sample);
+  }
+
+  // A second thread records on its own track.
+  std::thread worker([] {
+    ChromeTrace::set_thread_track(1);
+    const Span sp("worker-span");
+  });
+  worker.join();
+
+  std::string err;
+  ASSERT_TRUE(ChromeTrace::flush(&err)) << err;
+  const TraceCheckResult r = check_chrome_trace(slurp(path));
+  EXPECT_TRUE(r.ok) << (r.errors.empty() ? "" : r.errors.front());
+  EXPECT_EQ(r.span_pairs, 4u);  // outer, inner, slice, worker-span
+  EXPECT_EQ(r.instants, 1u);
+  EXPECT_EQ(r.counter_samples, 1u);
+  EXPECT_GE(r.thread_tracks, 2u);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------- histograms --
@@ -182,13 +181,12 @@ class HistogramTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Histogram::reset();
-    telemetry_set_extended(true);
+    obs_set_level(ObsLevel::extended);
   }
   void TearDown() override {
-    telemetry_set_extended(false);
+    obs_set_level(ObsLevel::off);
     Histogram::reset();
     telemetry_reset();
-    obs_set_enabled(false);
   }
 };
 
@@ -207,16 +205,12 @@ TEST_F(HistogramTest, BucketLayoutIsFixed) {
   EXPECT_EQ(Histogram::bucket_upper_ns(9), 1023u);
 }
 
-TEST_F(HistogramTest, ObservesOnlyWhenExtended) {
-  telemetry_set_extended(false);
-  Histogram::observe_ns("h", 10);
-  EXPECT_TRUE(Histogram::snapshot().empty());
-  telemetry_set_extended(true);
-  Histogram::observe_ns("h", 10);
-  Histogram::observe_ns("h", 1000);
+TEST_F(HistogramTest, RecordsSamplesUnderLabelDotNs) {
+  Histogram::record("h", 10);
+  Histogram::record("h", 1000);
   const auto snap = Histogram::snapshot();
   ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].name, "h");
+  EXPECT_EQ(snap[0].name, "h.ns");
   EXPECT_EQ(snap[0].count, 2u);
   EXPECT_EQ(snap[0].sum_ns, 1010u);
   ASSERT_EQ(snap[0].buckets.size(), kHistBuckets);
@@ -225,26 +219,30 @@ TEST_F(HistogramTest, ObservesOnlyWhenExtended) {
 }
 
 TEST_F(HistogramTest, SnapshotIsNameSorted) {
-  Histogram::observe_ns("zz", 1);
-  Histogram::observe_ns("aa", 1);
-  Histogram::observe_ns("mm", 1);
+  for (const char* label : {"zz", "a", "mm", "a.b"}) Histogram::record(label, 1);
   const auto snap = Histogram::snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].name, "aa");
-  EXPECT_EQ(snap[1].name, "mm");
-  EXPECT_EQ(snap[2].name, "zz");
+  ASSERT_EQ(snap.size(), 4u);
+  EXPECT_EQ(snap[0].name, "a.b.ns");
+  EXPECT_EQ(snap[1].name, "a.ns");
+  EXPECT_EQ(snap[2].name, "mm.ns");
+  EXPECT_EQ(snap[3].name, "zz.ns");
 }
 
-/// Runs one resynthesis with extended telemetry and returns (name, count)
-/// per histogram. Counts are a pure function of the work performed, so they
-/// must not depend on the thread count.
-std::vector<std::pair<std::string, std::uint64_t>> resynth_hist_counts(
+/// Runs one resynthesis, then redundancy removal with the SAT fallback
+/// behind a PODEM backtrack limit small enough to abort, and returns
+/// (name, count) per histogram. Counts are a pure function of the work
+/// performed, so they must not depend on the thread count.
+std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts(
     unsigned jobs) {
   Histogram::reset();
   telemetry_reset();
   set_jobs(jobs);
   Netlist nl = make_benchmark("alu4");
   (void)procedure2(nl, 5);
+  RedundancyRemovalOptions rr;
+  rr.sat_fallback = true;
+  rr.atpg.backtrack_limit = 2;
+  (void)remove_redundancies(nl, rr);
   set_jobs(1);
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const HistStat& h : Histogram::snapshot()) {
@@ -254,57 +252,76 @@ std::vector<std::pair<std::string, std::uint64_t>> resynth_hist_counts(
 }
 
 TEST_F(HistogramTest, SampleCountsAreJobsInvariant) {
-  const auto serial = resynth_hist_counts(1);
-  const auto parallel = resynth_hist_counts(8);
-  EXPECT_FALSE(serial.empty());
+  const auto serial = flow_hist_counts(1);
+  const auto parallel = flow_hist_counts(8);
+  std::vector<std::string> names;
+  for (const auto& [name, count] : serial) {
+    names.push_back(name);
+    EXPECT_GT(count, 0u) << name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"atpg.fault.ns", "resynth.cone.ns",
+                                             "sat.query.ns"}));
   EXPECT_EQ(serial, parallel);
 }
 
 // ----------------------------------------------------------------- phases --
 
-TEST(PhaseScopeTest, AttributesWallTimeWhenExtended) {
+TEST(PhaseSpanTest, AttributesWallTimeWhenExtended) {
   telemetry_reset();
-  telemetry_set_extended(true);
+  obs_set_level(ObsLevel::extended);
   {
-    PhaseScope p("phase_a");
+    const Span p("phase_a", SpanKind::Phase);
     volatile unsigned sink = 0;
     for (unsigned i = 0; i < 1000; ++i) sink = sink + i;
   }
-  { PhaseScope p("phase_b"); }
+  { const Span p("phase_b", SpanKind::Phase); }
   const auto phases = telemetry_phases();
-  telemetry_set_extended(false);
+  obs_set_level(ObsLevel::off);
   telemetry_reset();
-  obs_set_enabled(false);
   ASSERT_EQ(phases.size(), 2u);
   EXPECT_EQ(phases[0].name, "phase_a");
   EXPECT_EQ(phases[1].name, "phase_b");
   EXPECT_GT(phases[0].peak_rss_bytes, 0u);
 }
 
-TEST(PhaseScopeTest, InertWithoutExtended) {
-  telemetry_reset();
-  { PhaseScope p("ignored"); }
-  EXPECT_TRUE(telemetry_phases().empty());
-}
-
 // -------------------------------------------------------------- hot cones --
 
 TEST(HotConesTest, RanksByTotalTime) {
   telemetry_reset();
-  telemetry_set_extended(true);
-  telemetry_note_cone("g1", 100, 2);
-  telemetry_note_cone("g2", 900, 3);
-  telemetry_note_cone("g1", 50, 1);
+  obs_detail::record_hot_cone("g1", 100, 2);
+  obs_detail::record_hot_cone("g2", 900, 3);
+  obs_detail::record_hot_cone("g1", 50, 1);
   const auto hot = telemetry_hot_cones(10);
-  telemetry_set_extended(false);
   telemetry_reset();
-  obs_set_enabled(false);
   ASSERT_EQ(hot.size(), 2u);
   EXPECT_EQ(hot[0].root, "g2");
   EXPECT_EQ(hot[0].total_ns, 900u);
   EXPECT_EQ(hot[1].root, "g1");
   EXPECT_EQ(hot[1].total_ns, 150u);
   EXPECT_EQ(hot[1].cones, 3u);
+}
+
+TEST(HotConesTest, RootSpanCarriesItsConeCount) {
+  telemetry_reset();
+  obs_set_level(ObsLevel::extended);
+  {
+    Span named("g7", SpanKind::Root, 7);
+    named.set_count(4);
+  }
+  {
+    Span nameless("", SpanKind::Root, 42);  // a synthesized gate
+    nameless.set_count(2);
+  }
+  obs_set_level(ObsLevel::off);
+  auto hot = telemetry_hot_cones(10);
+  telemetry_reset();
+  ASSERT_EQ(hot.size(), 2u);
+  std::sort(hot.begin(), hot.end(),
+            [](const HotCone& a, const HotCone& b) { return a.root < b.root; });
+  EXPECT_EQ(hot[0].root, "g7");
+  EXPECT_EQ(hot[0].cones, 4u);
+  EXPECT_EQ(hot[1].root, "n42");
+  EXPECT_EQ(hot[1].cones, 2u);
 }
 
 #endif  // COMPSYN_TRACE
