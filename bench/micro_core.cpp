@@ -4,6 +4,7 @@
 
 #include "core/comparison.hpp"
 #include "core/comparison_unit.hpp"
+#include "core/cones.hpp"
 #include "core/resynth.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
@@ -80,6 +81,41 @@ void BM_BuildComparisonUnit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildComparisonUnit);
+
+// The same spec costed analytically, as Procedures 2/3 score it.
+void BM_UnitCost(benchmark::State& state) {
+  ComparisonSpec spec;
+  spec.n = 6;
+  spec.perm = {0, 1, 2, 3, 4, 5};
+  spec.lower = 11;
+  spec.upper = 52;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(unit_cost(spec));
+  }
+}
+BENCHMARK(BM_UnitCost);
+
+// Cone enumeration at every live gate of syn300, K = 6 (one iteration
+// covers all roots).
+void BM_EnumerateCones(benchmark::State& state) {
+  const Netlist nl = make_benchmark("syn300");
+  std::vector<NodeId> roots;
+  for (NodeId n : nl.topo_order()) {
+    const GateType t = nl.node(n).type;
+    if (t != GateType::Input && t != GateType::Const0 && t != GateType::Const1) {
+      roots.push_back(n);
+    }
+  }
+  ConeOptions opt;
+  opt.max_leaves = 6;
+  std::size_t cones = 0;
+  for (auto _ : state) {
+    for (NodeId r : roots) cones += enumerate_cones(nl, r, opt).size();
+  }
+  state.counters["cones"] =
+      benchmark::Counter(static_cast<double>(cones), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_EnumerateCones)->Unit(benchmark::kMillisecond);
 
 void BM_FaultSimBlock(benchmark::State& state) {
   Netlist nl = make_benchmark("syn300");

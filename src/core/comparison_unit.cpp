@@ -191,12 +191,68 @@ Netlist build_unit_netlist(const ComparisonSpec& spec, const UnitOptions& opt,
 }
 
 UnitCost unit_cost(const ComparisonSpec& spec, const UnitOptions& opt) {
-  UnitBuildResult res;
-  (void)build_unit_netlist(spec, opt, &res);
+  assert(spec.perm.size() == spec.n);
+  assert(spec.lower <= spec.upper);
+  const unsigned n = spec.n;
   UnitCost cost;
-  cost.equiv_gates = res.equiv_gates;
-  cost.kp = std::move(res.kp);
-  cost.depth = res.depth;
+  cost.kp.assign(n, 0);
+
+  auto bit_l = [&](unsigned j) { return (spec.lower >> (n - 1 - j)) & 1u; };
+  auto bit_u = [&](unsigned j) { return (spec.upper >> (n - 1 - j)) & 1u; };
+
+  unsigned free_count = 0;
+  while (free_count < n && bit_l(free_count) == bit_u(free_count)) ++free_count;
+
+  // Output-AND inputs and their highest level: a free literal is the leaf
+  // itself (level 0) or its inverter (level 1).
+  unsigned top_inputs = free_count;
+  std::uint32_t top_level = 0;
+  for (unsigned j = 0; j < free_count; ++j) {
+    ++cost.kp[spec.perm[j]];
+    if (!bit_l(j)) top_level = 1;
+  }
+
+  // One chain block over positions free_count..last: every position feeds it
+  // once, its last - free_count stages add one equivalent gate each, and its
+  // gates (one per stage, or one per run of equal stage types when merging)
+  // are its depth. A stage's type is fixed by its bit in either chain.
+  auto chain = [&](unsigned last, auto bit) {
+    std::uint32_t gates = 0;
+    unsigned prev = 2;
+    for (unsigned j = last; j-- > free_count;) {
+      if (!opt.merge_gates || bit(j) != prev) ++gates;
+      prev = bit(j);
+    }
+    for (unsigned j = free_count; j <= last; ++j) ++cost.kp[spec.perm[j]];
+    cost.equiv_gates += last - free_count;
+    ++top_inputs;
+    return gates;
+  };
+  // The >=L_F block ends at the last 1-bit of L, the <=U_F block at the last
+  // 0-bit of U; a block with no such bit is trivial and omitted. The U chain
+  // sits one level above its inverted inputs.
+  for (unsigned j = n; j-- > free_count;) {
+    if (bit_l(j)) {
+      top_level = std::max(top_level, chain(j, bit_l));
+      break;
+    }
+  }
+  for (unsigned j = n; j-- > free_count;) {
+    if (!bit_u(j)) {
+      top_level = std::max(top_level, chain(j, bit_u) + 1);
+      break;
+    }
+  }
+
+  if (top_inputs == 0) {
+    cost.depth = 1;  // the constant-1 node
+  } else if (top_inputs == 1) {
+    cost.depth = top_level;
+  } else {
+    cost.equiv_gates += top_inputs - 1;
+    cost.depth = top_level + 1;
+  }
+  if (spec.complemented) ++cost.depth;
   return cost;
 }
 

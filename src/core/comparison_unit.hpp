@@ -50,7 +50,9 @@ UnitBuildResult build_comparison_unit(Netlist& nl, const ComparisonSpec& spec,
 Netlist build_unit_netlist(const ComparisonSpec& spec, const UnitOptions& opt = {},
                            UnitBuildResult* result = nullptr);
 
-/// Cost of a unit without mutating any real circuit (uses a scratch netlist).
+/// Cost of a unit, computed in O(n) from the bits of L and U alone: no
+/// netlist is built. Equals what build_unit_netlist reports for the same
+/// spec and options (DESIGN.md sect. 5 gives the formula).
 struct UnitCost {
   std::uint64_t equiv_gates = 0;
   std::vector<std::uint32_t> kp;  // per original variable

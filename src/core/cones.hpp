@@ -3,6 +3,13 @@
 // subcircuit, keeping at most K inputs. Constants are absorbed for free (they
 // are not real inputs). The process is exhaustive up to `max_cones` distinct
 // subcircuits per root.
+//
+// Enumeration is breadth-first and incremental: a grown cone's interior is
+// its parent's plus one gate, and its leaves are the parent's minus that
+// gate plus the gate's new fanins, so no cone is recomputed from scratch.
+// Interiors are deduplicated through a hashed set with an exact confirm;
+// both this and cone_function work in per-thread scratch buffers, so once
+// those have grown the only allocations are the returned cones and tables.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +41,8 @@ std::vector<Cone> enumerate_cones(const Netlist& nl, NodeId root,
                                   const ConeOptions& opt = {});
 
 /// The function the cone computes at its root in terms of its leaves, with
-/// leaf i = variable i (MSB-first per the TruthTable convention).
+/// leaf i = variable i (MSB-first per the TruthTable convention). Evaluates
+/// only the interior, in a cone-local topological order.
 TruthTable cone_function(const Netlist& nl, const Cone& cone);
 
 /// Equivalent-2-input gate count of the interior gates that would become

@@ -131,14 +131,23 @@ UnitBuildResult build_multi_unit(Netlist& nl, const MultiUnitSpec& spec,
 }
 
 UnitCost multi_unit_cost(const MultiUnitSpec& spec, const UnitOptions& opt) {
-  Netlist nl("scratch");
-  std::vector<NodeId> leaves;
-  for (unsigned v = 0; v < spec.n(); ++v) leaves.push_back(nl.add_input());
-  UnitBuildResult r = build_multi_unit(nl, spec, leaves, opt);
+  assert(!spec.parts.empty());
+  if (spec.parts.size() == 1) {
+    ComparisonSpec single = spec.parts[0];
+    single.complemented = spec.complemented;
+    return unit_cost(single, opt);
+  }
+  // The parts side by side, joined by one OR (NOR) gate.
   UnitCost cost;
-  cost.equiv_gates = r.equiv_gates;
-  cost.kp = std::move(r.kp);
-  cost.depth = r.depth;
+  cost.kp.assign(spec.n(), 0);
+  for (const ComparisonSpec& part : spec.parts) {
+    const UnitCost c = unit_cost(part, opt);
+    cost.equiv_gates += c.equiv_gates;
+    for (unsigned v = 0; v < spec.n(); ++v) cost.kp[v] += c.kp[v];
+    cost.depth = std::max(cost.depth, c.depth);
+  }
+  cost.equiv_gates += spec.parts.size() - 1;
+  cost.depth += 1;
   return cost;
 }
 

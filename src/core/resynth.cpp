@@ -36,29 +36,34 @@ struct Candidate {
   std::int64_t delta_paths = 0;    // paths on g saved
 };
 
-/// Lexicographic comparison under the configured objective; true if a is
-/// strictly better than b.
-bool better(const Candidate& a, const Candidate& b, const ResynthOptions& opt) {
-  if (!b.valid) return a.valid;
-  if (!a.valid) return false;
+/// Lexicographic comparison under the configured objective: true if a
+/// valid candidate scoring (gates, paths) is strictly better than b.
+bool beats(std::int64_t gates, std::int64_t paths, const Candidate& b,
+           const ResynthOptions& opt) {
+  if (!b.valid) return true;
   switch (opt.objective) {
     case ResynthObjective::Gates:
-      if (a.delta_gates != b.delta_gates) return a.delta_gates > b.delta_gates;
-      return a.delta_paths > b.delta_paths;
+      if (gates != b.delta_gates) return gates > b.delta_gates;
+      return paths > b.delta_paths;
     case ResynthObjective::Paths:
-      if (a.delta_paths != b.delta_paths) return a.delta_paths > b.delta_paths;
+      if (paths != b.delta_paths) return paths > b.delta_paths;
       // Deterministic tie-break only; Procedure 3 has no gate objective.
-      return a.delta_gates > b.delta_gates;
+      return gates > b.delta_gates;
     case ResynthObjective::Combined: {
-      const double sa = opt.weight_gates * static_cast<double>(a.delta_gates) +
-                        opt.weight_paths * static_cast<double>(a.delta_paths);
+      const double sa = opt.weight_gates * static_cast<double>(gates) +
+                        opt.weight_paths * static_cast<double>(paths);
       const double sb = opt.weight_gates * static_cast<double>(b.delta_gates) +
                         opt.weight_paths * static_cast<double>(b.delta_paths);
       if (sa != sb) return sa > sb;
-      return a.delta_gates > b.delta_gates;
+      return gates > b.delta_gates;
     }
   }
   return false;
+}
+
+/// True if a is valid and strictly better than b.
+bool better(const Candidate& a, const Candidate& b, const ResynthOptions& opt) {
+  return a.valid && beats(a.delta_gates, a.delta_paths, b, opt);
 }
 
 /// True if applying the candidate is a strict improvement (avoids churn and
@@ -78,46 +83,61 @@ bool improves(const Candidate& c, const ResynthOptions& opt) {
   return false;
 }
 
+/// What every spec of one cone shares: the cone, the support-reduced
+/// function and the gates a replacement would free. A spec's candidate
+/// copies it only when the spec wins.
+struct ConeProto {
+  const Cone* cone = nullptr;
+  std::vector<unsigned> kept;     // cone-leaf indices the function depends on
+  std::vector<NodeId> removable;  // interiors freed by the replacement
+  TruthTable reduced;
+  std::int64_t n_old = 0;         // equivalent gates freed
+};
+
 /// Per-cone evaluation result: the pieces best_candidate merges in cone
 /// order. `base` holds the constant candidate or the best base-spec
 /// candidate (plus the don't-care specs when the oracle is concurrent);
 /// `multi` the Section 6 multi-unit candidate. When the oracle cannot be
 /// queried from workers, the don't-care step is deferred: `needs_dc` is set
-/// and `reduced`/`proto`/`n_old` carry the context the merge loop needs to
-/// run it serially, in cone order, exactly as the serial sweep would.
+/// and `proto` carries the context the merge loop needs to run it serially,
+/// in cone order, exactly as the serial sweep would.
 struct ConeEval {
   Candidate base;
   Candidate multi;
   bool comparison_cone = false;
   bool needs_dc = false;
-  TruthTable reduced;
-  Candidate proto;  // cone/kept/removable filled, deltas not
-  std::int64_t n_old = 0;
+  ConeProto proto;
 };
 
-/// Builds a candidate for one spec (or multi-unit spec) of a cone; returns
-/// an invalid candidate when the spec would increase gates and that is not
-/// allowed.
-Candidate make_candidate(const Candidate& proto, const TruthTable& reduced,
-                         std::int64_t n_old, std::uint64_t np_g,
-                         const std::vector<std::uint64_t>& np,
-                         const ComparisonSpec* spec, const MultiUnitSpec* multi,
-                         const ResynthOptions& opt) {
+/// Scores one spec (or multi-unit spec) of a cone and makes it `best` when
+/// it is strictly better. A spec that would increase gates is dropped unless
+/// that is allowed. The candidate is built only for a winner.
+void consider_spec(const ConeProto& proto, std::uint64_t np_g,
+                   const std::vector<std::uint64_t>& np,
+                   const ComparisonSpec* spec, const MultiUnitSpec* multi,
+                   const ResynthOptions& opt, Candidate& best) {
   const UnitCost cost =
       multi ? multi_unit_cost(*multi, opt.unit) : unit_cost(*spec, opt.unit);
   std::uint64_t paths_new = 0;
-  for (unsigned v = 0; v < reduced.num_vars(); ++v) {
-    paths_new += np[proto.cone.leaves[proto.kept[v]]] * cost.kp[v];
+  for (unsigned v = 0; v < proto.reduced.num_vars(); ++v) {
+    paths_new += np[proto.cone->leaves[proto.kept[v]]] * cost.kp[v];
   }
-  Candidate c = proto;
+  const std::int64_t delta_gates =
+      proto.n_old - static_cast<std::int64_t>(cost.equiv_gates);
+  const std::int64_t delta_paths = static_cast<std::int64_t>(np_g) -
+                                   static_cast<std::int64_t>(paths_new);
+  if (!opt.allow_gate_increase && delta_gates < 0) return;
+  if (!beats(delta_gates, delta_paths, best, opt)) return;
+  Candidate c;
   c.valid = true;
+  c.cone = *proto.cone;
+  c.kept = proto.kept;
+  c.removable = proto.removable;
   if (multi) c.multi = *multi;
   else c.spec = *spec;
-  c.delta_gates = n_old - static_cast<std::int64_t>(cost.equiv_gates);
-  c.delta_paths = static_cast<std::int64_t>(np_g) -
-                  static_cast<std::int64_t>(paths_new);
-  if (!opt.allow_gate_increase && c.delta_gates < 0) c.valid = false;
-  return c;
+  c.delta_gates = delta_gates;
+  c.delta_paths = delta_paths;
+  best = std::move(c);
 }
 
 /// The don't-care identification step for one cone (Section 6 (1)): folds
@@ -125,7 +145,7 @@ Candidate make_candidate(const Candidate& proto, const TruthTable& reduced,
 /// inline in a worker for concurrent oracles, serially in cone order
 /// otherwise, so oracle queries are issued in the same order as the serial
 /// sweep and budgeted answers cannot drift with the job count.
-void consider_dc_specs(const ConeEval& ev, const ReachabilityOracle& reach,
+void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
                        std::uint64_t np_g, const std::vector<std::uint64_t>& np,
                        const ResynthOptions& opt, Candidate& best) {
   // Chaos hook (oracle:N): a timed-out oracle query degrades to the safe
@@ -133,20 +153,19 @@ void consider_dc_specs(const ConeEval& ev, const ReachabilityOracle& reach,
   // the base candidates stand unmodified.
   if (robust::inject_oracle_timeout()) return;
   std::vector<NodeId> kept_nodes;
-  for (unsigned v : ev.proto.kept) kept_nodes.push_back(ev.proto.cone.leaves[v]);
+  for (unsigned v : proto.kept) kept_nodes.push_back(proto.cone->leaves[v]);
   const TruthTable care = reach.reachable_combos(kept_nodes);
   if (care.is_const_one()) return;
   for (const ComparisonSpec& spec :
-       identify_comparison_dc(ev.reduced, care, opt.identify)) {
-    const Candidate c = make_candidate(ev.proto, ev.reduced, ev.n_old, np_g, np,
-                                       &spec, nullptr, opt);
-    if (c.valid && better(c, best, opt)) best = c;
+       identify_comparison_dc(proto.reduced, care, opt.identify)) {
+    consider_spec(proto, np_g, np, &spec, nullptr, opt, best);
   }
 }
 
 /// Everything about one cone that does not require ordered oracle access:
 /// cone function, support reduction, base-spec identification, the
-/// multi-unit rewrite, and (for concurrent oracles) the DC step.
+/// multi-unit rewrite, and (for concurrent oracles) the DC step. `cone`
+/// must outlive the returned evaluation (its proto points at it).
 ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
                        const std::vector<std::uint64_t>& np, std::uint64_t np_g,
                        const ReachabilityOracle* reach,
@@ -155,42 +174,35 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
   // calling thread's trace track (workers included).
   const Span sp("resynth.cone", SpanKind::Sample);
   ConeEval ev;
-  const TruthTable f = cone_function(nl, cone);
-  std::vector<unsigned> kept;
-  const TruthTable reduced = f.support_reduced(&kept);
+  ConeProto& proto = ev.proto;
+  proto.cone = &cone;
+  proto.reduced = cone_function(nl, cone).support_reduced(&proto.kept);
+  proto.n_old = static_cast<std::int64_t>(
+      removable_gate_count(nl, cone, &proto.removable));
 
-  Candidate cand;
-  cand.cone = cone;
-  cand.kept = kept;
-  const std::int64_t n_old =
-      static_cast<std::int64_t>(removable_gate_count(nl, cone, &cand.removable));
-
-  if (reduced.num_vars() == 0) {
+  if (proto.reduced.num_vars() == 0) {
     // The cone computes a constant: everything removable goes away.
     ev.comparison_cone = true;
-    cand.valid = true;
-    cand.is_constant = true;
-    cand.constant_value = reduced.get(0);
-    cand.delta_gates = n_old;
-    cand.delta_paths = static_cast<std::int64_t>(np_g);
-    ev.base = cand;
+    Candidate& c = ev.base;
+    c.valid = true;
+    c.cone = cone;
+    c.kept = std::move(proto.kept);
+    c.removable = std::move(proto.removable);
+    c.is_constant = true;
+    c.constant_value = proto.reduced.get(0);
+    c.delta_gates = proto.n_old;
+    c.delta_paths = static_cast<std::int64_t>(np_g);
     return ev;
   }
 
-  ev.proto = cand;
-  ev.reduced = reduced;
-  ev.n_old = n_old;
-
-  const auto specs = identify_comparison(reduced, opt.identify);
+  const auto specs = identify_comparison(proto.reduced, opt.identify);
   ev.comparison_cone = !specs.empty();
   for (const ComparisonSpec& spec : specs) {
-    const Candidate c =
-        make_candidate(cand, reduced, n_old, np_g, np, &spec, nullptr, opt);
-    if (c.valid && better(c, ev.base, opt)) ev.base = c;
+    consider_spec(proto, np_g, np, &spec, nullptr, opt, ev.base);
   }
   if (reach != nullptr) {
     if (reach->concurrent()) {
-      consider_dc_specs(ev, *reach, np_g, np, opt, ev.base);
+      consider_dc_specs(proto, *reach, np_g, np, opt, ev.base);
     } else {
       ev.needs_dc = true;
     }
@@ -198,9 +210,8 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
   if (specs.empty() && opt.max_units > 1) {
     MultiIdentifyOptions mopt;
     mopt.max_units = opt.max_units;
-    if (const auto multi = identify_multi_comparison(reduced, mopt)) {
-      ev.multi = make_candidate(cand, reduced, n_old, np_g, np, nullptr,
-                                &*multi, opt);
+    if (const auto multi = identify_multi_comparison(proto.reduced, mopt)) {
+      consider_spec(proto, np_g, np, nullptr, &*multi, opt, ev.multi);
     }
   }
   return ev;
@@ -242,7 +253,7 @@ Candidate best_candidate(const Netlist& nl, NodeId g,
       if (ev.comparison_cone) ++stats.comparison_cones;
       if (ev.base.valid && better(ev.base, best, opt)) best = ev.base;
       if (reach != nullptr && !ev.base.is_constant) {
-        consider_dc_specs(ev, *reach, np_g, np, opt, best);
+        consider_dc_specs(ev.proto, *reach, np_g, np, opt, best);
       }
       if (ev.multi.valid && better(ev.multi, best, opt)) best = ev.multi;
     }
@@ -270,7 +281,7 @@ Candidate best_candidate(const Netlist& nl, NodeId g,
   for (ConeEval& ev : evals) {
     if (ev.comparison_cone) ++stats.comparison_cones;
     if (ev.base.valid && better(ev.base, best, opt)) best = ev.base;
-    if (ev.needs_dc) consider_dc_specs(ev, *reach, np_g, np, opt, best);
+    if (ev.needs_dc) consider_dc_specs(ev.proto, *reach, np_g, np, opt, best);
     if (ev.multi.valid && better(ev.multi, best, opt)) best = ev.multi;
   }
   return best;

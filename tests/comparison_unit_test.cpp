@@ -242,14 +242,39 @@ TEST(ComparisonUnit, RandomPermutationsCorrect) {
   }
 }
 
-TEST(ComparisonUnit, UnitCostAgreesWithBuild) {
-  const auto spec = make_spec(4, 5, 10);
-  UnitBuildResult r;
-  (void)build_unit_netlist(spec, {}, &r);
-  const UnitCost c = unit_cost(spec);
-  EXPECT_EQ(c.equiv_gates, r.equiv_gates);
-  EXPECT_EQ(c.kp, r.kp);
-  EXPECT_EQ(c.depth, r.depth);
+TEST(ComparisonUnit, UnitCostAgreesWithBuildForEveryUnit) {
+  // The analytic cost against the built unit for every (n, L, U) with
+  // n <= 8, both UnitOptions, both polarities, under a rotated variable
+  // order so kp has to land on perm[j], not on position j.
+  std::uint64_t checked = 0;
+  for (unsigned n = 1; n <= 8; ++n) {
+    std::vector<unsigned> perm(n);
+    for (unsigned j = 0; j < n; ++j) perm[j] = (j + 1) % n;
+    for (std::uint32_t lower = 0; lower < (1u << n); ++lower) {
+      for (std::uint32_t upper = lower; upper < (1u << n); ++upper) {
+        for (bool merge : {true, false}) {
+          for (bool complemented : {false, true}) {
+            const auto spec = make_spec(n, lower, upper, complemented, perm);
+            const UnitOptions opt{.merge_gates = merge};
+            UnitBuildResult r;
+            (void)build_unit_netlist(spec, opt, &r);
+            const UnitCost c = unit_cost(spec, opt);
+            ASSERT_EQ(c.equiv_gates, r.equiv_gates)
+                << "n=" << n << " L=" << lower << " U=" << upper
+                << " merge=" << merge << " comp=" << complemented;
+            ASSERT_EQ(c.kp, r.kp)
+                << "n=" << n << " L=" << lower << " U=" << upper
+                << " merge=" << merge << " comp=" << complemented;
+            ASSERT_EQ(c.depth, r.depth)
+                << "n=" << n << " L=" << lower << " U=" << upper
+                << " merge=" << merge << " comp=" << complemented;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 175780u);
 }
 
 TEST(ComparisonUnit, BuildIntoExistingNetlistLeavesRestIntact) {

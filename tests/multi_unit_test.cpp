@@ -17,6 +17,11 @@ void expect_multi_correct(const MultiUnitSpec& spec, const TruthTable& f) {
   UnitBuildResult r = build_multi_unit(nl, spec, leaves);
   nl.mark_output(r.output);
   ASSERT_TRUE(nl.check().empty()) << nl.check();
+  // The analytic cost matches the built structure for every spec built here.
+  const UnitCost cost = multi_unit_cost(spec);
+  EXPECT_EQ(cost.equiv_gates, r.equiv_gates) << f.to_bits();
+  EXPECT_EQ(cost.kp, r.kp) << f.to_bits();
+  EXPECT_EQ(cost.depth, r.depth) << f.to_bits();
   for (std::uint32_t m = 0; m < f.num_minterms(); ++m) {
     std::vector<std::uint64_t> pi(f.num_vars());
     for (unsigned v = 0; v < f.num_vars(); ++v) {
@@ -94,6 +99,7 @@ TEST(MultiUnit, CostAccountingMatchesBuild) {
   UnitBuildResult r = build_multi_unit(nl, *spec, leaves);
   EXPECT_EQ(cost.equiv_gates, r.equiv_gates);
   EXPECT_EQ(cost.kp, r.kp);
+  EXPECT_EQ(cost.depth, r.depth);
   // Path bookkeeping must match Procedure 1 on the built structure.
   nl.mark_output(r.output);
   std::uint64_t kp_sum = 0;
