@@ -2,12 +2,14 @@
 // useful for tracking the cost of the building blocks).
 #include <benchmark/benchmark.h>
 
+#include "atpg/podem.hpp"
 #include "core/comparison.hpp"
 #include "core/comparison_unit.hpp"
 #include "core/cones.hpp"
 #include "core/resynth.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
+#include "netlist/equivalence.hpp"
 #include "paths/paths.hpp"
 #include "util/rng.hpp"
 
@@ -34,6 +36,29 @@ void BM_Simulate64Patterns(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Simulate64Patterns);
+
+// The exhaustive equivalence check of a 16-input circuit against itself:
+// 1,024 blocks of 64 patterns through simulate_into, twice per block.
+void BM_SimulateExhaustive16(benchmark::State& state) {
+  const Netlist nl = make_benchmark("mult8");
+  Rng rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(check_equivalent(nl, nl, rng).equivalent);
+  }
+}
+BENCHMARK(BM_SimulateExhaustive16)->Unit(benchmark::kMillisecond);
+
+// Legacy-strategy PODEM on every collapsed fault of syn150 at the default
+// backtrack limit (one iteration covers all faults).
+void BM_PodemAllFaults(benchmark::State& state) {
+  const Netlist nl = make_benchmark("syn150");
+  const auto faults = enumerate_faults(nl, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_podem_all(nl, faults).detected);
+  }
+  state.counters["faults"] = static_cast<double>(faults.size());
+}
+BENCHMARK(BM_PodemAllFaults)->Unit(benchmark::kMillisecond);
 
 void BM_IdentifyComparisonExact(benchmark::State& state) {
   const unsigned n = static_cast<unsigned>(state.range(0));

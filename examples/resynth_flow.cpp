@@ -508,16 +508,18 @@ int flow_main(int argc, char** argv) {
   if (cfg.verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
     verify_session.emplace();
   }
-  std::optional<Span> phase_verify;
-  phase_verify.emplace("verify", SpanKind::Phase);
-  auto eq = cfg.verify == VerifyMode::Sim
-                ? check_equivalent(original, nl, rng, 128)
-                : check_equivalent_mode(original, nl, rng, cfg.verify, 128,
-                                        kDefaultExhaustiveLimit,
-                                        {kDefaultCecConflicts, 0},
-                                        verify_session ? &*verify_session
-                                                       : nullptr);
-  phase_verify.reset();
+  EquivalenceResult eq;
+  {
+    const Span phase_verify("verify", SpanKind::Phase);
+    const Span sp("verify");
+    eq = cfg.verify == VerifyMode::Sim
+             ? check_equivalent(original, nl, rng, 128)
+             : check_equivalent_mode(original, nl, rng, cfg.verify, 128,
+                                     kDefaultExhaustiveLimit,
+                                     {kDefaultCecConflicts, 0},
+                                     verify_session ? &*verify_session
+                                                    : nullptr);
+  }
   // A cancel that landed during verification leaves eq unreliable (the SAT
   // side may have wound down Unknown); report "interrupted", not a verdict.
   if (robust::cancel_requested()) {

@@ -6,7 +6,9 @@
 // Five-valued reasoning is carried as a (good, faulty) pair of three-valued
 // signals: D = (1,0), ~D = (0,1). Decisions are made on primary inputs only,
 // objectives chosen by fault activation first and D-frontier propagation
-// after, with an X-path check pruning dead branches.
+// after, with an X-path check pruning dead branches. Implication is
+// event-driven: only nodes downstream of a changed input are re-evaluated
+// (DESIGN.md §17), which yields the same values as a full re-simulation.
 //
 // Search-order policies (AtpgStrategy) plug into two choice points:
 // which D-frontier gate to advance and which fanin to follow during

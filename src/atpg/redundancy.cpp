@@ -190,6 +190,7 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
     // Random-pattern filter: anything detected is testable, no proof needed.
     std::vector<StuckFault> faults;
     try {
+      const Span sp("rr.filter");
       if (opt.random_filter_blocks > 0 && !nl.inputs().empty()) {
         FaultSimulator sim(nl, all_faults);
         Rng rng(opt.random_filter_seed);

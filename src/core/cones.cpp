@@ -190,7 +190,6 @@ TruthTable cone_function(const Netlist& nl, const Cone& cone) {
   // cleared: every slot read below is written first), the cone-local order,
   // and the DFS state that produces it.
   thread_local std::vector<std::uint64_t> value;
-  thread_local std::vector<std::uint64_t> ins;
   thread_local std::vector<NodeId> order;
   thread_local std::vector<char> placed;
   thread_local std::vector<std::pair<NodeId, std::size_t>> stack;
@@ -245,9 +244,7 @@ TruthTable cone_function(const Netlist& nl, const Cone& cone) {
       value[cone.leaves[i]] = w;
     }
     for (NodeId g : order) {
-      ins.clear();
-      for (NodeId f : nl.node(g).fanins) ins.push_back(value[f]);
-      value[g] = eval_gate(nl.node(g).type, ins);
+      value[g] = eval_gate(nl.node(g).type, nl.node(g).fanins, value.data());
     }
     std::uint64_t w = value[cone.root];
     if (minterms - base < 64) w &= (1ull << (minterms - base)) - 1;

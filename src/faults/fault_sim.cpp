@@ -32,36 +32,29 @@ FaultSimulator::FaultSimulator(const Netlist& nl, std::vector<StuckFault> faults
 std::uint64_t FaultSimulator::propagate_fault(const StuckFault& f,
                                               std::uint64_t mask,
                                               Scratch& s) const {
-  if (s.stamp.size() != nl_.size()) {
-    s.stamp.assign(nl_.size(), 0);
-    s.fval.assign(nl_.size(), 0);
-    s.epoch = 0;
+  // s.fval mirrors good_ between faults (plus one spare slot at index
+  // size()), so gates read faulty values in place; every node a fault
+  // touches is restored before the next one.
+  if (s.block != block_) {
+    s.fval.assign(good_.begin(), good_.end());
+    s.fval.push_back(0);
+    s.block = block_;
   }
-  ++s.epoch;
-
-  auto faulty_of = [&](NodeId x) {
-    return s.stamp[x] == s.epoch ? s.fval[x] : good_[x];
-  };
   auto set_faulty = [&](NodeId x, std::uint64_t v) {
-    s.stamp[x] = s.epoch;
     s.fval[x] = v;
+    s.touched.push_back(x);
   };
 
   const std::uint64_t stuck_word = f.value ? ~0ull : 0ull;
-  NodeId origin;
-  std::uint64_t origin_val;
-  if (f.is_stem()) {
-    origin = f.node;
-    origin_val = stuck_word;
-  } else {
-    origin = f.node;
+  const NodeId origin = f.node;
+  std::uint64_t origin_val = stuck_word;
+  if (!f.is_stem()) {
+    // The faulty pin reads the spare slot, which holds the stuck word.
     const Node& nd = nl_.node(origin);
-    s.ins.clear();
-    for (std::size_t p = 0; p < nd.fanins.size(); ++p) {
-      s.ins.push_back(static_cast<int>(p) == f.pin ? stuck_word
-                                                   : good_[nd.fanins[p]]);
-    }
-    origin_val = eval_gate(nd.type, s.ins);
+    s.pin_fanins.assign(nd.fanins.begin(), nd.fanins.end());
+    s.pin_fanins[static_cast<std::size_t>(f.pin)] = static_cast<NodeId>(nl_.size());
+    s.fval[nl_.size()] = stuck_word;
+    origin_val = eval_gate(nd.type, s.pin_fanins, s.fval.data());
   }
   if (((origin_val ^ good_[origin]) & mask) == 0) return 0;  // not activated
   ++s.activated;
@@ -74,21 +67,19 @@ std::uint64_t FaultSimulator::propagate_fault(const StuckFault& f,
   while (!s.heap.empty()) {
     const NodeId x = s.heap.top().second;
     s.heap.pop();
-    const std::uint64_t xv = faulty_of(x);
-    if (xv == good_[x]) continue;  // difference died
+    if (s.fval[x] == good_[x]) continue;  // difference died
     for (NodeId y : fanouts[x]) {
       const Node& nd = nl_.node(y);
-      s.ins.clear();
-      for (NodeId g : nd.fanins) s.ins.push_back(faulty_of(g));
-      const std::uint64_t yv = eval_gate(nd.type, s.ins);
-      const std::uint64_t prev = faulty_of(y);
-      if (yv == prev) continue;
+      const std::uint64_t yv = eval_gate(nd.type, nd.fanins, s.fval.data());
+      if (yv == s.fval[y]) continue;
       ++s.events;
       set_faulty(y, yv);
       if (is_po_[y]) po_diff |= yv ^ good_[y];
       s.heap.push({topo_rank_[y], y});
     }
   }
+  for (NodeId x : s.touched) s.fval[x] = good_[x];
+  s.touched.clear();
   return po_diff & mask;
 }
 
@@ -100,6 +91,7 @@ std::vector<std::size_t> FaultSimulator::simulate_block(
   const std::uint64_t mask =
       num_patterns >= 64 ? ~0ull : ((1ull << num_patterns) - 1);
   nl_.simulate_into(pi_words, good_);
+  ++block_;  // every worker re-syncs its faulty-value mirror
   nl_.fanouts();  // warm the shared lazy cache before the parallel region
 
   if (scratch_.size() < jobs()) scratch_.resize(jobs());

@@ -51,14 +51,15 @@ class FaultSimulator {
   }
 
  private:
-  /// Epoch-stamped faulty values (avoids clearing per fault) plus the
-  /// event queue and fanin buffer -- everything one fault propagation
-  /// touches besides the shared read-only good values. One per worker.
+  /// Faulty values (a mirror of the good values for the current block,
+  /// restored node by node after each fault) plus the event queue --
+  /// everything one fault propagation touches besides the shared read-only
+  /// good values. One per worker.
   struct Scratch {
-    std::vector<std::uint64_t> fval;
-    std::vector<std::uint32_t> stamp;
-    std::uint32_t epoch = 0;
-    std::vector<std::uint64_t> ins;
+    std::vector<std::uint64_t> fval;  // size() + 1: spare slot for a stuck pin
+    std::uint64_t block = 0;          // block_ that fval mirrors
+    std::vector<NodeId> touched;      // nodes to restore after this fault
+    std::vector<NodeId> pin_fanins;   // branch-fault gate's fanins
     using HeapItem = std::pair<std::uint32_t, NodeId>;  // (topo rank, node)
     std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
     std::uint64_t events = 0;     // faulty-value propagation events
@@ -77,6 +78,7 @@ class FaultSimulator {
   std::size_t detected_total_ = 0;
 
   std::vector<std::uint64_t> good_;   // fault-free values, shared read-only
+  std::uint64_t block_ = 0;           // simulate_block calls so far
   std::vector<Scratch> scratch_;      // one slot per worker
   std::vector<std::uint32_t> topo_rank_;
   std::vector<char> is_po_;

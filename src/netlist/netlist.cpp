@@ -52,43 +52,6 @@ const char* to_string(GateType t) {
   return "?";
 }
 
-std::uint64_t eval_gate(GateType t, const std::vector<std::uint64_t>& in) {
-  switch (t) {
-    case GateType::Input:
-      assert(false && "inputs are not evaluated");
-      return 0;
-    case GateType::Const0: return 0;
-    case GateType::Const1: return ~0ull;
-    case GateType::Buf: return in[0];
-    case GateType::Not: return ~in[0];
-    case GateType::And:
-    case GateType::Nand: {
-      std::uint64_t v = ~0ull;
-      for (std::uint64_t w : in) v &= w;
-      return t == GateType::Nand ? ~v : v;
-    }
-    case GateType::Or:
-    case GateType::Nor: {
-      std::uint64_t v = 0;
-      for (std::uint64_t w : in) v |= w;
-      return t == GateType::Nor ? ~v : v;
-    }
-    case GateType::Xor:
-    case GateType::Xnor: {
-      std::uint64_t v = 0;
-      for (std::uint64_t w : in) v ^= w;
-      return t == GateType::Xnor ? ~v : v;
-    }
-  }
-  return 0;
-}
-
-bool eval_gate_bit(GateType t, const std::vector<bool>& in_bits) {
-  std::vector<std::uint64_t> words(in_bits.size());
-  for (std::size_t i = 0; i < in_bits.size(); ++i) words[i] = in_bits[i] ? ~0ull : 0;
-  return (eval_gate(t, words) & 1ull) != 0;
-}
-
 NodeId Netlist::add_input(std::string name) {
   NodeId id = static_cast<NodeId>(nodes_.size());
   Node n;
@@ -256,25 +219,9 @@ void Netlist::simulate_into(const std::vector<std::uint64_t>& pi_words,
   assert(pi_words.size() == inputs_.size());
   values.assign(nodes_.size(), 0);
   for (std::size_t i = 0; i < inputs_.size(); ++i) values[inputs_[i]] = pi_words[i];
-  std::vector<std::uint64_t> in_words;
   for (NodeId n : topo_order()) {
     const Node& nd = nodes_[n];
-    switch (nd.type) {
-      case GateType::Input:
-        break;
-      case GateType::Const0:
-        values[n] = 0;
-        break;
-      case GateType::Const1:
-        values[n] = ~0ull;
-        break;
-      default: {
-        in_words.clear();
-        for (NodeId f : nd.fanins) in_words.push_back(values[f]);
-        values[n] = eval_gate(nd.type, in_words);
-        break;
-      }
-    }
+    if (nd.type != GateType::Input) values[n] = eval_gate(nd.type, nd.fanins, values.data());
   }
 }
 

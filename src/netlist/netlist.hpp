@@ -12,7 +12,9 @@
 // compact(), which is the only operation that invalidates NodeIds.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,10 +150,38 @@ class Netlist {
   mutable std::vector<NodeId> topo_;
 };
 
-/// Evaluates one gate over 64-bit packed input words.
-std::uint64_t eval_gate(GateType t, const std::vector<std::uint64_t>& in_words);
-
-/// Evaluates one gate over single-bit inputs.
-bool eval_gate_bit(GateType t, const std::vector<bool>& in_bits);
+/// Evaluates one gate over 64-bit packed words, reading fanin i's word in
+/// place as values[fanins[i]] -- the one word-parallel gate kernel behind
+/// simulation, fault propagation and cone functions.
+inline std::uint64_t eval_gate(GateType t, std::span<const NodeId> fanins,
+                               const std::uint64_t* values) {
+  switch (t) {
+    case GateType::Input: break;
+    case GateType::Const0: return 0;
+    case GateType::Const1: return ~0ull;
+    case GateType::Buf: return values[fanins[0]];
+    case GateType::Not: return ~values[fanins[0]];
+    case GateType::And:
+    case GateType::Nand: {
+      std::uint64_t v = ~0ull;
+      for (NodeId f : fanins) v &= values[f];
+      return t == GateType::Nand ? ~v : v;
+    }
+    case GateType::Or:
+    case GateType::Nor: {
+      std::uint64_t v = 0;
+      for (NodeId f : fanins) v |= values[f];
+      return t == GateType::Nor ? ~v : v;
+    }
+    case GateType::Xor:
+    case GateType::Xnor: {
+      std::uint64_t v = 0;
+      for (NodeId f : fanins) v ^= values[f];
+      return t == GateType::Xnor ? ~v : v;
+    }
+  }
+  assert(false && "inputs are not evaluated");
+  return 0;
+}
 
 }  // namespace compsyn

@@ -190,16 +190,18 @@ JobExecution run_resynth_job(const JobSpec& spec) {
     if (*verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
       verify_session.emplace();
     }
-    std::optional<Span> phase_verify;
-    phase_verify.emplace("verify", SpanKind::Phase);
-    auto eq = *verify == VerifyMode::Sim
-                  ? check_equivalent(original, nl, rng, 128)
-                  : check_equivalent_mode(original, nl, rng, *verify, 128,
-                                          kDefaultExhaustiveLimit,
-                                          {kDefaultCecConflicts, 0},
-                                          verify_session ? &*verify_session
-                                                         : nullptr);
-    phase_verify.reset();
+    EquivalenceResult eq;
+    {
+      const Span phase_verify("verify", SpanKind::Phase);
+      const Span sp("verify");
+      eq = *verify == VerifyMode::Sim
+               ? check_equivalent(original, nl, rng, 128)
+               : check_equivalent_mode(original, nl, rng, *verify, 128,
+                                       kDefaultExhaustiveLimit,
+                                       {kDefaultCecConflicts, 0},
+                                       verify_session ? &*verify_session
+                                                      : nullptr);
+    }
     if (robust::cancel_requested()) {
       throw robust::CancelledError(robust::cancel_reason());
     }

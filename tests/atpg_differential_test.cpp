@@ -6,8 +6,14 @@
 // only permitted difference is Aborted resolving to a real verdict.
 // The guided_atpg pipeline inherits the same invariant across strategy and
 // fault-order combinations, and is byte-identical at --jobs=1 and --jobs=4.
+// PinnedSearchDigests freezes the search itself: every field of every result
+// under every strategy must match digests recorded from the full-sweep
+// implication engine, so an implication rewrite cannot move a single
+// decision.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "atpg/guided.hpp"
@@ -157,6 +163,145 @@ TEST(AtpgDifferential, MissingGuidanceDegradesToLegacy) {
     EXPECT_EQ(a.backtracks, b.backtracks) << to_string(nl, f);
     EXPECT_EQ(a.decisions, b.decisions) << to_string(nl, f);
     EXPECT_EQ(a.test, b.test) << to_string(nl, f);
+  }
+}
+
+/// FNV-1a over every field of every result (status, backtracks, decisions,
+/// test, cube) for all collapsed faults under one strategy and budget.
+std::uint64_t search_digest(const Netlist& nl,
+                            const std::vector<StuckFault>& faults,
+                            AtpgStrategy strategy, const AtpgGuidance* guidance,
+                            std::uint64_t backtrack_limit) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  AtpgOptions opt;
+  opt.backtrack_limit = backtrack_limit;
+  opt.strategy = strategy;
+  opt.guidance = guidance;
+  opt.record_cube = true;
+  for (const StuckFault& f : faults) {
+    const AtpgResult r = run_podem(nl, f, opt);
+    mix(static_cast<std::uint64_t>(r.status));
+    mix(r.backtracks);
+    mix(r.decisions);
+    mix(r.test.size());
+    for (bool b : r.test) mix(b);
+    mix(r.cube.size());
+    for (std::uint8_t c : r.cube) mix(c);
+  }
+  return h;
+}
+
+struct PinnedSearch {
+  const char* circuit;
+  std::uint64_t backtrack_limit;  // 0 = unlimited
+  // One digest per (backtrace, frontier) pair, backtrace-major in the order
+  // of kBacktrace x kFrontier.
+  std::uint64_t digest[9];
+};
+
+// Recorded from the full-sweep implication engine (re-simulating the whole
+// topological order on every decision). Limit 0 is run only where
+// AllStrategyCombosMatchBaselineOnGenSuite proves no fault aborts.
+constexpr PinnedSearch kPinned[] = {
+    {"c17", 0,
+     {0x25c3dbb5f004d9c0ull, 0x41bb960c5b78d260ull, 0x41bb960c5b78d260ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull}},
+    {"c17", 5000,
+     {0x25c3dbb5f004d9c0ull, 0x41bb960c5b78d260ull, 0x41bb960c5b78d260ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull}},
+    {"c17", 50,
+     {0x25c3dbb5f004d9c0ull, 0x41bb960c5b78d260ull, 0x41bb960c5b78d260ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull,
+      0x208c84e509e40a40ull, 0x3c843f3b755802e0ull, 0x3c843f3b755802e0ull}},
+    {"s27", 0,
+     {0xe38e3b055db401a3ull, 0x77a02d16b4d0e865ull, 0xb2fe8cc4d66b00e5ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull}},
+    {"s27", 5000,
+     {0xe38e3b055db401a3ull, 0x77a02d16b4d0e865ull, 0xb2fe8cc4d66b00e5ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull}},
+    {"s27", 50,
+     {0xe38e3b055db401a3ull, 0x77a02d16b4d0e865ull, 0xb2fe8cc4d66b00e5ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull,
+      0x92dab6e87acd1d63ull, 0xbbd5faf434294665ull, 0xc2cb743e08ca7425ull}},
+    {"add8", 0,
+     {0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull}},
+    {"add8", 5000,
+     {0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull}},
+    {"add8", 50,
+     {0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull, 0xdc1ea3f36a422726ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull,
+      0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull, 0x3dbc31b48ef9f626ull}},
+    {"cmp8", 0,
+     {0x2bea31db06638021ull, 0x3f5ee6f53b2053a3ull, 0x3f5ee6f53b2053a3ull,
+      0x3790c1facc278bb2ull, 0xe30867dd26de2973ull, 0xe30867dd26de2973ull,
+      0x7992490c7b42523bull, 0xac377036ce55681aull, 0xac377036ce55681aull}},
+    {"cmp8", 5000,
+     {0x2bea31db06638021ull, 0x3f5ee6f53b2053a3ull, 0x3f5ee6f53b2053a3ull,
+      0x3790c1facc278bb2ull, 0xe30867dd26de2973ull, 0xe30867dd26de2973ull,
+      0x7992490c7b42523bull, 0xac377036ce55681aull, 0xac377036ce55681aull}},
+    {"cmp8", 50,
+     {0x2bea31db06638021ull, 0x3f5ee6f53b2053a3ull, 0x3f5ee6f53b2053a3ull,
+      0x3790c1facc278bb2ull, 0xe30867dd26de2973ull, 0xe30867dd26de2973ull,
+      0x7992490c7b42523bull, 0xac377036ce55681aull, 0xac377036ce55681aull}},
+    {"alu4", 5000,
+     {0xc2d6c41cb7e2ab89ull, 0xec6d1ecdacd77d86ull, 0xc3c2d38137d39666ull,
+      0x0cc93a2253923cc3ull, 0x0f0203cece19978cull, 0x79a398169088e4acull,
+      0xfb2d0e295d256ee4ull, 0x60fb754a6187482bull, 0xd918bf4c3ea1514bull}},
+    {"alu4", 50,
+     {0x1d719f026757ad20ull, 0xc932dd8873c777afull, 0xa9fdb4c1e9edbfcfull,
+      0xd75f85b373e40eeaull, 0x5d6baae6644b10a5ull, 0x96d88962be8cee85ull,
+      0xce0d83d80377334dull, 0x6bb258297db56382ull, 0x21dfcf5eeae68562ull}},
+    {"syn150", 5000,
+     {0x13353a6cde80b435ull, 0x51dcd7fbfc423dc8ull, 0xdca72dac01de6410ull,
+      0xe9fbee32e41374caull, 0xdb19fb3ae1dc2166ull, 0x526f467e3809c8e9ull,
+      0x4921a762649dc48cull, 0x67538753925e1cecull, 0xd6485c4e1cc437d6ull}},
+    {"syn150", 50,
+     {0x4958df582520f5f0ull, 0xd7e801305576a731ull, 0x7005f3f4c4b4b902ull,
+      0xb60b08f9c8bd35d3ull, 0x50ccfafc0f541bd3ull, 0xb17b666ebb0569cdull,
+      0x56c28c9df2e53cb4ull, 0xd4c280f6fbfc0d4full, 0xf2e2633d06c1d6f0ull}},
+};
+
+TEST(AtpgDifferential, PinnedSearchDigests) {
+  for (const PinnedSearch& pin : kPinned) {
+    Netlist nl = make_benchmark(pin.circuit);
+    const auto faults = enumerate_faults(nl, true);
+    const AtpgGuidance guidance = AtpgGuidance::build(nl);
+    std::string got_row;
+    bool match = true;
+    std::size_t i = 0;
+    for (BacktracePolicy bt : kBacktrace) {
+      for (FrontierPolicy fr : kFrontier) {
+        const std::uint64_t got =
+            search_digest(nl, faults, {bt, fr}, &guidance, pin.backtrack_limit);
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "0x%016llxull,",
+                      static_cast<unsigned long long>(got));
+        got_row += buf;
+        EXPECT_EQ(got, pin.digest[i])
+            << pin.circuit << " limit " << pin.backtrack_limit
+            << " bt=" << to_string(bt) << " fr=" << to_string(fr);
+        match &= got == pin.digest[i];
+        ++i;
+      }
+    }
+    if (!match) {
+      ADD_FAILURE() << "observed row: {\"" << pin.circuit << "\", "
+                    << pin.backtrack_limit << ", {" << got_row << "}},";
+    }
   }
 }
 

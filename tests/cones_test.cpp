@@ -261,7 +261,6 @@ TruthTable reference_cone_function(const Netlist& nl, const Cone& cone) {
   TruthTable t(k);
   const std::uint32_t minterms = 1u << k;
   std::vector<std::uint64_t> value(nl.size(), 0);
-  std::vector<std::uint64_t> ins;
   for (std::uint32_t base = 0; base < minterms; base += 64) {
     for (unsigned i = 0; i < k; ++i) {
       const unsigned shift = k - 1 - i;
@@ -276,9 +275,7 @@ TruthTable reference_cone_function(const Netlist& nl, const Cone& cone) {
       }
     }
     for (NodeId g : order) {
-      ins.clear();
-      for (NodeId f : nl.node(g).fanins) ins.push_back(value[f]);
-      value[g] = eval_gate(nl.node(g).type, ins);
+      value[g] = eval_gate(nl.node(g).type, nl.node(g).fanins, value.data());
     }
     const std::uint64_t w = value[cone.root];
     const std::uint32_t limit = std::min<std::uint32_t>(64, minterms - base);

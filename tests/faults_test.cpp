@@ -88,26 +88,23 @@ bool serial_detects(const Netlist& nl, const StuckFault& f,
   // Good value.
   auto good = nl.simulate(pi);
   // Faulty: simulate manually with the fault injected.
-  std::vector<std::uint64_t> val(nl.size(), 0);
+  // One extra slot past the nodes holds the stuck word a faulty pin reads.
+  std::vector<std::uint64_t> val(nl.size() + 1, 0);
+  val[nl.size()] = f.value ? ~0ull : 0;
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) val[nl.inputs()[i]] = pi[i];
   if (f.is_stem() && nl.node(f.node).type == GateType::Input) {
     val[f.node] = f.value ? ~0ull : 0;
   }
-  std::vector<std::uint64_t> ins;
   for (NodeId n : nl.topo_order()) {
     const Node& nd = nl.node(n);
     if (nd.type == GateType::Input) continue;
     if (nd.type == GateType::Const0) { val[n] = 0; continue; }
     if (nd.type == GateType::Const1) { val[n] = ~0ull; continue; }
-    ins.clear();
-    for (std::size_t p = 0; p < nd.fanins.size(); ++p) {
-      std::uint64_t v = val[nd.fanins[p]];
-      if (!f.is_stem() && f.node == n && static_cast<int>(p) == f.pin) {
-        v = f.value ? ~0ull : 0;
-      }
-      ins.push_back(v);
+    std::vector<NodeId> fanins = nd.fanins;
+    if (!f.is_stem() && f.node == n) {
+      fanins[static_cast<std::size_t>(f.pin)] = static_cast<NodeId>(nl.size());
     }
-    val[n] = eval_gate(nd.type, ins);
+    val[n] = eval_gate(nd.type, fanins, val.data());
     if (f.is_stem() && f.node == n) val[n] = f.value ? ~0ull : 0;
   }
   for (NodeId o : nl.outputs()) {

@@ -24,17 +24,18 @@ Netlist full_adder() {
 }
 
 TEST(GateEval, TruthTablesOfAllTypes) {
-  const std::vector<std::uint64_t> in01 = {0x5ull, 0x3ull};  // bits: a=1010.., b=1100..
-  EXPECT_EQ(eval_gate(GateType::And, in01) & 0xF, 0x1ull);
-  EXPECT_EQ(eval_gate(GateType::Nand, in01) & 0xF, 0xEull);
-  EXPECT_EQ(eval_gate(GateType::Or, in01) & 0xF, 0x7ull);
-  EXPECT_EQ(eval_gate(GateType::Nor, in01) & 0xF, 0x8ull);
-  EXPECT_EQ(eval_gate(GateType::Xor, in01) & 0xF, 0x6ull);
-  EXPECT_EQ(eval_gate(GateType::Xnor, in01) & 0xF, 0x9ull);
-  EXPECT_EQ(eval_gate(GateType::Not, {0x5ull}) & 0xF, 0xAull);
-  EXPECT_EQ(eval_gate(GateType::Buf, {0x5ull}) & 0xF, 0x5ull);
-  EXPECT_EQ(eval_gate(GateType::Const0, {}) & 0xF, 0x0ull);
-  EXPECT_EQ(eval_gate(GateType::Const1, {}) & 0xF, 0xFull);
+  const std::uint64_t words[] = {0x5ull, 0x3ull};  // bits: a=1010.., b=1100..
+  const std::vector<NodeId> ab = {0, 1}, a = {0}, none;
+  EXPECT_EQ(eval_gate(GateType::And, ab, words) & 0xF, 0x1ull);
+  EXPECT_EQ(eval_gate(GateType::Nand, ab, words) & 0xF, 0xEull);
+  EXPECT_EQ(eval_gate(GateType::Or, ab, words) & 0xF, 0x7ull);
+  EXPECT_EQ(eval_gate(GateType::Nor, ab, words) & 0xF, 0x8ull);
+  EXPECT_EQ(eval_gate(GateType::Xor, ab, words) & 0xF, 0x6ull);
+  EXPECT_EQ(eval_gate(GateType::Xnor, ab, words) & 0xF, 0x9ull);
+  EXPECT_EQ(eval_gate(GateType::Not, a, words) & 0xF, 0xAull);
+  EXPECT_EQ(eval_gate(GateType::Buf, a, words) & 0xF, 0x5ull);
+  EXPECT_EQ(eval_gate(GateType::Const0, none, words) & 0xF, 0x0ull);
+  EXPECT_EQ(eval_gate(GateType::Const1, none, words) & 0xF, 0xFull);
 }
 
 TEST(GateProps, ControllingValues) {

@@ -182,6 +182,12 @@ struct Conn {
   }
 };
 
+/// The "long job" of the timing-sensitive tests. It must outlast every
+/// fixed wait below -- the 0.5 s watchdog and the 300 ms settle sleeps --
+/// by at least 2x: syn600 at k=6 runs about 2.5 s (Release build, 4-core
+/// x86 host). Re-measure it when the flow gets faster.
+constexpr const char* kLongCircuit = "syn600";
+
 Json job_message(const std::string& id, const std::string& circuit,
                  unsigned k = 5, const std::string& proc = "2") {
   JobSpec spec;
@@ -524,7 +530,7 @@ TEST(ServeE2e, SigtermDrainsWithExit143AndUnlinkedSocket) {
   Conn c;
   ASSERT_TRUE(c.connect(d.socket_path));
   // One long job in flight plus queued work behind it.
-  ASSERT_TRUE(c.send(job_message("long", "syn150", /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, /*k=*/6)));
   ASSERT_TRUE(c.send(job_message("q1", "add8")));
   ASSERT_TRUE(c.send(job_message("q2", "mux4")));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -619,7 +625,7 @@ TEST(ServeE2e, SigkillRestartServesByteIdenticalAnswersFromTheWal) {
   {
     Conn c;
     ASSERT_TRUE(c.connect(d1.socket_path));
-    ASSERT_TRUE(c.send(job_message("inflight", "syn150", /*k=*/6)));
+    ASSERT_TRUE(c.send(job_message("inflight", kLongCircuit, /*k=*/6)));
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
   }
   ASSERT_EQ(::kill(d1.pid, SIGKILL), 0);
@@ -664,7 +670,7 @@ TEST(ServeE2e, SigkillRestartServesByteIdenticalAnswersFromTheWal) {
     unsigned k;
   };
   for (const Probe& p :
-       {Probe{"c17", k}, Probe{"add8", k}, Probe{"syn150", 6}}) {
+       {Probe{"c17", k}, Probe{"add8", k}, Probe{kLongCircuit, 6}}) {
     const std::string bench_path = temp_path("rec_" + p.circuit + ".bench");
     const std::string report_path = temp_path("rec_" + p.circuit + ".json");
     // --retry also covers a daemon still replaying: the client re-submits
@@ -733,7 +739,7 @@ TEST(ServeE2e, FullQueueShedsDeterministicallyWithRetryHint) {
   Conn c;
   ASSERT_TRUE(c.connect(d.socket_path));
   // Occupy the lane, then fill the queue, then overflow it.
-  ASSERT_TRUE(c.send(job_message("long", "syn150", /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, /*k=*/6)));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   ASSERT_TRUE(c.send(job_message("queued", "c17")));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -780,9 +786,9 @@ TEST(ServeE2e, WatchdogInterruptsAHungJobAndTheLaneKeepsServing) {
   d.start("--watchdog=0.5");
   Conn c;
   ASSERT_TRUE(c.connect(d.socket_path));
-  // syn150/k=6 runs well past 0.5 s; the watchdog cancels it at a poll
+  // The long job runs well past 0.5 s; the watchdog cancels it at a poll
   // point and the job answers "interrupted".
-  ASSERT_TRUE(c.send(job_message("hung", "syn150", /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("hung", kLongCircuit, /*k=*/6)));
   std::optional<Json> reply = c.recv();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(field(*reply, "id"), "hung");
