@@ -2,11 +2,14 @@
 // useful for tracking the cost of the building blocks).
 #include <benchmark/benchmark.h>
 
+#include <bit>
+
 #include "atpg/podem.hpp"
 #include "core/comparison.hpp"
 #include "core/comparison_unit.hpp"
 #include "core/cones.hpp"
 #include "core/resynth.hpp"
+#include "core/signature.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
@@ -94,6 +97,67 @@ void BM_IdentifyComparisonSampled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IdentifyComparisonSampled)->Arg(4)->Arg(5)->Arg(6);
+
+/// 64 six-variable tables of one family: 0 = random, 1 = comparison
+/// functions (a random interval under a random order), 2 = totally
+/// symmetric thresholds (at least t of 6 inputs, t = 1..6).
+std::vector<TruthTable> six_var_family(int family) {
+  constexpr unsigned n = 6;
+  Rng rng(0x5E7u + static_cast<std::uint64_t>(family));
+  std::vector<TruthTable> tables;
+  for (int i = 0; i < 64; ++i) {
+    if (family == 0) {
+      const std::uint64_t w = rng.next();
+      tables.push_back(TruthTable::from_function(
+          n, [&](std::uint32_t m) { return (w >> m) & 1u; }));
+    } else if (family == 1) {
+      std::uint32_t lo = static_cast<std::uint32_t>(rng.below(64));
+      std::uint32_t hi = static_cast<std::uint32_t>(rng.below(64));
+      if (lo > hi) std::swap(lo, hi);
+      const auto p32 = rng.permutation(n);
+      ComparisonSpec spec;
+      spec.n = n;
+      spec.perm.assign(p32.begin(), p32.end());
+      spec.lower = lo;
+      spec.upper = hi;
+      tables.push_back(spec.to_truth_table());
+    } else {
+      const unsigned t = 1 + static_cast<unsigned>(i) % n;
+      tables.push_back(TruthTable::from_function(n, [&](std::uint32_t m) {
+        return static_cast<unsigned>(std::popcount(m)) >= t;
+      }));
+    }
+  }
+  return tables;
+}
+
+// One orbit-memo key: canonicalization under the memo's group.
+void BM_NpnCanonicalize(benchmark::State& state) {
+  const std::vector<TruthTable> tables = six_var_family(static_cast<int>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        npn_canonicalize(tables[i++ & 63], NpnGroup::kPermOutputReflect));
+  }
+}
+BENCHMARK(BM_NpnCanonicalize)
+    ->ArgName("family")  // 0 random, 1 comparison, 2 symmetric threshold
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2);
+
+// A tier-1 memo hit on a comparison function (the warm-up call plants it).
+void BM_IdentifyMemoHit(benchmark::State& state) {
+  const std::vector<TruthTable> tables = six_var_family(1);
+  std::size_t specs = 0;
+  for (const TruthTable& t : tables) specs += identify_comparison(t).size();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(identify_comparison(tables[i++ & 63]).data());
+  }
+  state.counters["specs_per_query"] = static_cast<double>(specs) / 64.0;
+}
+BENCHMARK(BM_IdentifyMemoHit);
 
 void BM_BuildComparisonUnit(benchmark::State& state) {
   ComparisonSpec spec;

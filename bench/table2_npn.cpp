@@ -3,7 +3,12 @@
 // byte-identical, and the npn_identify_stats() deltas reported per mode.
 // The headline metric is the exact-search reduction factor: exact_searches
 // counts full exact-engine searches regardless of the toggle, so
-// off/on is exactly "searches the orbit tier removed".
+// off/on is exactly "searches the orbit tier removed". The same ablation in
+// time: each arm's resynthesis runs inside a span, `npn.off.resynth` and
+// `npn.on.resynth` (report spans, not counters, so the counters stay a
+// deterministic function of the flags). The arms build byte-identical
+// netlists and differ only in how identification answers, so the gap
+// between the two spans is the identification time the orbit tier saves.
 //
 // Flags: --npn=off|on|both (default both)   --circuits=a,b,c   --k=5,6
 //        --verify=sim|sat|both   --report=<file>.json   --trace   --jobs=N
@@ -80,7 +85,11 @@ ModeTotals run_mode(const std::vector<std::string>& circuits,
   ModeTotals out;
   for (const std::string& name : circuits) {
     Netlist orig = prepare_irredundant(name, verify);
-    BestOfK best = best_of_k_npn(orig, ks, npn_memo);
+    BestOfK best;
+    {
+      const Span sp(npn_memo ? "npn.on.resynth" : "npn.off.resynth");
+      best = best_of_k_npn(orig, ks, npn_memo);
+    }
     verify_or_die(orig, best.netlist, name + " Procedure 2", verify);
     out.gates += best.netlist.equivalent_gate_count();
     out.paths += count_paths_clamped(best.netlist).total;

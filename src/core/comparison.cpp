@@ -380,8 +380,11 @@ NpnMemo& npn_memo() {
   return memo;
 }
 
-/// Largest cone arity the orbit tier canonicalizes: 2*n! sift steps per
-/// tier-1 miss stays well under one exact search at n <= 7 (K <= 8 cones).
+/// Largest cone arity the orbit tier canonicalizes. Canonicalization is one
+/// key sort per group element (4 at kPermOutputReflect) plus the
+/// arrangements of tied, non-symmetric variables -- up to 4*n! sift steps
+/// only when every key ties -- so it stays well under one exact search at
+/// n <= 7 (K <= 8 cones).
 constexpr unsigned kNpnMemoMaxVars = 7;
 constexpr std::size_t kNpnMemoCap = 1u << 14;
 
@@ -520,9 +523,13 @@ bool derive_orbit_specs(const NpnOrbitEntry& e, const TruthTable& f,
 
 }  // namespace
 
-std::vector<ComparisonSpec> identify_comparison(const TruthTable& f,
-                                                const IdentifyOptions& opt) {
-  std::vector<ComparisonSpec> out;
+const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
+                                                       const IdentifyOptions& opt) {
+  // Answers the memo does not own (constants, the sampled engine) are
+  // returned from this per-thread buffer; a search's answer is built here
+  // and then moved into its tier-1 entry.
+  thread_local std::vector<ComparisonSpec> out;
+  out.clear();
   const unsigned n = f.num_vars();
   if (n == 0) {
     // Constant function of zero variables: the empty-product interval.
@@ -645,11 +652,12 @@ std::vector<ComparisonSpec> identify_comparison(const TruthTable& f,
       memo.buckets.clear();
       memo.entries = 0;
     }
-    memo.buckets[sig].push_back(
-        ExactMemoEntry{f, opt.try_complement, opt.max_results, out});
-    ++memo.entries;
     if (!out.empty()) Counters::incr("identify.exact.hits");
-    return out;
+    std::vector<ExactMemoEntry>& bucket = memo.buckets[sig];
+    bucket.push_back(
+        ExactMemoEntry{f, opt.try_complement, opt.max_results, std::move(out)});
+    ++memo.entries;
+    return bucket.back().specs;
   }
 
   Counters::incr("identify.sampled.attempts");

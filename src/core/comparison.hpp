@@ -59,8 +59,13 @@ struct IdentifyOptions {
 /// Constant functions yield the trivial full/empty interval specs.
 /// Empty result means f is not a comparison function (for the exact engine,
 /// this is a proof; for the sampled engine, only "not found").
-std::vector<ComparisonSpec> identify_comparison(const TruthTable& f,
-                                                const IdentifyOptions& opt = {});
+///
+/// The returned vector is owned by the calling thread's memo (or its reply
+/// buffer) and stays valid only until that thread's next identify_comparison
+/// call, which may overwrite it or free it (a memo flush). A caller that
+/// needs two answers at once copies the first: `const auto specs = ...`.
+const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
+                                                       const IdentifyOptions& opt = {});
 
 /// Convenience: true if the exact engine finds a spec.
 bool is_comparison_function(const TruthTable& f);

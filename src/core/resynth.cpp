@@ -195,7 +195,7 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
     return ev;
   }
 
-  const auto specs = identify_comparison(proto.reduced, opt.identify);
+  const auto& specs = identify_comparison(proto.reduced, opt.identify);
   ev.comparison_cone = !specs.empty();
   for (const ComparisonSpec& spec : specs) {
     consider_spec(proto, np_g, np, &spec, nullptr, opt, ev.base);

@@ -69,8 +69,9 @@ std::vector<unsigned> gen_plain_changes(unsigned n) {
 }  // namespace
 
 const std::vector<unsigned>& plain_changes_schedule(unsigned n) {
-  // 8! - 1 = 40319 swaps is the largest schedule we materialise; the memo
-  // canonicalizes n <= 7 cones and the property tests n <= 5.
+  // 8! - 1 = 40319 swaps is the largest schedule we materialise; the
+  // canonicalizer walks one schedule per tied key run (at most n <= 7
+  // variables for the memo's cones).
   assert(n <= 8 && "n! adjacent swaps: keep the schedule small");
   static const std::array<std::vector<unsigned>, 9> schedules = [] {
     std::array<std::vector<unsigned>, 9> s;
@@ -88,21 +89,44 @@ TruthTable NpnTransform::apply(const TruthTable& f) const {
   return h.permuted(perm);
 }
 
+namespace {
+
+/// One stretch of equal-key positions whose arrangements the canonicalizer
+/// must try (a run of pairwise-symmetric variables is never listed).
+struct TieRun {
+  unsigned begin = 0;
+  unsigned len = 0;
+};
+
+/// Visits every arrangement of the listed runs, each one adjacent swap away
+/// from the last: run r's plain-changes schedule is replayed, from wherever
+/// the previous replay left it, between consecutive arrangements of runs
+/// r+1... (replaying a schedule from any start visits all len! orders).
+template <class Visit>
+void walk_tie_runs(const TieRun* runs, std::size_t count, TruthTable& t,
+                   unsigned* perm, const Visit& visit) {
+  if (count == 0) {
+    visit();
+    return;
+  }
+  walk_tie_runs(runs + 1, count - 1, t, perm, visit);
+  for (unsigned p : plain_changes_schedule(runs->len)) {
+    const unsigned pos = runs->begin + p;
+    t.swap_adjacent_inplace(pos);
+    std::swap(perm[pos], perm[pos + 1]);
+    walk_tie_runs(runs + 1, count - 1, t, perm, visit);
+  }
+}
+
+}  // namespace
+
 NpnCanonical npn_canonicalize(const TruthTable& f, NpnGroup group) {
   const unsigned n = f.num_vars();
-  const auto& swaps = plain_changes_schedule(n);
   NpnCanonical best;
   bool have = false;
-  std::vector<unsigned> perm(n);
-
-  const auto consider = [&](const TruthTable& t, std::uint32_t mask, bool out) {
-    if (have && t.compare_words(best.table) >= 0) return;
-    best.table = t;
-    best.transform.perm = perm;
-    best.transform.input_neg = mask;
-    best.transform.output_neg = out;
-    have = true;
-  };
+  std::array<unsigned, 16> perm;
+  std::array<std::uint32_t, 16> key;
+  std::array<TieRun, 8> runs;
 
   const std::uint32_t all = n == 0 ? 0u : ((1u << n) - 1u);
   const std::uint32_t nmasks = group == NpnGroup::kFull ? (1u << n)
@@ -121,14 +145,41 @@ NpnCanonical npn_canonicalize(const TruthTable& f, NpnGroup group) {
         mb.flip_input_inplace(static_cast<unsigned>(std::countr_zero(diff)));
       }
       mask = next;
+      // Key-sorted arrangement of this element: position j holds the
+      // variable with the j-th smallest positive-cofactor ON count.
+      // (Stable insertion sort by adjacent swaps, applied to the table as
+      // it goes.)
+      for (unsigned v = 0; v < n; ++v) key[v] = mb.count_ones_positive(v);
+      std::iota(perm.begin(), perm.begin() + n, 0u);
       TruthTable t = mb;
-      std::iota(perm.begin(), perm.end(), 0u);
-      consider(t, mask, o != 0);
-      for (unsigned p : swaps) {
-        t.swap_adjacent_inplace(p);
-        std::swap(perm[p], perm[p + 1]);
-        consider(t, mask, o != 0);
+      for (unsigned j = 1; j < n; ++j) {
+        for (unsigned k = j; k > 0 && key[perm[k]] < key[perm[k - 1]]; --k) {
+          t.swap_adjacent_inplace(k - 1);
+          std::swap(perm[k - 1], perm[k]);
+        }
       }
+      // Runs of equal keys still need every arrangement -- unless all of a
+      // run's adjacent swaps fix the table, i.e. its variables are pairwise
+      // symmetric and every arrangement is the same table.
+      std::size_t nruns = 0;
+      for (unsigned b = 0; b < n;) {
+        unsigned e = b + 1;
+        while (e < n && key[perm[e]] == key[perm[b]]) ++e;
+        bool symmetric = true;
+        for (unsigned p = b; p + 1 < e && symmetric; ++p) {
+          symmetric = t.swap_adjacent(p) == t;
+        }
+        if (!symmetric) runs[nruns++] = TieRun{b, e - b};
+        b = e;
+      }
+      walk_tie_runs(runs.data(), nruns, t, perm.data(), [&] {
+        if (have && t.compare_words(best.table) >= 0) return;
+        best.table = t;
+        best.transform.perm.assign(perm.begin(), perm.begin() + n);
+        best.transform.input_neg = mask;
+        best.transform.output_neg = o != 0;
+        have = true;
+      });
     }
   }
   assert(have);

@@ -49,12 +49,27 @@ std::vector<std::uint64_t> node_signatures(const Netlist& nl,
 //
 // Two functions are NPN-equivalent when one becomes the other under some
 // input permutation, input polarity flips, and/or an output polarity flip.
-// npn_canonicalize picks one fixed representative per orbit (the minimum
-// table under TruthTable::compare_words) by sifting the table through the
-// whole group with the word-level swap/flip/complement kernels: a
-// plain-changes (Steinhaus-Johnson-Trotter) schedule of adjacent-variable
-// swaps crossed with a Gray-code walk over polarity masks, so every orbit
-// member is visited one O(words) kernel step from the previous one.
+// npn_canonicalize picks one fixed representative per orbit. For every
+// (output polarity, input mask) element of the group it gives each variable
+// a key -- the ON-set size of its positive cofactor, a word-level popcount
+// -- and sorts the variables by key. Only arrangements that keep the keys
+// sorted are candidates: the variables inside each run of equal keys are
+// arranged every way (a plain-changes walk of adjacent swaps, one O(words)
+// kernel step apart), except that a run of pairwise-symmetric variables
+// contributes one arrangement, since all of its arrangements are the same
+// table. The canonical table is the minimum under TruthTable::compare_words
+// over that reduced candidate set, not over the whole orbit.
+//
+// It is still exact. A key travels with its variable under any
+// permutation, so every member of a permutation class yields the same set
+// of key-sorted tables, and symmetry of a run is a property of the
+// variables, not of their positions; the group elements are walked in a
+// fixed order, so every orbit member ends with the same candidate set and
+// the same minimum. The cost per group element is n popcounts, one sort by
+// adjacent swaps and the arrangements of the tied, non-symmetric runs: one
+// candidate when all keys differ or every tie is symmetric (random tables,
+// totally symmetric functions), up to n! when all n keys tie without
+// symmetry.
 //
 // The group is selectable because different consumers need different orbits:
 // the comparison-identification memo (core/comparison.cpp) shares results
@@ -91,9 +106,10 @@ struct NpnCanonical {
 
 /// Canonical representative of f's orbit under `group`, plus a transform
 /// that maps f onto it. Deterministic; same table for every orbit member.
-/// Cost is O(group size) kernel steps: 2*n! for kPermOutput, 4*n! for
-/// kPermOutputReflect, 2^(n+1)*n! for kFull -- intended for the small cone
-/// arities (n <= 7) the procedures use.
+/// Walks 2, 4 or 2^(n+1) group elements (kPermOutput, kPermOutputReflect,
+/// kFull); each costs one key sort plus the product of run! over its tied,
+/// non-symmetric key runs -- intended for the small cone arities (n <= 7)
+/// the procedures use. A tied run may hold at most 8 variables.
 NpnCanonical npn_canonicalize(const TruthTable& f,
                               NpnGroup group = NpnGroup::kFull);
 

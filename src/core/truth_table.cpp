@@ -1,6 +1,7 @@
 #include "core/truth_table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <numeric>
@@ -31,7 +32,28 @@ inline std::uint64_t word_swap_adjacent_bits(std::uint64_t w, unsigned b) {
 
 TruthTable::TruthTable(unsigned n) : n_(n) {
   if (n > 16) throw std::invalid_argument("TruthTable supports at most 16 variables");
-  words_.assign(std::max<std::size_t>(1, (std::size_t{1} << n) / 64), 0);
+  if (n > kInlineVars) heap_.assign(num_words(), 0);
+}
+
+TruthTable::TruthTable(TruthTable&& o) noexcept
+    : n_(o.n_), inline_(o.inline_), heap_(std::move(o.heap_)) {
+  if (n_ > kInlineVars) o.n_ = 0;
+}
+
+TruthTable& TruthTable::operator=(TruthTable&& o) noexcept {
+  if (this == &o) return *this;
+  n_ = o.n_;
+  inline_ = o.inline_;
+  heap_ = std::move(o.heap_);
+  if (n_ > kInlineVars) o.n_ = 0;
+  return *this;
+}
+
+bool TruthTable::operator==(const TruthTable& o) const {
+  if (n_ != o.n_) return false;
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = o.data();
+  return std::equal(a, a + num_words(), b);
 }
 
 TruthTable TruthTable::from_function(unsigned n,
@@ -58,20 +80,38 @@ TruthTable TruthTable::from_bits(const std::string& bits) {
 
 bool TruthTable::get(std::uint32_t m) const {
   assert(m < num_minterms());
-  return (words_[m >> 6] >> (m & 63)) & 1ull;
+  return (data()[m >> 6] >> (m & 63)) & 1ull;
 }
 
 void TruthTable::set(std::uint32_t m, bool value) {
   assert(m < num_minterms());
   const std::uint64_t bit = 1ull << (m & 63);
-  if (value) words_[m >> 6] |= bit;
-  else words_[m >> 6] &= ~bit;
+  if (value) data()[m >> 6] |= bit;
+  else data()[m >> 6] &= ~bit;
 }
 
 std::uint32_t TruthTable::count_ones() const {
   // Invariant: bits beyond num_minterms() are always zero.
   std::uint32_t total = 0;
-  for (std::uint64_t w : words_) total += static_cast<std::uint32_t>(std::popcount(w));
+  for (std::uint64_t w : words()) total += static_cast<std::uint32_t>(std::popcount(w));
+  return total;
+}
+
+std::uint32_t TruthTable::count_ones_positive(unsigned var) const {
+  assert(var < n_);
+  const unsigned s = n_ - 1 - var;  // minterm bit of `var`
+  const std::span<const std::uint64_t> ws = words();
+  std::uint32_t total = 0;
+  if (s < 6) {
+    for (std::uint64_t w : ws) {
+      total += static_cast<std::uint32_t>(std::popcount(w & kVarMask[s]));
+    }
+  } else {
+    const std::size_t ds = std::size_t{1} << (s - 6);
+    for (std::size_t i = ds; i < ws.size(); i = (i + 1) | ds) {
+      total += static_cast<std::uint32_t>(std::popcount(ws[i]));
+    }
+  }
   return total;
 }
 
@@ -87,32 +127,34 @@ TruthTable TruthTable::complemented() const {
 void TruthTable::complement_inplace() {
   const std::uint64_t last_mask =
       n_ >= 6 ? ~0ull : ((1ull << num_minterms()) - 1ull);
-  for (auto& w : words_) w = ~w;
-  words_.back() &= last_mask;
+  const std::span<std::uint64_t> ws = words();
+  for (auto& w : ws) w = ~w;
+  ws.back() &= last_mask;
 }
 
 void TruthTable::swap_adjacent_inplace(unsigned pos) {
   assert(pos + 1 < n_);
   const unsigned a = n_ - 1 - pos;  // minterm bit of the variable at `pos`
   const unsigned b = a - 1;         // ... and at `pos + 1`
+  const std::span<std::uint64_t> ws = words();
   if (a < 6) {
     // Both bits live inside each word: one delta swap per word.
-    for (auto& w : words_) w = word_swap_adjacent_bits(w, b);
+    for (auto& w : ws) w = word_swap_adjacent_bits(w, b);
   } else if (b >= 6) {
     // Both bits select the word index: swap word pairs.
     const std::size_t db = std::size_t{1} << (b - 6);
     const std::size_t da = std::size_t{1} << (a - 6);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if ((w & db) && !(w & da)) std::swap(words_[w], words_[w + db]);
+    for (std::size_t w = 0; w < ws.size(); ++w) {
+      if ((w & db) && !(w & da)) std::swap(ws[w], ws[w + db]);
     }
   } else {
     // a == 6, b == 5: the straddle case -- exchange the high half of each
     // even word with the low half of its odd neighbour.
-    for (std::size_t w = 0; w + 1 < words_.size(); w += 2) {
-      const std::uint64_t hi0 = words_[w] >> 32;
-      const std::uint64_t lo1 = words_[w + 1] & 0xffffffffull;
-      words_[w] = (words_[w] & 0xffffffffull) | (lo1 << 32);
-      words_[w + 1] = (words_[w + 1] & ~0xffffffffull) | hi0;
+    for (std::size_t w = 0; w + 1 < ws.size(); w += 2) {
+      const std::uint64_t hi0 = ws[w] >> 32;
+      const std::uint64_t lo1 = ws[w + 1] & 0xffffffffull;
+      ws[w] = (ws[w] & 0xffffffffull) | (lo1 << 32);
+      ws[w + 1] = (ws[w + 1] & ~0xffffffffull) | hi0;
     }
   }
 }
@@ -126,14 +168,15 @@ TruthTable TruthTable::swap_adjacent(unsigned pos) const {
 void TruthTable::flip_input_inplace(unsigned var) {
   assert(var < n_);
   const unsigned s = n_ - 1 - var;  // minterm bit of `var`
+  const std::span<std::uint64_t> ws = words();
   if (s < 6) {
     const std::uint64_t m = kVarMask[s];
     const unsigned d = 1u << s;
-    for (auto& w : words_) w = ((w & m) >> d) | ((w & ~m) << d);
+    for (auto& w : ws) w = ((w & m) >> d) | ((w & ~m) << d);
   } else {
     const std::size_t ds = std::size_t{1} << (s - 6);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (!(w & ds)) std::swap(words_[w], words_[w | ds]);
+    for (std::size_t w = 0; w < ws.size(); ++w) {
+      if (!(w & ds)) std::swap(ws[w], ws[w | ds]);
     }
   }
 }
@@ -150,8 +193,8 @@ TruthTable TruthTable::permuted(const std::vector<unsigned>& perm) const {
   // position j with swap kernels. O(n^2) swaps of O(words) each -- far below
   // the 2^n per-bit gathers this replaces.
   TruthTable t = *this;
-  std::vector<unsigned> cur(n_);  // cur[j] = original variable at position j
-  std::iota(cur.begin(), cur.end(), 0u);
+  std::array<unsigned, 16> cur;  // cur[j] = original variable at position j
+  std::iota(cur.begin(), cur.begin() + n_, 0u);
   for (unsigned j = 0; j < n_; ++j) {
     unsigned k = j;
     while (k < n_ && cur[k] != perm[j]) ++k;
@@ -170,7 +213,7 @@ TruthTable TruthTable::cofactor(unsigned var, bool value) const {
   if (n_ <= 6) {
     // Single word: bubble `var` to the MSB position with in-word delta
     // swaps, then the cofactor is one half of the word.
-    std::uint64_t w = words_[0];
+    std::uint64_t w = data()[0];
     for (unsigned p = var; p > 0; --p) {
       const unsigned a = n_ - 1 - (p - 1);  // a <= 5 here
       w = word_swap_adjacent_bits(w, a - 1);
@@ -178,15 +221,14 @@ TruthTable TruthTable::cofactor(unsigned var, bool value) const {
     const std::uint32_t half = 1u << (n_ - 1);
     if (value) w >>= half;
     if (half < 64) w &= (1ull << half) - 1ull;
-    t.words_[0] = w;
+    t.data()[0] = w;
   } else {
     TruthTable tmp = *this;
     for (unsigned p = var; p > 0; --p) tmp.swap_adjacent_inplace(p - 1);
     // `var` is now the minterm MSB: the cofactor is one half of the words.
-    const std::size_t off = value ? t.words_.size() : 0;
-    std::copy(tmp.words_.begin() + static_cast<std::ptrdiff_t>(off),
-              tmp.words_.begin() + static_cast<std::ptrdiff_t>(off + t.words_.size()),
-              t.words_.begin());
+    const std::size_t half = t.num_words();
+    const std::uint64_t* src = tmp.data() + (value ? half : 0);
+    std::copy(src, src + half, t.data());
   }
   return t;
 }
@@ -225,22 +267,23 @@ TruthTable TruthTable::support_reduced(std::vector<unsigned>* kept) const {
 }
 
 bool TruthTable::interval_bounds(std::uint32_t* lo, std::uint32_t* hi) const {
-  std::size_t first = words_.size();
+  const std::span<const std::uint64_t> ws = words();
+  std::size_t first = ws.size();
   std::size_t last = 0;
   std::uint32_t total = 0;
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (!words_[i]) continue;
-    if (first == words_.size()) first = i;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (!ws[i]) continue;
+    if (first == ws.size()) first = i;
     last = i;
-    total += static_cast<std::uint32_t>(std::popcount(words_[i]));
+    total += static_cast<std::uint32_t>(std::popcount(ws[i]));
   }
   if (total == 0) return false;
   const std::uint32_t l =
       static_cast<std::uint32_t>(64 * first) +
-      static_cast<std::uint32_t>(std::countr_zero(words_[first]));
+      static_cast<std::uint32_t>(std::countr_zero(ws[first]));
   const std::uint32_t h =
       static_cast<std::uint32_t>(64 * last + 63) -
-      static_cast<std::uint32_t>(std::countl_zero(words_[last]));
+      static_cast<std::uint32_t>(std::countl_zero(ws[last]));
   // ON(f) is inside [l, h] by construction; it fills the interval exactly
   // when the popcount matches the span.
   if (h - l + 1 != total) return false;
@@ -251,8 +294,10 @@ bool TruthTable::interval_bounds(std::uint32_t* lo, std::uint32_t* hi) const {
 
 int TruthTable::compare_words(const TruthTable& o) const {
   assert(n_ == o.n_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if (words_[i] != o.words_[i]) return words_[i] < o.words_[i] ? -1 : 1;
+  const std::uint64_t* a = data();
+  const std::uint64_t* b = o.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
   }
   return 0;
 }
@@ -275,7 +320,7 @@ std::string TruthTable::to_bits() const {
 
 std::uint64_t TruthTable::hash() const {
   std::uint64_t h = 0xcbf29ce484222325ull ^ n_;
-  for (std::uint64_t w : words_) {
+  for (std::uint64_t w : words()) {
     h ^= w;
     h *= 0x100000001b3ull;
   }

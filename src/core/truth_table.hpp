@@ -6,10 +6,17 @@
 // significant bit of a minterm's decimal value; variable n-1 is x_n, the
 // least significant. So get(m) is f at the input combination whose decimal
 // value is m when read x1 x2 ... xn.
+//
+// Storage: tables of up to 8 variables (4 words) live inline in the object,
+// so the cone functions, cofactors and canonicalization candidates of the
+// procedures never touch the heap; wider tables keep their words in a heap
+// vector.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +26,13 @@ class TruthTable {
  public:
   /// All-zero function of n variables (0 <= n <= 16).
   explicit TruthTable(unsigned n = 0);
+
+  TruthTable(const TruthTable&) = default;
+  TruthTable& operator=(const TruthTable&) = default;
+  /// A moved-from heap table becomes the 0-variable constant zero, so it
+  /// stays a valid (if empty) table.
+  TruthTable(TruthTable&& o) noexcept;
+  TruthTable& operator=(TruthTable&& o) noexcept;
 
   static TruthTable from_function(unsigned n,
                                   const std::function<bool(std::uint32_t)>& f);
@@ -60,8 +74,15 @@ class TruthTable {
   /// <0 / 0 / >0 like memcmp. Both tables must have the same arity.
   int compare_words(const TruthTable& o) const;
 
-  std::size_t num_words() const { return words_.size(); }
-  std::uint64_t word(std::size_t i) const { return words_[i]; }
+  std::size_t num_words() const {
+    return n_ <= 6 ? 1 : std::size_t{1} << (n_ - 6);
+  }
+  std::uint64_t word(std::size_t i) const { return data()[i]; }
+
+  /// ON-set size of the positive cofactor in `var` (how many ON minterms
+  /// have x_var = 1): a popcount under the variable's minterm mask, no
+  /// cofactor table.
+  std::uint32_t count_ones_positive(unsigned var) const;
 
   /// Table of f with variables re-ordered: result position j holds original
   /// variable perm[j] (so perm maps new position -> old variable).
@@ -83,7 +104,7 @@ class TruthTable {
   /// ON-set minterm decimal values, ascending.
   std::vector<std::uint32_t> on_set() const;
 
-  bool operator==(const TruthTable& o) const = default;
+  bool operator==(const TruthTable& o) const;
 
   /// Bit string, minterm 0 first (inverse of from_bits).
   std::string to_bits() const;
@@ -92,8 +113,20 @@ class TruthTable {
   std::uint64_t hash() const;
 
  private:
+  static constexpr unsigned kInlineVars = 8;
+
+  std::uint64_t* data() { return n_ <= kInlineVars ? inline_.data() : heap_.data(); }
+  const std::uint64_t* data() const {
+    return n_ <= kInlineVars ? inline_.data() : heap_.data();
+  }
+  std::span<std::uint64_t> words() { return {data(), num_words()}; }
+  std::span<const std::uint64_t> words() const { return {data(), num_words()}; }
+
   unsigned n_ = 0;
-  std::vector<std::uint64_t> words_;
+  // Invariant: words past num_words() are zero and heap_ is empty while
+  // n_ <= kInlineVars; bits beyond num_minterms() are always zero.
+  std::array<std::uint64_t, 4> inline_{};
+  std::vector<std::uint64_t> heap_;
 };
 
 }  // namespace compsyn

@@ -81,6 +81,16 @@ inline TruthTable flip_input(const TruthTable& f, unsigned var) {
   return t;
 }
 
+/// Per-bit count of the ON minterms with x_var = 1.
+inline std::uint32_t count_ones_positive(const TruthTable& f, unsigned var) {
+  const unsigned s = f.num_vars() - 1 - var;  // minterm bit of `var`
+  std::uint32_t total = 0;
+  for (std::uint32_t m = 0; m < f.num_minterms(); ++m) {
+    if (((m >> s) & 1u) && f.get(m)) ++total;
+  }
+  return total;
+}
+
 /// Per-bit interval test via the enumerated ON-set.
 inline bool interval_bounds(const TruthTable& f, std::uint32_t* lo,
                             std::uint32_t* hi) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <unordered_set>
+#include <vector>
 
 #include "core/comparison.hpp"
+#include "obs/counters.hpp"
+#include "obs/obs.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -214,6 +219,100 @@ TEST(Comparison, ThresholdRelationship) {
     }
     EXPECT_TRUE(found_identity) << L;
   }
+}
+
+// --- Result lifetime --------------------------------------------------------
+//
+// identify_comparison returns a reference into the calling thread's memo,
+// valid until that thread's next call. The test reads every answer in full
+// before the next query -- including the answers around the query that
+// flushes the tier-1 memo at its cap -- so a sanitizer build catches an
+// answer that is freed or overwritten too early.
+
+bool same_specs(const std::vector<ComparisonSpec>& a,
+                const std::vector<ComparisonSpec>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].n != b[i].n || a[i].perm != b[i].perm || a[i].lower != b[i].lower ||
+        a[i].upper != b[i].upper || a[i].complemented != b[i].complemented) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ComparisonLifetime, ReturnedSpecsValidUntilNextCallAcrossMemoFlush) {
+  constexpr std::size_t kMemoCap = std::size_t{1} << 16;  // tier-1 cap
+  const ObsLevel saved_level = obs_level();
+  obs_set_level(ObsLevel::report);
+
+  ComparisonSpec probe_spec;
+  probe_spec.n = 6;
+  probe_spec.perm = {2, 0, 5, 1, 4, 3};
+  probe_spec.lower = 9;
+  probe_spec.upper = 44;
+  const TruthTable probe = probe_spec.to_truth_table();
+  ComparisonSpec flush_spec;
+  flush_spec.n = 6;
+  flush_spec.perm = {5, 4, 3, 2, 1, 0};
+  flush_spec.lower = 17;
+  flush_spec.upper = 30;
+  flush_spec.complemented = true;
+  const TruthTable flusher = flush_spec.to_truth_table();
+
+  // Reference answers, copied out of cold memos.
+  clear_exact_identification_memo();
+  const std::vector<ComparisonSpec> flusher_expected = identify_comparison(flusher);
+  clear_exact_identification_memo();
+  const std::vector<ComparisonSpec> probe_expected = identify_comparison(probe);
+  ASSERT_FALSE(probe_expected.empty());
+  ASSERT_FALSE(flusher_expected.empty());
+
+  // Fill tier 1 to exactly its cap: the probe plus distinct, non-constant
+  // 6-variable fillers (each a miss, so each adds one entry).
+  Rng rng(0x11FEu);
+  std::unordered_set<std::uint64_t> seen{probe.word(0), flusher.word(0)};
+  for (std::size_t i = 1; i < kMemoCap; ++i) {
+    std::uint64_t w = 0;
+    do {
+      w = rng.next();
+    } while (w == 0 || w == ~0ull || !seen.insert(w).second);
+    TruthTable f(6);
+    for (std::uint32_t m = 0; m < 64; ++m) f.set(m, (w >> m) & 1u);
+    const std::vector<ComparisonSpec>& specs = identify_comparison(f);
+    for (const ComparisonSpec& s : specs) ASSERT_TRUE(spec_matches(s, f));
+  }
+
+  // Full memo: the probe is a hit and returns its stored vector.
+  {
+    const std::vector<ComparisonSpec>& hit = identify_comparison(probe);
+    EXPECT_TRUE(same_specs(hit, probe_expected));
+  }
+  // The next miss flushes the memo; its answer lives in the fresh memo.
+  {
+    const std::vector<ComparisonSpec>& fresh = identify_comparison(flusher);
+    EXPECT_TRUE(same_specs(fresh, flusher_expected));
+    for (const ComparisonSpec& s : fresh) EXPECT_TRUE(spec_matches(s, flusher));
+  }
+  // The flush dropped the probe: it is searched again, with the same answer,
+  // and then hit again.
+  const std::uint64_t misses_before = Counters::value("identify.memo.misses");
+  {
+    const std::vector<ComparisonSpec>& again = identify_comparison(probe);
+    EXPECT_TRUE(same_specs(again, probe_expected));
+  }
+#if COMPSYN_TRACE
+  EXPECT_EQ(Counters::value("identify.memo.misses"), misses_before + 1)
+      << "the fill loop must reach the tier-1 cap and flush it";
+#else
+  (void)misses_before;
+#endif
+  {
+    const std::vector<ComparisonSpec>& hit = identify_comparison(probe);
+    EXPECT_TRUE(same_specs(hit, probe_expected));
+  }
+  clear_exact_identification_memo();
+  obs_set_level(saved_level);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <numeric>
 #include <set>
@@ -164,6 +165,155 @@ TEST(NpnCanonical, SeededSample4Vars) {
             << "member of " << f.to_bits() << " canonicalized differently";
         ASSERT_EQ(gc.transform.apply(g), gc.table);
       }
+    }
+  }
+}
+
+// --- n = 5 and 6: the families that stress ties and symmetry ---------------
+//
+// The canonicalizer sorts variables by their positive-cofactor ON count and
+// only arranges runs of equal keys, collapsing runs of pairwise-symmetric
+// variables to one arrangement. Totally symmetric functions tie every key
+// and collapse every run; comparison functions and single-symmetric-pair
+// functions mix distinct keys, symmetric runs and non-symmetric ties.
+
+/// x_v's value in minterm m of an n-variable table (variable 0 = MSB).
+bool var_bit(unsigned n, std::uint32_t m, unsigned v) {
+  return (m >> (n - 1 - v)) & 1u;
+}
+
+/// Totally symmetric threshold: at least t of the n inputs are 1 (t = n is
+/// AND, t = 1 is OR).
+TruthTable threshold_function(unsigned n, unsigned t) {
+  return TruthTable::from_function(n, [&](std::uint32_t m) {
+    return static_cast<unsigned>(std::popcount(m)) >= t;
+  });
+}
+
+/// A comparison function: ON-set [lo, hi] under a random order, maybe
+/// complemented.
+TruthTable random_comparison_function(Rng& rng, unsigned n) {
+  const std::uint32_t max = (1u << n) - 1;
+  std::uint32_t lo = static_cast<std::uint32_t>(rng.below(max + 1));
+  std::uint32_t hi = static_cast<std::uint32_t>(rng.below(max + 1));
+  if (lo > hi) std::swap(lo, hi);
+  const auto p32 = rng.permutation(n);
+  ComparisonSpec spec;
+  spec.n = n;
+  spec.perm.assign(p32.begin(), p32.end());
+  spec.lower = lo;
+  spec.upper = hi;
+  spec.complemented = rng.flip();
+  return spec.to_truth_table();
+}
+
+/// Whether f is unchanged by exchanging variables a and b.
+bool symmetric_pair(const TruthTable& f, unsigned a, unsigned b) {
+  std::vector<unsigned> perm(f.num_vars());
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::swap(perm[a], perm[b]);
+  return f.permuted(perm) == f;
+}
+
+/// A random function symmetric in exactly one pair of variables: a random
+/// table over (x_a + x_b, the other inputs), redrawn until no other pair is
+/// symmetric.
+TruthTable one_symmetric_pair_function(Rng& rng, unsigned n) {
+  for (;;) {
+    const auto p32 = rng.permutation(n);
+    const unsigned a = p32[0];
+    const unsigned b = p32[1];
+    std::vector<std::uint64_t> words(3 * 4);  // 3 pair sums x 2^(n-2) <= 192 bits
+    for (auto& w : words) w = rng.next();
+    const TruthTable f = TruthTable::from_function(n, [&](std::uint32_t m) {
+      std::uint32_t rest = 0;
+      for (unsigned v = 0; v < n; ++v) {
+        if (v != a && v != b) rest = (rest << 1) | var_bit(n, m, v);
+      }
+      const std::uint32_t sum = var_bit(n, m, a) + var_bit(n, m, b);
+      const std::uint32_t idx = (sum << (n - 2)) | rest;
+      return (words[idx >> 6] >> (idx & 63)) & 1u;
+    });
+    unsigned pairs = 0;
+    for (unsigned u = 0; u < n; ++u) {
+      for (unsigned v = u + 1; v < n; ++v) pairs += symmetric_pair(f, u, v);
+    }
+    if (pairs == 1) return f;
+  }
+}
+
+TruthTable random_function(Rng& rng, unsigned n) {
+  TruthTable f(n);
+  const std::uint64_t bits = rng.next();
+  for (std::uint32_t m = 0; m < f.num_minterms(); ++m) f.set(m, (bits >> m) & 1u);
+  return f;
+}
+
+/// Canonicalizes f and `samples` random orbit members under `group`: every
+/// member must land on f's canonical table, and every returned transform
+/// must reproduce its canonical table exactly.
+void check_sampled_orbit(const TruthTable& f, NpnGroup group, Rng& rng,
+                         unsigned samples) {
+  const unsigned n = f.num_vars();
+  const std::uint32_t all = (1u << n) - 1u;
+  const NpnCanonical canon = npn_canonicalize(f, group);
+  ASSERT_EQ(canon.transform.apply(f), canon.table) << f.to_bits();
+  for (unsigned t = 0; t < samples; ++t) {
+    const auto p32 = rng.permutation(n);
+    const std::vector<unsigned> perm(p32.begin(), p32.end());
+    const std::uint32_t mask =
+        group == NpnGroup::kFull ? static_cast<std::uint32_t>(rng.next() & all)
+        : group == NpnGroup::kPermOutputReflect && rng.flip() ? all
+                                                              : 0u;
+    const TruthTable g = oracle_apply(f, perm, mask, rng.flip());
+    const NpnCanonical gc = npn_canonicalize(g, group);
+    ASSERT_EQ(gc.table, canon.table)
+        << "member " << g.to_bits() << " of " << f.to_bits()
+        << " canonicalized differently (group " << static_cast<int>(group) << ")";
+    ASSERT_EQ(gc.transform.apply(g), gc.table);
+  }
+}
+
+constexpr NpnGroup kAllGroups[] = {NpnGroup::kFull, NpnGroup::kPermOutputReflect,
+                                   NpnGroup::kPermOutput};
+
+TEST(NpnCanonical, SymmetricThresholdsAndAndOr5And6Vars) {
+  Rng rng(0x4E504E36u);
+  for (unsigned n = 5; n <= 6; ++n) {
+    for (unsigned t = 1; t <= n; ++t) {
+      for (const NpnGroup group : kAllGroups) {
+        check_sampled_orbit(threshold_function(n, t), group, rng, 12);
+      }
+    }
+  }
+}
+
+TEST(NpnCanonical, ComparisonFunctions5And6Vars) {
+  Rng rng(0x4E504E37u);
+  for (unsigned n = 5; n <= 6; ++n) {
+    for (unsigned iter = 0; iter < 20; ++iter) {
+      const TruthTable f = random_comparison_function(rng, n);
+      for (const NpnGroup group : kAllGroups) check_sampled_orbit(f, group, rng, 8);
+    }
+  }
+}
+
+TEST(NpnCanonical, OneSymmetricPair5And6Vars) {
+  Rng rng(0x4E504E38u);
+  for (unsigned n = 5; n <= 6; ++n) {
+    for (unsigned iter = 0; iter < 12; ++iter) {
+      const TruthTable f = one_symmetric_pair_function(rng, n);
+      for (const NpnGroup group : kAllGroups) check_sampled_orbit(f, group, rng, 8);
+    }
+  }
+}
+
+TEST(NpnCanonical, RandomFunctions5And6Vars) {
+  Rng rng(0x4E504E39u);
+  for (unsigned n = 5; n <= 6; ++n) {
+    for (unsigned iter = 0; iter < 20; ++iter) {
+      const TruthTable f = random_function(rng, n);
+      for (const NpnGroup group : kAllGroups) check_sampled_orbit(f, group, rng, 8);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/truth_table.hpp"
@@ -226,6 +227,19 @@ TEST(TruthTableKernels, CofactorMatchesReference) {
   }
 }
 
+TEST(TruthTableKernels, CountOnesPositiveMatchesReference) {
+  Rng rng(0xC0FFEE08u);
+  for (unsigned n = 1; n <= 16; ++n) {
+    for (unsigned iter = 0; iter < (n <= 10 ? 8u : 2u); ++iter) {
+      const TruthTable f = random_table(rng, n);
+      for (unsigned v = 0; v < n; ++v) {
+        EXPECT_EQ(f.count_ones_positive(v), ref::count_ones_positive(f, v))
+            << "n=" << n << " var=" << v;
+      }
+    }
+  }
+}
+
 TEST(TruthTableKernels, PermutedMatchesReference) {
   Rng rng(0xC0FFEE05u);
   for (unsigned n = 1; n <= 16; ++n) {
@@ -298,6 +312,98 @@ TEST(TruthTableKernels, SupportReducedMatchesReference) {
       EXPECT_EQ(f.support_reduced(&kept_k).to_bits(),
                 ref::support_reduced(f, &kept_r).to_bits())
           << "n=" << n;
+      EXPECT_EQ(kept_k, kept_r);
+    }
+  }
+}
+
+// --- Storage boundary -------------------------------------------------------
+//
+// Tables of up to 8 variables keep their words inline, wider ones on the
+// heap. Copies, moves and assignments in both directions across that
+// boundary must carry the exact function, and the kernels must agree with
+// the references on both sides of it.
+
+TEST(TruthTableStorage, CopyMoveAssignAcrossInlineHeapBoundary) {
+  Rng rng(0xB0DA7u);
+  const TruthTable inline8 = random_table(rng, 8);
+  const TruthTable heap9 = random_table(rng, 9);
+  const std::string bits8 = inline8.to_bits();
+  const std::string bits9 = heap9.to_bits();
+
+  // Copy construction and equality, each side of the boundary.
+  const TruthTable c8 = inline8;
+  const TruthTable c9 = heap9;
+  EXPECT_EQ(c8, inline8);
+  EXPECT_EQ(c9, heap9);
+  EXPECT_NE(c8, c9);
+  EXPECT_EQ(c9.num_words(), 8u);
+  EXPECT_EQ(c8.num_words(), 4u);
+
+  // Copy assignment: inline target <- heap source, and back.
+  TruthTable a = inline8;
+  a = heap9;
+  EXPECT_EQ(a.num_vars(), 9u);
+  EXPECT_EQ(a.to_bits(), bits9);
+  a = inline8;
+  EXPECT_EQ(a.num_vars(), 8u);
+  EXPECT_EQ(a.to_bits(), bits8);
+  EXPECT_EQ(a, inline8);
+
+  // Move construction and move assignment, both directions.
+  TruthTable m9 = c9;
+  TruthTable moved9(std::move(m9));
+  EXPECT_EQ(moved9.to_bits(), bits9);
+  TruthTable m8 = c8;
+  TruthTable moved8(std::move(m8));
+  EXPECT_EQ(moved8.to_bits(), bits8);
+  TruthTable b = inline8;
+  b = std::move(moved9);
+  EXPECT_EQ(b, heap9);
+  b = std::move(moved8);
+  EXPECT_EQ(b, inline8);
+  // A moved-from table is still a valid table and can be reassigned.
+  moved9 = heap9;
+  EXPECT_EQ(moved9, heap9);
+
+  // Two tables that agree on every word but differ in arity are unequal.
+  EXPECT_NE(TruthTable(8), TruthTable(9));
+  EXPECT_NE(TruthTable(3), TruthTable(4));
+
+  // Mutating a copy never touches its source on either side.
+  TruthTable d8 = inline8;
+  TruthTable d9 = heap9;
+  d8.complement_inplace();
+  d9.complement_inplace();
+  EXPECT_EQ(inline8.to_bits(), bits8);
+  EXPECT_EQ(heap9.to_bits(), bits9);
+  EXPECT_EQ(d8, ref::complemented(inline8));
+  EXPECT_EQ(d9, ref::complemented(heap9));
+}
+
+TEST(TruthTableStorage, KernelsMatchReferenceAtBoundary) {
+  Rng rng(0xB0DA8u);
+  for (unsigned n : {7u, 8u, 9u, 10u}) {
+    for (unsigned iter = 0; iter < 4; ++iter) {
+      const TruthTable f = random_table(rng, n);
+      EXPECT_EQ(f.complemented(), ref::complemented(f)) << "n=" << n;
+      const auto p32 = rng.permutation(n);
+      const std::vector<unsigned> perm(p32.begin(), p32.end());
+      EXPECT_EQ(f.permuted(perm), ref::permuted(f, perm)) << "n=" << n;
+      for (unsigned v = 0; v < n; ++v) {
+        EXPECT_EQ(f.flip_input(v), ref::flip_input(f, v));
+        EXPECT_EQ(f.count_ones_positive(v), ref::count_ones_positive(f, v));
+        // Cofactors of a 9-variable (heap) table are 8-variable (inline).
+        for (bool value : {false, true}) {
+          EXPECT_EQ(f.cofactor(v, value), ref::cofactor(f, v, value))
+              << "n=" << n << " var=" << v;
+        }
+      }
+      for (unsigned pos = 0; pos + 1 < n; ++pos) {
+        EXPECT_EQ(f.swap_adjacent(pos), ref::swap_adjacent(f, pos));
+      }
+      std::vector<unsigned> kept_k, kept_r;
+      EXPECT_EQ(f.support_reduced(&kept_k), ref::support_reduced(f, &kept_r));
       EXPECT_EQ(kept_k, kept_r);
     }
   }
