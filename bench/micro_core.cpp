@@ -9,6 +9,7 @@
 #include "core/comparison_unit.hpp"
 #include "core/cones.hpp"
 #include "core/resynth.hpp"
+#include "core/sdc.hpp"
 #include "core/signature.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
@@ -41,7 +42,8 @@ void BM_Simulate64Patterns(benchmark::State& state) {
 BENCHMARK(BM_Simulate64Patterns);
 
 // The exhaustive equivalence check of a 16-input circuit against itself:
-// 1,024 blocks of 64 patterns through simulate_into, twice per block.
+// 1,024 words of 64 patterns per netlist, which Netlist::simulate_words
+// evaluates in 64 sweeps of kSimBlockWords words each.
 void BM_SimulateExhaustive16(benchmark::State& state) {
   const Netlist nl = make_benchmark("mult8");
   Rng rng(1);
@@ -50,6 +52,21 @@ void BM_SimulateExhaustive16(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulateExhaustive16)->Unit(benchmark::kMillisecond);
+
+// The exact satisfiability-don't-care sweep at resynthesis' default
+// sdc_max_inputs: all 2^14 patterns of a 14-input synthetic circuit, 256
+// pattern words per node.
+void BM_ReachabilityTable(benchmark::State& state) {
+  SyntheticOptions opt;
+  opt.inputs = 14;
+  opt.gates = 300;
+  const Netlist nl = make_synthetic(opt);
+  for (auto _ : state) {
+    const ReachabilityTable table(nl, 14);
+    benchmark::DoNotOptimize(table.tracked_nodes());
+  }
+}
+BENCHMARK(BM_ReachabilityTable)->Unit(benchmark::kMicrosecond);
 
 // Legacy-strategy PODEM on every collapsed fault of syn150 at the default
 // backtrack limit (one iteration covers all faults).

@@ -18,26 +18,24 @@ ReachabilityTable::ReachabilityTable(const Netlist& nl, unsigned max_inputs) {
   }
   const std::uint64_t patterns = 1ull << n;
   words_ = static_cast<std::size_t>(std::max<std::uint64_t>(1, patterns / 64));
-  bits_.assign(nl.size(), std::vector<std::uint64_t>(words_, 0));
-
-  std::vector<std::uint64_t> pi(n);
-  std::vector<std::uint64_t> values;
-  for (std::uint64_t base = 0; base < patterns; base += 64) {
-    const std::size_t w = static_cast<std::size_t>(base / 64);
-    for (unsigned i = 0; i < n; ++i) {
-      pi[i] = i < 6 ? exhaustive_mask(i)
-                    : (((base >> i) & 1ull) ? ~0ull : 0ull);
+  nodes_ = nl.size();
+  // Node-major pattern words: the input rows enumerate every pattern, then
+  // one block sweep fills every gate's row in place.
+  bits_.assign(nodes_ * words_, 0);
+  for (unsigned i = 0; i < n; ++i) {
+    std::uint64_t* row = bits_.data() + nl.inputs()[i] * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      row[w] = i < 6 ? exhaustive_mask(i) : (((w >> (i - 6)) & 1u) ? ~0ull : 0ull);
     }
-    nl.simulate_into(pi, values);
-    for (NodeId node = 0; node < nl.size(); ++node) bits_[node][w] = values[node];
   }
+  nl.simulate_words(bits_.data(), words_, words_);
 }
 
 TruthTable ReachabilityTable::reachable_combos(const std::vector<NodeId>& nodes) const {
   const unsigned k = static_cast<unsigned>(nodes.size());
   TruthTable reach(k);
   for (NodeId n : nodes) {
-    if (n >= bits_.size()) {
+    if (n >= nodes_) {
       // Unknown node: be conservative, declare everything reachable.
       return reach.complemented();  // all-ones
     }
@@ -46,7 +44,7 @@ TruthTable ReachabilityTable::reachable_combos(const std::vector<NodeId>& nodes)
   for (std::uint64_t p = 0; p < patterns; ++p) {
     std::uint32_t combo = 0;
     for (unsigned i = 0; i < k; ++i) {
-      const std::uint64_t bit = (bits_[nodes[i]][p >> 6] >> (p & 63)) & 1ull;
+      const std::uint64_t bit = (bits_[nodes[i] * words_ + (p >> 6)] >> (p & 63)) & 1ull;
       combo |= static_cast<std::uint32_t>(bit) << (k - 1 - i);
     }
     reach.set(combo, true);

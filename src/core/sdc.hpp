@@ -67,11 +67,13 @@ class ReachabilityTable : public ReachabilityOracle {
   /// Pure reads over the precomputed pattern bits: order-independent.
   bool concurrent() const override { return true; }
 
-  std::size_t tracked_nodes() const { return bits_.size(); }
+  std::size_t tracked_nodes() const { return nodes_; }
 
  private:
+  std::size_t nodes_ = 0;
   std::size_t words_ = 0;
-  std::vector<std::vector<std::uint64_t>> bits_;  // per node, 2^n pattern bits
+  // Node-major, 2^n pattern bits per node: node n's words at n * words_.
+  std::vector<std::uint64_t> bits_;
 };
 
 /// SAT-backed oracle for circuits whose input count forbids the exact sweep.

@@ -1,5 +1,6 @@
 #include "netlist/equivalence.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace compsyn {
@@ -12,20 +13,6 @@ std::uint64_t exhaustive_mask(unsigned input_index) {
   return kMasks[input_index];
 }
 
-namespace {
-
-/// Extracts the PI assignment for pattern `bit` of block `block`.
-std::vector<bool> pattern_bits(std::size_t n_inputs, std::uint64_t block, unsigned bit) {
-  std::vector<bool> v(n_inputs);
-  for (std::size_t i = 0; i < n_inputs; ++i) {
-    if (i < 6) v[i] = ((bit >> i) & 1u) != 0;
-    else v[i] = ((block >> (i - 6)) & 1ull) != 0;
-  }
-  return v;
-}
-
-}  // namespace
-
 EquivalenceResult check_equivalent(const Netlist& a, const Netlist& b, Rng& rng,
                                    unsigned random_words, unsigned exhaustive_limit) {
   EquivalenceResult res;
@@ -36,59 +23,65 @@ EquivalenceResult check_equivalent(const Netlist& a, const Netlist& b, Rng& rng,
   }
   const std::size_t n = a.inputs().size();
   const std::size_t n_out = a.outputs().size();
-  std::vector<std::uint64_t> pia(n), pib(n), va, vb;
+  const bool exhaustive = n <= exhaustive_limit && n <= kMaxExhaustiveInputs;
+  res.exhaustive = exhaustive;
+  res.proven = exhaustive;  // the sweep's verdict is definitive either way
+  // Words to compare: 2^(n-6) exhaustive blocks (one partial block below 6
+  // inputs, masked to its 2^n valid patterns), else the random words.
+  const std::uint64_t total = !exhaustive ? random_words : n >= 6 ? 1ull << (n - 6) : 1;
+  const std::uint64_t care =
+      !exhaustive || n >= 6 ? ~0ull : (1ull << (1u << n)) - 1ull;
 
-  auto compare_block = [&](std::uint64_t care_mask, std::uint64_t block) -> bool {
-    a.simulate_into(pia, va);
-    b.simulate_into(pib, vb);
-    for (std::size_t o = 0; o < n_out; ++o) {
-      const std::uint64_t diff = (va[a.outputs()[o]] ^ vb[b.outputs()[o]]) & care_mask;
-      if (diff != 0) {
+  // Node-major buffers of kSimBlockWords words per node: each group of
+  // consecutive words is simulated in one sweep per netlist, then compared
+  // word by word, output by output, in the order of a per-word loop.
+  constexpr std::size_t kW = kSimBlockWords;
+  std::vector<std::uint64_t> va(a.size() * kW, 0), vb(b.size() * kW, 0);
+  for (std::uint64_t base = 0; base < total; base += kW) {
+    const std::size_t count = static_cast<std::size_t>(std::min<std::uint64_t>(kW, total - base));
+    const Rng group_start = rng;
+    for (std::size_t w = 0; w < count; ++w) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t word =
+            !exhaustive ? rng.next()
+            : i < 6     ? exhaustive_mask(static_cast<unsigned>(i))
+                        : ((((base + w) >> (i - 6)) & 1ull) ? ~0ull : 0ull);
+        va[a.inputs()[i] * kW + w] = word;
+        vb[b.inputs()[i] * kW + w] = word;
+      }
+    }
+    a.simulate_words(va.data(), kW, count);
+    b.simulate_words(vb.data(), kW, count);
+    for (std::size_t w = 0; w < count; ++w) {
+      for (std::size_t o = 0; o < n_out; ++o) {
+        const std::uint64_t diff =
+            (va[a.outputs()[o] * kW + w] ^ vb[b.outputs()[o] * kW + w]) & care;
+        if (diff == 0) continue;
         const unsigned bit = static_cast<unsigned>(__builtin_ctzll(diff));
-        res.counterexample = pattern_bits(n, block, bit);
-        // For random blocks the counterexample is read back from the words.
-        if (block == ~0ull) {
-          for (std::size_t i = 0; i < n; ++i) {
-            res.counterexample[i] = ((pia[i] >> bit) & 1ull) != 0;
-          }
+        res.counterexample.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          res.counterexample[i] = ((va[a.inputs()[i] * kW + w] >> bit) & 1ull) != 0;
+        }
+        // Leave rng where a word-at-a-time loop would have stopped: after
+        // the words up to and including this one.
+        if (!exhaustive) {
+          rng = group_start;
+          for (std::size_t d = 0; d < (w + 1) * n; ++d) rng.next();
         }
         std::ostringstream ss;
         ss << "output " << o << " differs";
         res.message = ss.str();
         res.proven = true;  // a counterexample is a definitive verdict
-        return false;
+        return res;
       }
     }
-    return true;
-  };
+  }
 
-  if (n <= exhaustive_limit && n <= kMaxExhaustiveInputs) {
-    res.exhaustive = true;
-    res.proven = true;
-    const std::uint64_t blocks = n >= 6 ? (1ull << (n - 6)) : 1;
-    const std::uint64_t care =
-        n >= 6 ? ~0ull : ((n == 0 ? 1ull : (1ull << (1u << n))) - 1ull);
-    for (std::uint64_t blk = 0; blk < blocks; ++blk) {
-      for (std::size_t i = 0; i < n; ++i) {
-        pia[i] = i < 6 ? exhaustive_mask(static_cast<unsigned>(i))
-                       : (((blk >> (i - 6)) & 1ull) ? ~0ull : 0ull);
-        pib[i] = pia[i];
-      }
-      if (!compare_block(care, blk)) return res;
-    }
-    res.equivalent = true;
+  res.equivalent = true;
+  if (exhaustive) {
     res.message = "proved equivalent by exhaustive simulation";
     return res;
   }
-
-  for (unsigned w = 0; w < random_words; ++w) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pia[i] = rng.next();
-      pib[i] = pia[i];
-    }
-    if (!compare_block(~0ull, ~0ull)) return res;
-  }
-  res.equivalent = true;  // no difference found (not a proof)
   std::ostringstream ss;
   ss << "no difference in " << random_words << " random words (not a proof)";
   res.message = ss.str();

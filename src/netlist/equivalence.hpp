@@ -1,13 +1,16 @@
 // Combinational equivalence checking between two netlists with matching
 // interfaces (same number of inputs and outputs, matched by position).
 //
-// Exhaustive up to `exhaustive_limit` inputs (64 patterns per simulated word)
-// and random-simulation based beyond that. Random simulation can of course
-// only refute equivalence, never prove it -- `EquivalenceResult::proven`
-// distinguishes a real verdict (exhaustive sweep, or a concrete
-// counterexample) from a mere failure to refute. For proofs beyond the
-// exhaustive limit use the SAT backend (sat/cec.hpp), which fills in the
-// same result struct.
+// Exhaustive up to `exhaustive_limit` inputs and random-simulation based
+// beyond that. Both sweeps run on Netlist::simulate_words, which evaluates
+// each gate over kSimBlockWords 64-pattern words (1,024 patterns) per visit;
+// the verdict, message, counterexample (lowest word, then lowest output,
+// then lowest pattern bit) and the random words drawn from `rng` are those
+// of a word-at-a-time sweep. Random simulation can of course only refute
+// equivalence, never prove it -- `EquivalenceResult::proven` distinguishes a
+// real verdict (exhaustive sweep, or a concrete counterexample) from a mere
+// failure to refute. For proofs beyond the exhaustive limit use the SAT
+// backend (sat/cec.hpp), which fills in the same result struct.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,9 @@ struct EquivalenceResult {
 /// input i (i < 6) equals bit i of pattern index j.
 std::uint64_t exhaustive_mask(unsigned input_index);
 
+/// The random branch draws one word per input per random word, word by word
+/// and input by input; on a mismatch `rng` is left just after the draws of
+/// the differing word, so callers can keep drawing from it.
 EquivalenceResult check_equivalent(const Netlist& a, const Netlist& b, Rng& rng,
                                    unsigned random_words = 256,
                                    unsigned exhaustive_limit = kDefaultExhaustiveLimit);

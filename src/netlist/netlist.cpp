@@ -208,6 +208,19 @@ std::uint64_t Netlist::gate_count() const {
   return total;
 }
 
+// Inlined into each caller so simulate_into's constant stride of 1 folds
+// into the address arithmetic, as in a plain per-word loop.
+template <std::size_t W>
+[[gnu::always_inline]] inline void Netlist::sweep_words(std::uint64_t* values,
+                                                        std::size_t stride) const {
+  for (NodeId n : topo_order()) {
+    const Node& nd = nodes_[n];
+    if (nd.type != GateType::Input) {
+      eval_gate_block<W>(nd.type, nd.fanins, values, stride, values + n * stride);
+    }
+  }
+}
+
 std::vector<std::uint64_t> Netlist::simulate(const std::vector<std::uint64_t>& pi_words) const {
   std::vector<std::uint64_t> values(nodes_.size(), 0);
   simulate_into(pi_words, values);
@@ -219,10 +232,17 @@ void Netlist::simulate_into(const std::vector<std::uint64_t>& pi_words,
   assert(pi_words.size() == inputs_.size());
   values.assign(nodes_.size(), 0);
   for (std::size_t i = 0; i < inputs_.size(); ++i) values[inputs_[i]] = pi_words[i];
-  for (NodeId n : topo_order()) {
-    const Node& nd = nodes_[n];
-    if (nd.type != GateType::Input) values[n] = eval_gate(nd.type, nd.fanins, values.data());
+  sweep_words<1>(values.data(), 1);
+}
+
+void Netlist::simulate_words(std::uint64_t* values, std::size_t stride,
+                             std::size_t words) const {
+  assert(words <= stride);
+  std::size_t w = 0;
+  for (; w + kSimBlockWords <= words; w += kSimBlockWords) {
+    sweep_words<kSimBlockWords>(values + w, stride);
   }
+  for (; w < words; ++w) sweep_words<1>(values + w, stride);
 }
 
 void Netlist::redefine(NodeId n, GateType type, std::vector<NodeId> fanins) {

@@ -251,6 +251,19 @@ TEST(Equivalence, DetectsDifferenceWithCounterexample) {
   EXPECT_NE(va, vb);
 }
 
+TEST(Equivalence, ZeroInputConstantsThatDifferAreNotEquivalent) {
+  // With no inputs the one valid pattern must still be compared.
+  Netlist a("zero"), b("one");
+  a.mark_output(a.add_gate(GateType::Buf, {a.add_const(false)}));
+  b.mark_output(b.add_gate(GateType::Buf, {b.add_const(true)}));
+  Rng rng(5);
+  const EquivalenceResult res = check_equivalent(a, b, rng);
+  EXPECT_FALSE(res.equivalent);
+  EXPECT_TRUE(res.proven);
+  EXPECT_TRUE(res.counterexample.empty());
+  EXPECT_EQ(res.message, "output 0 differs");
+}
+
 TEST(Equivalence, InterfaceMismatchRejected) {
   Netlist a("a"), b("b");
   a.mark_output(a.add_input());
