@@ -223,6 +223,10 @@ void BM_EnumerateCones(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateCones)->Unit(benchmark::kMillisecond);
 
+// One 64-pattern block per iteration on a simulator that lives across
+// iterations: after its first few blocks nearly every fault is dropped, so
+// this measures a drained simulator -- the fault-free pass plus the handful
+// of hard faults left, i.e. the tail blocks of a random-pattern run.
 void BM_FaultSimBlock(benchmark::State& state) {
   Netlist nl = make_benchmark("syn300");
   FaultSimulator sim(nl, enumerate_faults(nl, true));
@@ -236,6 +240,33 @@ void BM_FaultSimBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FaultSimBlock);
+
+// A fresh simulator per iteration (construction included) and its first
+// block, so every collapsed fault of syn300 is live: the block that
+// dominates the redundancy-removal filter.
+void BM_FaultSimFirstBlock(benchmark::State& state) {
+  const Netlist nl = make_benchmark("syn300");
+  const std::vector<StuckFault> faults = enumerate_faults(nl, true);
+  Rng rng(3);
+  std::vector<std::uint64_t> pi(nl.inputs().size());
+  for (auto& w : pi) w = rng.next();
+  for (auto _ : state) {
+    FaultSimulator sim(nl, faults);
+    benchmark::DoNotOptimize(sim.simulate_block(pi, 0));
+  }
+}
+BENCHMARK(BM_FaultSimFirstBlock)->Unit(benchmark::kMicrosecond);
+
+// Collapsed fault-list construction for syn300: one call per
+// redundancy-removal round.
+void BM_EnumerateFaults(benchmark::State& state) {
+  const Netlist nl = make_benchmark("syn300");
+  nl.fanouts();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(enumerate_faults(nl, true));
+  }
+}
+BENCHMARK(BM_EnumerateFaults)->Unit(benchmark::kMicrosecond);
 
 void BM_Procedure2(benchmark::State& state) {
   for (auto _ : state) {

@@ -16,7 +16,7 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Packs patterns[base .. base+np) into PPSFP words: bit k of pi[i] is
+/// Packs patterns[base .. base+np) into 64-pattern words: bit k of pi[i] is
 /// pattern (base+k)'s value for input i. X packs as 0.
 void pack_block(const std::vector<TestPattern>& pats, std::size_t base,
                 unsigned np, std::size_t num_inputs,

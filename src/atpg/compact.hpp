@@ -5,7 +5,7 @@
 // X with a bit that is a pure function of (seed, pattern index, input
 // index), so filled pattern sets are byte-identical across runs, machines,
 // and job counts. Compaction replays the filled set in REVERSE order
-// through the PPSFP fault simulator with fault dropping and keeps exactly
+// through the fault simulator with fault dropping and keeps exactly
 // the patterns that detect something new in that replay; because every
 // fault's last-detecting pattern is elected, replaying the kept subset
 // (forward) re-detects exactly the faults the full set detected -- the

@@ -74,9 +74,11 @@ namespace {
 /// windows expose more parallelism; every substitution discards the
 /// not-yet-committed remainder of its window (those faults are re-decided),
 /// so the window adapts: it resets to 1 after a substitution (a
-/// redundancy-rich stretch proceeds serially, wasting nothing) and doubles
-/// after every window that commits cleanly, up to this cap. The evolution
-/// depends only on the committed verdicts, never on the job count.
+/// redundancy-rich stretch proceeds serially) and doubles after every window
+/// that commits at least one PODEM verdict without a substitution, up to
+/// this cap. Stale fault sites are skipped while a window is formed, so they
+/// take no slot and cannot make a window look clean. The evolution depends
+/// only on the committed verdicts, never on the job count.
 constexpr std::size_t kMaxCommitWindow = 32;
 
 /// Everything the serial sweep would have learned about one fault at its
@@ -84,7 +86,6 @@ constexpr std::size_t kMaxCommitWindow = 32;
 /// once. PODEM and the SAT fallback build all their state per call, so
 /// concurrent evaluations share only the read-only netlist.
 struct FaultVerdict {
-  bool stale = false;
   AtpgStatus podem = AtpgStatus::Aborted;
   bool sat_ran = false;
   SatFaultStatus sat = SatFaultStatus::Unknown;
@@ -99,10 +100,6 @@ FaultVerdict evaluate_fault(const Netlist& nl, const StuckFault& f,
                             const RedundancyRemovalOptions& opt,
                             const AtpgOptions& atpg) {
   FaultVerdict v;
-  if (fault_site_stale(nl, f)) {
-    v.stale = true;
-    return v;
-  }
   // Per-fault decision time: PODEM plus any inline SAT fallback.
   const Span sp("atpg.fault", SpanKind::Sample);
   const AtpgResult r = run_podem(nl, f, atpg);
@@ -132,6 +129,7 @@ SatFaultStatus deferred_session_sat(SatSession& session,
 void publish_stats(const RedundancyRemovalStats& stats) {
   Counters::incr("redundancy.faults_checked", stats.faults_checked);
   Counters::incr("redundancy.removed", stats.removed);
+  Counters::incr("redundancy.speculative_discarded", stats.speculative_discarded);
   Counters::incr("redundancy.aborted", stats.aborted);
   Counters::incr("redundancy.aborted_unresolved", stats.aborted_unresolved);
   Counters::incr("redundancy.sat_fallback.calls", stats.sat_fallback_calls);
@@ -209,17 +207,20 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
       stopped = true;
       break;
     }
-    // Speculative windowed commit (exec/exec.hpp): up to `window` faults are
-    // decided in parallel against the current netlist, then the verdicts are
-    // committed serially in fault order. The first substitution mutates the
-    // netlist, which invalidates the verdicts behind it -- those faults are
-    // re-decided in the next window. Every committed verdict was therefore
-    // computed against exactly the netlist state the serial sweep would have
-    // used, so verdicts and stats match the serial order at any job count.
-    // The same windowed path runs at --jobs=1 so the exec.* counters are
-    // jobs-invariant too.
+    // Speculative windowed commit (exec/exec.hpp): the window is formed
+    // serially -- stale sites are skipped against the current netlist, as
+    // the serial sweep would skip them at their turn -- and up to `window`
+    // live faults are decided in parallel against that netlist, then the
+    // verdicts are committed serially in fault order. The first
+    // substitution mutates the netlist, which invalidates the verdicts
+    // behind it -- those faults are re-decided in the next window. Every
+    // committed verdict was therefore computed against exactly the netlist
+    // state the serial sweep would have used, so verdicts and stats match
+    // the serial order at any job count. The same windowed path runs at
+    // --jobs=1 so the exec.* counters are jobs-invariant too.
     std::size_t idx = 0;
     std::size_t window = 1;
+    std::vector<std::size_t> slots;  // fault indices decided in this window
     while (idx < faults.size()) {
       // Window boundary: the serial commit point. Ticks charged by PODEM
       // and the SAT fallback land here in a jobs-invariant total (the set
@@ -229,33 +230,41 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
         stopped = true;
         break;
       }
-      const std::size_t end = std::min(idx + window, faults.size());
-      nl.topo_order();
-      nl.fanouts();  // warm the lazy caches before the parallel region
-      if (guided_search && !guidance) {
-        guidance.emplace(AtpgGuidance::build(nl));
+      slots.clear();
+      std::size_t end = idx;
+      for (; end < faults.size() && slots.size() < window; ++end) {
+        if (!fault_site_stale(nl, faults[end])) slots.push_back(end);
       }
-      atpg_opt.guidance = guidance ? &*guidance : nullptr;
       std::vector<FaultVerdict> verdicts;
-      try {
-        verdicts = parallel_map<FaultVerdict>(
-            end - idx, /*grain=*/1,
-            [&](std::size_t k) {
-              return evaluate_fault(nl, faults[idx + k], opt, atpg_opt);
-            });
-      } catch (const robust::CancelledError&) {
-        stopped = true;
-        break;
+      if (!slots.empty()) {
+        nl.topo_order();
+        nl.fanouts();  // warm the lazy caches before the parallel region
+        if (guided_search && !guidance) {
+          guidance.emplace(AtpgGuidance::build(nl));
+        }
+        atpg_opt.guidance = guidance ? &*guidance : nullptr;
+        try {
+          verdicts = parallel_map<FaultVerdict>(
+              slots.size(), /*grain=*/1,
+              [&](std::size_t k) {
+                return evaluate_fault(nl, faults[slots[k]], opt, atpg_opt);
+              });
+        } catch (const robust::CancelledError&) {
+          stopped = true;
+          break;
+        }
       }
       bool mutated = false;
-      for (std::size_t k = 0; k < verdicts.size() && !mutated; ++k) {
+      std::size_t used = 0;  // verdicts taken up by the commit loop
+      while (idx < end && !mutated) {
         const StuckFault& f = faults[idx];
-        const FaultVerdict& v = verdicts[k];
+        const bool decided = used < slots.size() && slots[used] == idx;
         ++idx;
         // Serial commit point: idx's evolution is jobs-invariant, so the
         // progress record stream is too.
         telemetry_progress("redundancy.faults", idx, faults.size());
-        if (v.stale) continue;
+        if (!decided) continue;  // stale site
+        const FaultVerdict& v = verdicts[used++];
         ++stats.faults_checked;
         bool untestable = v.podem == AtpgStatus::Untestable;
         if (v.podem == AtpgStatus::Aborted) {
@@ -302,8 +311,14 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
           mutated = true;  // verdicts past this fault are stale: re-decide
         }
       }
+      // Verdicts behind a substitution (or a stop) are dropped unused.
+      stats.speculative_discarded += slots.size() - used;
       if (stopped) break;
-      window = mutated ? 1 : std::min(window * 2, kMaxCommitWindow);
+      if (mutated) {
+        window = 1;
+      } else if (used > 0) {
+        window = std::min(window * 2, kMaxCommitWindow);
+      }
     }
     if (stopped) break;
     if (!removed_this_round) {

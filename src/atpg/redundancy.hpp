@@ -51,6 +51,9 @@ struct RedundancyRemovalStats {
   unsigned removed = 0;            // substitutions applied
   std::uint64_t faults_checked = 0;
   std::uint64_t aborted = 0;       // PODEM hit its backtrack limit
+  // Speculative verdicts computed for a window and dropped at its commit
+  // point because an earlier substitution in the window made them stale.
+  std::uint64_t speculative_discarded = 0;
   // SAT fallback outcomes over the aborted faults:
   std::uint64_t sat_fallback_calls = 0;
   std::uint64_t sat_proved_untestable = 0;  // redundancy proofs PODEM missed

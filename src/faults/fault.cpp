@@ -1,6 +1,5 @@
 #include "faults/fault.hpp"
 
-#include <map>
 #include <numeric>
 #include <sstream>
 
@@ -47,19 +46,27 @@ std::string to_string(const Netlist& nl, const StuckFault& f) {
 
 std::vector<StuckFault> enumerate_faults(const Netlist& nl, bool collapse) {
   const auto& fanouts = nl.fanouts();
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   // Collect fault sites: stems for every live node (except constants),
-  // branches for pins fed by multi-fanout stems.
+  // branches for pins fed by multi-fanout stems. Line i owns faults 2i
+  // (s-a-0) and 2i+1 (s-a-1); stem_line and branch_line (indexed through
+  // the fanin-offset prefix pin_base) map a line back to its id.
   std::vector<StuckFault> sites;
+  std::vector<std::size_t> stem_line(nl.size(), kNone);
+  std::vector<std::size_t> pin_base(nl.size() + 1, 0);
   for (NodeId n = 0; n < nl.size(); ++n) {
+    pin_base[n + 1] = pin_base[n] + nl.node(n).fanins.size();
     if (nl.is_dead(n)) continue;
     const GateType t = nl.node(n).type;
     if (t == GateType::Const0 || t == GateType::Const1) continue;
     // A stem with no observers contributes no faults.
     if (fanouts[n].empty() && !nl.node(n).is_output) continue;
+    stem_line[n] = sites.size() / 2;
     sites.push_back({n, -1, false});
     sites.push_back({n, -1, true});
   }
+  std::vector<std::size_t> branch_line(pin_base.back(), kNone);
   for (NodeId n = 0; n < nl.size(); ++n) {
     if (nl.is_dead(n)) continue;
     const Node& nd = nl.node(n);
@@ -73,6 +80,7 @@ std::vector<StuckFault> enumerate_faults(const Netlist& nl, bool collapse) {
       const bool multi = fanouts[src].size() > 1 ||
                          (fanouts[src].size() == 1 && nl.node(src).is_output);
       if (multi) {
+        branch_line[pin_base[n] + pin] = sites.size() / 2;
         sites.push_back({n, static_cast<int>(pin), false});
         sites.push_back({n, static_cast<int>(pin), true});
       }
@@ -80,19 +88,15 @@ std::vector<StuckFault> enumerate_faults(const Netlist& nl, bool collapse) {
   }
   if (!collapse) return sites;
 
-  // Equivalence collapsing via union-find. Map each site to an index.
-  std::map<std::pair<NodeId, int>, std::size_t> line_index;  // line -> 2 faults
-  std::vector<std::pair<NodeId, int>> lines;
-  for (std::size_t i = 0; i < sites.size(); i += 2) {
-    line_index[{sites[i].node, sites[i].pin}] = lines.size();
-    lines.push_back({sites[i].node, sites[i].pin});
-  }
+  // Equivalence collapsing via union-find over fault ids.
   auto fault_id = [&](NodeId node, int pin, bool value) -> std::size_t {
-    auto it = line_index.find({node, pin});
-    if (it == line_index.end()) return static_cast<std::size_t>(-1);
-    return 2 * it->second + (value ? 1 : 0);
+    const std::size_t line =
+        pin < 0 ? stem_line[node]
+                : branch_line[pin_base[node] + static_cast<std::size_t>(pin)];
+    if (line == kNone) return kNone;
+    return 2 * line + (value ? 1 : 0);
   };
-  UnionFind uf(2 * lines.size());
+  UnionFind uf(sites.size());
 
   for (NodeId n = 0; n < nl.size(); ++n) {
     if (nl.is_dead(n)) continue;
@@ -104,35 +108,33 @@ std::vector<StuckFault> enumerate_faults(const Netlist& nl, bool collapse) {
       // The line feeding this pin: the branch if it exists, else the stem.
       NodeId src = nd.fanins[pin];
       std::size_t in0 = fault_id(n, static_cast<int>(pin), false);
-      if (in0 == static_cast<std::size_t>(-1)) {
-        in0 = fault_id(src, -1, false);
-      }
-      if (in0 == static_cast<std::size_t>(-1)) continue;  // constant feed
+      if (in0 == kNone) in0 = fault_id(src, -1, false);
+      if (in0 == kNone) continue;  // constant feed
       const std::size_t in1 = in0 + 1;
       switch (nd.type) {
         case GateType::Buf:
-          if (out0 != static_cast<std::size_t>(-1)) {
+          if (out0 != kNone) {
             uf.unite(in0, out0);
             uf.unite(in1, out1);
           }
           break;
         case GateType::Not:
-          if (out0 != static_cast<std::size_t>(-1)) {
+          if (out0 != kNone) {
             uf.unite(in0, out1);
             uf.unite(in1, out0);
           }
           break;
         case GateType::And:
-          if (out0 != static_cast<std::size_t>(-1)) uf.unite(in0, out0);
+          if (out0 != kNone) uf.unite(in0, out0);
           break;
         case GateType::Nand:
-          if (out1 != static_cast<std::size_t>(-1)) uf.unite(in0, out1);
+          if (out1 != kNone) uf.unite(in0, out1);
           break;
         case GateType::Or:
-          if (out1 != static_cast<std::size_t>(-1)) uf.unite(in1, out1);
+          if (out1 != kNone) uf.unite(in1, out1);
           break;
         case GateType::Nor:
-          if (out0 != static_cast<std::size_t>(-1)) uf.unite(in1, out0);
+          if (out0 != kNone) uf.unite(in1, out0);
           break;
         default:
           break;  // XOR-type gates have no structural equivalences
@@ -140,12 +142,11 @@ std::vector<StuckFault> enumerate_faults(const Netlist& nl, bool collapse) {
     }
   }
 
-  // One representative (the first site) per class.
+  // One representative (the first site) per class. Site i is fault id i.
   std::vector<StuckFault> out;
-  std::vector<char> taken(2 * lines.size(), 0);
+  std::vector<char> taken(sites.size(), 0);
   for (std::size_t i = 0; i < sites.size(); ++i) {
-    const std::size_t id = fault_id(sites[i].node, sites[i].pin, sites[i].value);
-    const std::size_t rep = uf.find(id);
+    const std::size_t rep = uf.find(i);
     if (!taken[rep]) {
       taken[rep] = 1;
       out.push_back(sites[i]);

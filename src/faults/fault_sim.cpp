@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "exec/exec.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
@@ -11,76 +10,110 @@
 
 namespace compsyn {
 
-namespace {
-// Faults per chunk. Fixed (never derived from the job count) so the chunk
-// partition -- and with it every merge order and exec.* counter -- is the
-// same at any --jobs value.
-constexpr std::size_t kFaultGrain = 64;
-}  // namespace
-
 FaultSimulator::FaultSimulator(const Netlist& nl, std::vector<StuckFault> faults)
     : nl_(nl), faults_(std::move(faults)) {
+  const std::size_t n = nl_.size();
   detected_.assign(faults_.size(), 0);
   first_pattern_.assign(faults_.size(), 0);
-  topo_rank_.assign(nl_.size(), 0);
+  is_po_.assign(n, 0);
+  for (NodeId o : nl_.outputs()) is_po_[o] = 1;
+  topo_rank_.assign(n, 0);
   const auto& order = nl_.topo_order();
   for (std::uint32_t i = 0; i < order.size(); ++i) topo_rank_[order[i]] = i;
-  is_po_.assign(nl_.size(), 0);
-  for (NodeId o : nl_.outputs()) is_po_[o] = 1;
+  by_rank_ = order;
+
+  // FFRs, sinks first so a consumer's stem is known before its fanins'.
+  // Dead nodes have no fanouts and stay their own stems.
+  stem_of_.resize(n);
+  for (NodeId x = 0; x < n; ++x) stem_of_[x] = x;
+  consumer_.assign(n, kNoNode);
+  consumer_pin_.assign(n, 0);
+  const auto& fanouts = nl_.fanouts();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId x = *it;
+    if (is_po_[x] || fanouts[x].size() != 1) continue;
+    const NodeId c = fanouts[x].front();
+    const auto& fi = nl_.node(c).fanins;
+    consumer_[x] = c;
+    consumer_pin_[x] = static_cast<std::uint32_t>(
+        std::find(fi.begin(), fi.end(), x) - fi.begin());
+    stem_of_[x] = stem_of_[c];
+  }
+  local_.assign(n, 0);
+  local_stamp_.assign(n, 0);
+  obs_.assign(n, 0);
+  obs_stamp_.assign(n, 0);
+  pending_.assign(order.size() / 64 + 1, 0);
 }
 
-std::uint64_t FaultSimulator::propagate_fault(const StuckFault& f,
-                                              std::uint64_t mask,
-                                              Scratch& s) const {
-  // s.fval mirrors good_ between faults (plus one spare slot at index
-  // size()), so gates read faulty values in place; every node a fault
-  // touches is restored before the next one.
-  if (s.block != block_) {
-    s.fval.assign(good_.begin(), good_.end());
-    s.fval.push_back(0);
-    s.block = block_;
-  }
-  auto set_faulty = [&](NodeId x, std::uint64_t v) {
-    s.fval[x] = v;
-    s.touched.push_back(x);
-  };
+std::uint64_t FaultSimulator::eval_with_pin(NodeId y, std::size_t pin,
+                                            std::uint64_t v) {
+  const Node& nd = nl_.node(y);
+  pin_fanins_.assign(nd.fanins.begin(), nd.fanins.end());
+  pin_fanins_[pin] = static_cast<NodeId>(nl_.size());
+  fval_[nl_.size()] = v;
+  return eval_gate(nd.type, pin_fanins_, fval_.data());
+}
 
-  const std::uint64_t stuck_word = f.value ? ~0ull : 0ull;
-  const NodeId origin = f.node;
-  std::uint64_t origin_val = stuck_word;
-  if (!f.is_stem()) {
-    // The faulty pin reads the spare slot, which holds the stuck word.
-    const Node& nd = nl_.node(origin);
-    s.pin_fanins.assign(nd.fanins.begin(), nd.fanins.end());
-    s.pin_fanins[static_cast<std::size_t>(f.pin)] = static_cast<NodeId>(nl_.size());
-    s.fval[nl_.size()] = stuck_word;
-    origin_val = eval_gate(nd.type, s.pin_fanins, s.fval.data());
+std::uint64_t FaultSimulator::local_observability(NodeId x) {
+  // Walk towards the stem until a stem or a node memoised this block, then
+  // fold the sensitisation words back down the path.
+  path_.clear();
+  NodeId y = x;
+  while (consumer_[y] != kNoNode && local_stamp_[y] != block_) {
+    path_.push_back(y);
+    y = consumer_[y];
   }
-  if (((origin_val ^ good_[origin]) & mask) == 0) return 0;  // not activated
-  ++s.activated;
-  set_faulty(origin, origin_val);
+  std::uint64_t l = consumer_[y] == kNoNode ? ~0ull : local_[y];
+  for (auto it = path_.rbegin(); it != path_.rend(); ++it) {
+    const NodeId z = *it;
+    const NodeId c = consumer_[z];
+    l &= eval_with_pin(c, consumer_pin_[z], ~good_[z]) ^ good_[c];
+    local_[z] = l;
+    local_stamp_[z] = block_;
+  }
+  return l;
+}
 
+std::uint64_t FaultSimulator::stem_observability(NodeId s, std::uint64_t mask) {
+  if (obs_stamp_[s] == block_) return obs_[s];
+  // Event-driven forward propagation of the stem's flip over fval_, which
+  // mirrors good_ and is restored node by node afterwards. A consumer of a
+  // changed node is queued once, as a bit of the rank-indexed pending_
+  // set, and evaluated when the scan reaches its topological rank: after
+  // every fanin that can still change.
   const auto& fanouts = nl_.fanouts();
-  std::uint64_t po_diff = 0;
-  if (is_po_[origin]) po_diff |= origin_val ^ good_[origin];
-  s.heap.push({topo_rank_[origin], origin});
-  while (!s.heap.empty()) {
-    const NodeId x = s.heap.top().second;
-    s.heap.pop();
-    if (s.fval[x] == good_[x]) continue;  // difference died
+  std::size_t last_word = 0;  // highest pending_ word with a queued rank
+  auto changed = [&](NodeId x, std::uint64_t v) {
+    fval_[x] = v;
+    touched_.push_back(x);
     for (NodeId y : fanouts[x]) {
+      const std::uint32_t r = topo_rank_[y];
+      pending_[r / 64] |= 1ull << (r % 64);
+      last_word = std::max<std::size_t>(last_word, r / 64);
+    }
+  };
+  changed(s, ~good_[s]);
+  std::uint64_t po_diff = is_po_[s] ? ~0ull : 0;
+  for (std::size_t w = topo_rank_[s] / 64; w <= last_word; ++w) {
+    // Consumers queued from word w land at higher bits of w or later words.
+    while (pending_[w] != 0) {
+      const unsigned bit = static_cast<unsigned>(__builtin_ctzll(pending_[w]));
+      pending_[w] &= pending_[w] - 1;
+      const NodeId y = by_rank_[w * 64 + bit];
       const Node& nd = nl_.node(y);
-      const std::uint64_t yv = eval_gate(nd.type, nd.fanins, s.fval.data());
-      if (yv == s.fval[y]) continue;
-      ++s.events;
-      set_faulty(y, yv);
+      const std::uint64_t yv = eval_gate(nd.type, nd.fanins, fval_.data());
+      if (yv == good_[y]) continue;  // the difference died here
+      ++events_;
       if (is_po_[y]) po_diff |= yv ^ good_[y];
-      s.heap.push({topo_rank_[y], y});
+      changed(y, yv);
     }
   }
-  for (NodeId x : s.touched) s.fval[x] = good_[x];
-  s.touched.clear();
-  return po_diff & mask;
+  for (NodeId x : touched_) fval_[x] = good_[x];
+  touched_.clear();
+  obs_[s] = po_diff & mask;
+  obs_stamp_[s] = block_;
+  return obs_[s];
 }
 
 std::vector<std::size_t> FaultSimulator::simulate_block(
@@ -88,68 +121,52 @@ std::vector<std::size_t> FaultSimulator::simulate_block(
     unsigned num_patterns) {
   const Span sp("fsim.block");
   assert(num_patterns >= 1 && num_patterns <= 64);
+  robust::poll_cancellation();
   const std::uint64_t mask =
       num_patterns >= 64 ? ~0ull : ((1ull << num_patterns) - 1);
   nl_.simulate_into(pi_words, good_);
-  ++block_;  // every worker re-syncs its faulty-value mirror
-  nl_.fanouts();  // warm the shared lazy cache before the parallel region
+  fval_.assign(good_.begin(), good_.end());
+  fval_.push_back(0);  // the spare slot a substituted pin reads
+  ++block_;  // invalidates every L and obs memo
+  events_ = 0;
 
-  if (scratch_.size() < jobs()) scratch_.resize(jobs());
-  for (Scratch& s : scratch_) {
-    s.events = 0;
-    s.activated = 0;
-  }
-
-  const std::size_t n = faults_.size();
-  const std::size_t chunks = exec_detail::chunk_count(n, kFaultGrain);
-  // Per chunk: (fault index, first detecting bit) hits, ascending by fault.
-  std::vector<std::vector<std::pair<std::size_t, unsigned>>> hits(chunks);
-  parallel_chunks(n, kFaultGrain,
-                  [&](std::size_t begin, std::size_t end, unsigned worker) {
-                    Scratch& s = scratch_[worker];
-                    auto& out = hits[begin / kFaultGrain];
-                    for (std::size_t fi = begin; fi < end; ++fi) {
-                      if (detected_[fi]) continue;
-                      const std::uint64_t diff =
-                          propagate_fault(faults_[fi], mask, s);
-                      if (diff != 0) {
-                        out.emplace_back(
-                            fi, static_cast<unsigned>(__builtin_ctzll(diff)));
-                      }
-                    }
-                  });
-
-  // Merge in chunk (= fault index) order: the newly-detected list and the
-  // recorded first patterns match the serial sweep exactly.
   std::vector<std::size_t> newly;
-  for (const auto& chunk_hits : hits) {
-    for (const auto& [fi, bit] : chunk_hits) {
-      detected_[fi] = 1;
-      ++detected_total_;
-      first_pattern_[fi] = base_pattern + bit;
-      newly.push_back(fi);
-    }
+  std::uint64_t activated = 0;
+  for (std::size_t fi = 0; fi < faults_.size(); ++fi) {
+    if (detected_[fi]) continue;
+    const StuckFault& f = faults_[fi];
+    const std::uint64_t stuck = f.value ? ~0ull : 0ull;
+    // The difference at the fault's gate output: the stem itself, or the
+    // consumer evaluated with the faulty pin stuck.
+    std::uint64_t local =
+        f.is_stem()
+            ? good_[f.node] ^ stuck
+            : eval_with_pin(f.node, static_cast<std::size_t>(f.pin), stuck) ^
+                  good_[f.node];
+    if ((local & mask) == 0) continue;  // not activated
+    local &= local_observability(f.node);
+    if ((local & mask) == 0) continue;  // blocked inside the FFR
+    ++activated;
+    const std::uint64_t diff = local & stem_observability(stem_of_[f.node], mask);
+    if (diff == 0) continue;
+    detected_[fi] = 1;
+    ++detected_total_;
+    first_pattern_[fi] = base_pattern + static_cast<unsigned>(__builtin_ctzll(diff));
+    newly.push_back(fi);
   }
 
-  std::uint64_t events = 0, activated = 0;
-  for (const Scratch& s : scratch_) {
-    events += s.events;
-    activated += s.activated;
-  }
-  // One budget tick per simulated pattern block, charged at this serial
-  // merge point so the tick stream is jobs-invariant.
+  // One budget tick per simulated pattern block.
   robust::charge(1);
   // Batched per pattern block; patterns/sec falls out of the patterns
   // counter over the fsim.block span's total time.
   Counters::incr("fsim.blocks");
   Counters::incr("fsim.patterns", num_patterns);
-  Counters::incr("fsim.events", events);
+  Counters::incr("fsim.events", events_);
   Counters::incr("fsim.faults_activated", activated);
   Counters::incr("fsim.faults_dropped", newly.size());
   Counters::observe("fsim.dropped_per_block", static_cast<double>(newly.size()));
   // Counter track for the profile: live (undetected) faults after each
-  // block, sampled at this serial merge point so the value sequence is
-  // jobs-invariant.
+  // block.
   ChromeTrace::counter("fsim.live_faults",
                        static_cast<double>(faults_.size() - detected_total_));
   return newly;

@@ -1,23 +1,35 @@
-// Parallel-pattern single-fault-propagation (PPSFP) stuck-at fault
-// simulator -- the FSIM [17] substrate used by the Table 6 experiment.
+// Parallel-pattern stuck-at fault simulator with fanout-free-region (FFR)
+// critical-path tracing -- the FSIM [17] substrate (Lee & Ha, ITC 1991)
+// used by the Table 6 experiment and the redundancy-removal filter.
 //
-// Each call simulates up to 64 patterns at once: one fault-free pass, then
-// for every still-undetected fault an event-driven forward propagation of
-// the 64-bit difference word from the fault site; a fault is detected when
-// a nonzero difference reaches a primary output.
+// Each call simulates up to 64 patterns at once. After one fault-free pass,
+// every live fault gets an exact 64-bit local word: the patterns on which
+// the fault flips its FFR's stem. A node is a stem when it is a primary
+// output or its fanout list does not have exactly one entry (fanouts() lists
+// a consumer once per pin, so a node feeding two pins of one gate is a
+// stem); every other node lies in the FFR of its one consumer's stem.
+// Inside an FFR a fault effect travels along a single path, so the local
+// word is the fault-site difference ANDed with the path's sensitisation
+// L(x), where L(stem) is all-ones and L(x) = (eval(c with x flipped) ^
+// good[c]) & L(c) for x's one consumer c. Re-evaluating c (rather than
+// applying controlling-value rules) keeps XOR, XNOR and BUF exact.
 //
-// Faults are independent given the fault-free values, so a block fans the
-// fault list out over the exec layer (exec/exec.hpp): the list is cut into
-// fixed index chunks, every worker propagates its chunk's faults against
-// private scratch, and detections are merged back in fault-index order.
-// The chunk partition never depends on the job count, so detected sets,
-// first-detecting patterns, and the fsim.* counters are byte-identical for
-// --jobs=1 and --jobs=N.
+// Downstream of the stem the faulty machine differs from the good one only
+// by the stem's flip, so a fault's detection word is its local word ANDed
+// with obs(stem): the primary-output difference of one event-driven forward
+// propagation of ~good[stem]. The propagation evaluates a gate once, in
+// topological order after all of its fanins, so an output difference is
+// read from final values only; a transient value on a reconvergent path is
+// never a detection. L and obs are computed lazily along the live faults'
+// paths and memoised per block, so each stem is propagated at most once per
+// block however many faults its FFR holds, and tail blocks with a handful
+// of live faults pay only for their paths.
+//
+// The simulator is serial: detected sets, first-detecting patterns and the
+// fsim.* counters do not depend on --jobs.
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "faults/fault.hpp"
@@ -51,25 +63,12 @@ class FaultSimulator {
   }
 
  private:
-  /// Faulty values (a mirror of the good values for the current block,
-  /// restored node by node after each fault) plus the event queue --
-  /// everything one fault propagation touches besides the shared read-only
-  /// good values. One per worker.
-  struct Scratch {
-    std::vector<std::uint64_t> fval;  // size() + 1: spare slot for a stuck pin
-    std::uint64_t block = 0;          // block_ that fval mirrors
-    std::vector<NodeId> touched;      // nodes to restore after this fault
-    std::vector<NodeId> pin_fanins;   // branch-fault gate's fanins
-    using HeapItem = std::pair<std::uint32_t, NodeId>;  // (topo rank, node)
-    std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
-    std::uint64_t events = 0;     // faulty-value propagation events
-    std::uint64_t activated = 0;  // faults whose origin differed this block
-  };
-
-  /// Propagates one fault against the current good values; returns the
-  /// masked PO difference word (nonzero = detected this block).
-  std::uint64_t propagate_fault(const StuckFault& f, std::uint64_t mask,
-                                Scratch& s) const;
+  /// Gate y evaluated over the good values with pin `pin` reading `v`.
+  std::uint64_t eval_with_pin(NodeId y, std::size_t pin, std::uint64_t v);
+  /// L(x): the patterns on which flipping x flips its stem (memoised).
+  std::uint64_t local_observability(NodeId x);
+  /// obs(s): the masked PO difference of flipping stem s (memoised).
+  std::uint64_t stem_observability(NodeId s, std::uint64_t mask);
 
   const Netlist& nl_;
   std::vector<StuckFault> faults_;
@@ -77,11 +76,28 @@ class FaultSimulator {
   std::vector<std::uint64_t> first_pattern_;
   std::size_t detected_total_ = 0;
 
-  std::vector<std::uint64_t> good_;   // fault-free values, shared read-only
-  std::uint64_t block_ = 0;           // simulate_block calls so far
-  std::vector<Scratch> scratch_;      // one slot per worker
+  // Structure, fixed at construction.
+  std::vector<NodeId> stem_of_;        // the stem whose FFR holds each node
+  std::vector<NodeId> consumer_;       // the one consumer; kNoNode for stems
+  std::vector<std::uint32_t> consumer_pin_;  // x's pin on consumer_[x]
   std::vector<std::uint32_t> topo_rank_;
+  std::vector<NodeId> by_rank_;        // live nodes in topological order
   std::vector<char> is_po_;
+
+  // Per-block state. fval_ mirrors good_ (plus a spare slot at index size()
+  // that a substituted pin reads) except during one stem propagation.
+  std::uint64_t block_ = 0;  // simulate_block calls so far; memo stamp
+  std::vector<std::uint64_t> good_;
+  std::vector<std::uint64_t> fval_;
+  std::vector<std::uint64_t> local_;  // L(x), valid when local_stamp_ == block_
+  std::vector<std::uint64_t> local_stamp_;
+  std::vector<std::uint64_t> obs_;    // obs(s), valid when obs_stamp_ == block_
+  std::vector<std::uint64_t> obs_stamp_;
+  std::vector<NodeId> path_;          // L's walk towards a stem or a memo
+  std::vector<NodeId> touched_;       // nodes to restore after a propagation
+  std::vector<std::uint64_t> pending_;  // queued ranks of a propagation
+  std::vector<NodeId> pin_fanins_;    // fanins with one pin substituted
+  std::uint64_t events_ = 0;  // stem-propagation events this block
 };
 
 /// Table 6 experiment: applies random pattern blocks until all faults are

@@ -339,9 +339,8 @@ TEST(AtpgDifferential, GuidedPipelineVerdictInvariant) {
 }
 
 TEST(AtpgDifferential, GuidedPipelineJobsInvariant) {
-  // The pipeline's only parallel component is the fault simulator, whose
-  // chunked merge is jobs-invariant; the whole result must be byte-equal
-  // at jobs=1 and jobs=4.
+  // The pipeline opens no parallel region (the fault simulator is serial);
+  // the whole result must be byte-equal at jobs=1 and jobs=4 all the same.
   JobsGuard guard;
   Netlist nl = make_benchmark("cmp8");
   GuidedAtpgOptions opt;
