@@ -65,7 +65,7 @@ int run_main(int argc, char** argv) {
   std::cout << "Ablation: Procedure 2 variants (gate objective, K=6)\n\n";
   Table t({"circuit", "variant", "gates", "paths", "replacements"});
   for (const std::string& name : circuits) {
-    Netlist base = prepare_irredundant(name, verify);
+    Netlist base = prepare_irredundant(name);
     run.add_circuit("original", base);
     for (Variant& v : variants) {
       Netlist nl = base;

@@ -40,7 +40,6 @@ namespace compsyn::bench {
 ///   --progress[=SECS]   stderr heartbeat, at most one line per SECS (bare
 ///                       flag: every second); stdout untouched
 ///   --jobs=N            worker threads for the parallel regions (default 1)
-///   --sat=MODE          SAT backend: session (persistent, default) | oneshot
 ///   --budget=TICKS      deterministic anytime budget (DESIGN.md §10)
 ///   --deadline=SECS     wall-clock watchdog (non-deterministic)
 ///   --inject=SPEC       scripted fault injection for chaos testing
@@ -66,14 +65,6 @@ class BenchRun {
       }
       set_jobs(static_cast<unsigned>(j));
     }
-    const std::string sat_str = cli_.get("sat", "session");
-    const auto sat = parse_sat_backend(sat_str);
-    if (!sat) {
-      std::cerr << "error: --sat=" << sat_str
-                << " (expected session or oneshot)\n";
-      std::exit(2);
-    }
-    set_sat_backend(*sat);
     robust_active_ = cli_.has("budget") || cli_.has("deadline") || cli_.has("inject");
     if (cli_.has("inject")) {
       std::string err;
@@ -179,22 +170,11 @@ inline std::vector<std::string> select_circuits(const Cli& cli,
   return defaults;
 }
 
-/// Redundancy-removal options matched to the verify mode: the proof modes
-/// (`--verify=sat|both`) also let the SAT fault miter finish what PODEM
-/// aborts, so removal reaches a proven-irredundant result. Sim keeps the
-/// historical PODEM-only behaviour (and therefore the historical tables).
-inline RedundancyRemovalOptions bench_rr_options(VerifyMode mode) {
-  RedundancyRemovalOptions opt;
-  opt.sat_fallback = mode != VerifyMode::Sim;
-  return opt;
-}
-
 /// The paper starts from irredundant circuits ("irs" prefix): build the
 /// named benchmark and remove redundancies.
-inline Netlist prepare_irredundant(const std::string& name,
-                                   VerifyMode mode = VerifyMode::Sim) {
+inline Netlist prepare_irredundant(const std::string& name) {
   Netlist nl = make_benchmark(name);
-  remove_redundancies(nl, bench_rr_options(mode));
+  remove_redundancies(nl);
   nl.set_name("irs_" + name);
   return nl;
 }
@@ -254,22 +234,18 @@ inline VerifyMode bench_verify_mode(const Cli& cli) {
 inline void verify_or_die(const Netlist& a, const Netlist& b, const std::string& what,
                           VerifyMode mode = VerifyMode::Sim) {
   Rng rng(0xC0FFEE);
-  // Under --sat=session all verification proofs share one session: circuits
-  // that reappear across checks (the resynthesized "best" is verified against
-  // the original AND against its redundancy-removed form) keep their
-  // encodings, and an unchanged circuit pair closes structurally for free.
-  SatSession* session = nullptr;
-  if (mode != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
-    static SatSession shared;
-    session = &shared;
-  }
+  // All verification proofs share one session: circuits that reappear
+  // across checks (the resynthesized "best" is verified against the
+  // original AND against its redundancy-removed form) keep their encodings,
+  // and an unchanged circuit pair closes structurally for free.
+  static SatSession session;
   const auto res = mode == VerifyMode::Sim
                        ? check_equivalent(a, b, rng, /*random_words=*/64)
                        : check_equivalent_mode(a, b, rng, mode,
                                                /*random_words=*/64,
                                                kDefaultExhaustiveLimit,
                                                {kDefaultCecConflicts, 0},
-                                               session);
+                                               &session);
   if (!res.equivalent) {
     std::cerr << "FATAL: " << what << " changed the circuit function ("
               << res.message << ")\n";

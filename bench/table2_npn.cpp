@@ -84,7 +84,7 @@ ModeTotals run_mode(const std::vector<std::string>& circuits,
   const NpnIdentifyStats before = npn_identify_stats();
   ModeTotals out;
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     BestOfK best;
     {
       const Span sp(npn_memo ? "npn.on.resynth" : "npn.off.resynth");

@@ -35,7 +35,7 @@ int run_main(int argc, char** argv) {
   Table t({"circuit(K)", "2inp orig", "2inp modif", "2inp red.rem", "paths orig",
            "paths modif", "paths red.rem"});
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     run.add_circuit("original", orig);
     const std::uint64_t g0 = orig.equivalent_gate_count();
     const std::uint64_t p0 = count_paths_clamped(orig).total;
@@ -48,7 +48,7 @@ int run_main(int argc, char** argv) {
     // Redundancy removal afterwards, as in Section 5 (only has an effect
     // when the modification created redundant faults).
     Netlist rr = best.netlist;
-    const auto rr_stats = remove_redundancies(rr, bench_rr_options(verify));
+    const auto rr_stats = remove_redundancies(rr);
     verify_or_die(best.netlist, rr, name + " redundancy removal", verify);
     const std::uint64_t g2 = rr.equivalent_gate_count();
     const std::uint64_t p2 = count_paths_clamped(rr).total;

@@ -31,7 +31,7 @@ int run_main(int argc, char** argv) {
   Table t({"circuit", "2inp orig", "paths orig", "2inp RAR", "paths RAR", "K",
            "2inp RAR+P2", "paths RAR+P2"});
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     run.add_circuit("original", orig);
 
     Netlist rar = orig;

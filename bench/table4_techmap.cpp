@@ -31,7 +31,7 @@ int run_main(int argc, char** argv) {
   Table ta({"circuit", "lits orig", "longest orig", "lits Proc2", "longest Proc2"});
   std::vector<Netlist> originals;
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     run.add_circuit("original", orig);
     const TechmapResult m0 = technology_map(orig);
     BestOfK p2 = best_of_k(orig, ResynthObjective::Gates, ks);

@@ -30,7 +30,7 @@ int run_main(int argc, char** argv) {
   Table t({"circuit(K)", "inp", "out", "2inp orig", "2inp modif", "paths orig",
            "paths modif"});
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     run.add_circuit("original", orig);
     BestOfK best = best_of_k(orig, ResynthObjective::Paths, ks);
     verify_or_die(orig, best.netlist, name + " Procedure 3", verify);

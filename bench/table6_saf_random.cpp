@@ -37,11 +37,11 @@ int run_main(int argc, char** argv) {
   Table t({"circuit", "faults", "remain", "eff.patt", "faults mod", "remain mod",
            "eff.patt mod"});
   for (const std::string& name : circuits) {
-    Netlist orig = prepare_irredundant(name, verify);
+    Netlist orig = prepare_irredundant(name);
     run.add_circuit("original", orig);
     BestOfK p2 = best_of_k(orig, ResynthObjective::Gates, ks);
     Netlist modified = p2.netlist;
-    remove_redundancies(modified, bench_rr_options(verify));
+    remove_redundancies(modified);
     verify_or_die(orig, modified, name + " Proc2+red.rem", verify);
     run.add_circuit("modified", modified);
 

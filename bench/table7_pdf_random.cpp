@@ -40,11 +40,11 @@ int run_main(int argc, char** argv) {
   run.report().set_meta("seed", seed);
   run.report().set_meta("k", cli.get("k", "5,6"));
 
-  Netlist orig = prepare_irredundant(name, verify);
+  Netlist orig = prepare_irredundant(name);
   run.add_circuit("original", orig);
 
   Netlist proc2 = best_of_k(orig, ResynthObjective::Gates, ks).netlist;
-  remove_redundancies(proc2, bench_rr_options(verify));
+  remove_redundancies(proc2);
   verify_or_die(orig, proc2, "Proc2", verify);
 
   Netlist rar = orig;
@@ -55,7 +55,7 @@ int run_main(int argc, char** argv) {
   verify_or_die(orig, rar, "RAR", verify);
 
   Netlist rar_p2 = best_of_k(rar, ResynthObjective::Gates, ks).netlist;
-  remove_redundancies(rar_p2, bench_rr_options(verify));
+  remove_redundancies(rar_p2);
   verify_or_die(rar, rar_p2, "RAR+Proc2", verify);
   run.add_circuit("proc2", proc2);
   run.add_circuit("rar", rar);

@@ -42,7 +42,6 @@
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "sat/cec.hpp"
-#include "sat/session.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
 
@@ -240,7 +239,6 @@ int flow_main(int argc, char** argv) {
   if (cli.positional().empty()) {
     std::cerr << "usage: resynth_flow [--proc=2|3|combined] [--k=K] "
                  "[--weight-gates=W --weight-paths=W] [--verify=sim|sat|both] "
-                 "[--sat=session|oneshot] "
                  "[--atpg-backtrace=legacy|level|scoap] "
                  "[--atpg-frontier=legacy|level|scoap] "
                  "[--out=file.bench] [--report=file.json] [--trace] "
@@ -271,14 +269,6 @@ int flow_main(int argc, char** argv) {
               << " (expected sim, sat, or both)\n";
     return robust::kExitUsage;
   }
-  const std::string sat_str = cli.get("sat", "session");
-  const auto backend = parse_sat_backend(sat_str);
-  if (!backend) {
-    std::cerr << "error: --sat=" << sat_str
-              << " (expected session or oneshot)\n";
-    return robust::kExitUsage;
-  }
-  set_sat_backend(*backend);
 
   FlowConfig cfg;
   cfg.source = cli.positional()[0];
@@ -344,16 +334,11 @@ int flow_main(int argc, char** argv) {
   robust::DeadlineWatchdog watchdog(deadline);
 
   RunReport report("resynth_flow");
-  // Proof modes also close PODEM's gaps in redundancy removal: aborted
-  // faults are re-decided by the SAT fault miter. Sim keeps the historical
-  // PODEM-only removal (and its exact output).
   RedundancyRemovalOptions rr_opt;
-  rr_opt.sat_fallback = cfg.verify != VerifyMode::Sim;
   // Search-order policies for the PODEM behind redundancy removal
-  // (DESIGN.md §16). The legacy default keeps stdout and reports
-  // byte-identical to earlier releases; non-legacy policies change search
-  // order (and which faults exceed the backtrack budget), never the
-  // soundness of any committed substitution.
+  // (DESIGN.md §16). They change search order and which faults exceed the
+  // backtrack budget and so reach SAT -- the counters -- but never a
+  // verdict, so the resulting netlist is the same under every policy.
   if (cli.has("atpg-backtrace")) {
     const auto p = parse_backtrace_policy(cli.get("atpg-backtrace"));
     if (!p) {
@@ -502,23 +487,13 @@ int flow_main(int argc, char** argv) {
   std::cout << "depth: " << original.depth() << " -> " << nl.depth() << "\n";
 
   Rng rng(1);
-  // Under --sat=session the final proof runs through a local session (the
-  // redundancy-removal sessions are scoped to their netlist states).
-  std::optional<SatSession> verify_session;
-  if (cfg.verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
-    verify_session.emplace();
-  }
   EquivalenceResult eq;
   {
     const Span phase_verify("verify", SpanKind::Phase);
     const Span sp("verify");
     eq = cfg.verify == VerifyMode::Sim
              ? check_equivalent(original, nl, rng, 128)
-             : check_equivalent_mode(original, nl, rng, cfg.verify, 128,
-                                     kDefaultExhaustiveLimit,
-                                     {kDefaultCecConflicts, 0},
-                                     verify_session ? &*verify_session
-                                                    : nullptr);
+             : check_equivalent_mode(original, nl, rng, cfg.verify, 128);
   }
   // A cancel that landed during verification leaves eq unreliable (the SAT
   // side may have wound down Unknown); report "interrupted", not a verdict.

@@ -11,7 +11,7 @@
 #include "obs/counters.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "sat/satpg.hpp"
+#include "sat/session.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -81,58 +81,45 @@ namespace {
 /// only on the committed verdicts, never on the job count.
 constexpr std::size_t kMaxCommitWindow = 32;
 
-/// Everything the serial sweep would have learned about one fault at its
-/// turn, computed against a snapshot so several faults can be decided at
-/// once. PODEM and the SAT fallback build all their state per call, so
-/// concurrent evaluations share only the read-only netlist.
-struct FaultVerdict {
-  AtpgStatus podem = AtpgStatus::Aborted;
-  bool sat_ran = false;
-  SatFaultStatus sat = SatFaultStatus::Unknown;
+/// Worker-side fault evaluation: PODEM only, against a read-only snapshot.
+/// An aborted fault is decided afterwards by SAT at the serial commit point
+/// (a session is single-threaded), in fault order, so the verdict stream is
+/// identical at any job count.
+AtpgStatus evaluate_fault(const Netlist& nl, const StuckFault& f,
+                          const AtpgOptions& atpg) {
+  const Span sp("atpg.fault", SpanKind::Sample);
+  return run_podem(nl, f, atpg).status;
+}
+
+/// SAT decisions for one netlist state: the session encodes the circuit once
+/// and shares learned clauses across the state's aborted faults. It opens on
+/// the state's first abort, so a run in which PODEM decides every fault
+/// executes no SAT code; the owner resets it after every mutation.
+class StateSession {
+ public:
+  SatFaultStatus decide(const Netlist& nl, const StuckFault& f,
+                        const SolverBudget& budget) {
+    if (!session_) {
+      session_.emplace();
+      cid_ = session_->add_circuit(nl);
+    }
+    return session_->prove_fault(cid_, f, budget).status;
+  }
+  void reset() { session_.reset(); }
+
+ private:
+  std::optional<SatSession> session_;
+  SatSession::CircuitId cid_ = 0;
 };
 
-/// Worker-side fault evaluation. With the Session backend the SAT step is
-/// NOT taken here: a session is single-threaded, so aborted faults are
-/// deferred to the serial commit loop (deferred_session_sat), which re-
-/// decides them in fault order -- the same order the one-shot path commits
-/// them in, keeping verdicts jobs-invariant.
-FaultVerdict evaluate_fault(const Netlist& nl, const StuckFault& f,
-                            const RedundancyRemovalOptions& opt,
-                            const AtpgOptions& atpg) {
-  FaultVerdict v;
-  // Per-fault decision time: PODEM plus any inline SAT fallback.
-  const Span sp("atpg.fault", SpanKind::Sample);
-  const AtpgResult r = run_podem(nl, f, atpg);
-  v.podem = r.status;
-  if (r.status == AtpgStatus::Aborted && opt.sat_fallback &&
-      opt.backend == SatBackend::Oneshot) {
-    v.sat_ran = true;
-    v.sat = prove_fault(nl, f, opt.sat_budget).status;
-  }
-  return v;
-}
-
-/// Commit-time SAT completion for the Session backend: one persistent
-/// session per netlist state (the caller resets `cid` after any mutation),
-/// encoding the circuit once and sharing learned clauses across the state's
-/// aborted faults.
-SatFaultStatus deferred_session_sat(SatSession& session,
-                                    std::optional<SatSession::CircuitId>& cid,
-                                    const Netlist& nl, const StuckFault& f,
-                                    const RedundancyRemovalOptions& opt) {
-  if (!cid) cid = session.add_circuit(nl);
-  return session.prove_fault(*cid, f, opt.sat_budget).status;
-}
-
-/// Flushes the fallback tallies into the obs counters (no-ops while
-/// recording is off); batched once per remove_redundancies call.
+/// Flushes the tallies into the obs counters (no-ops while recording is
+/// off); batched once per remove_redundancies call.
 void publish_stats(const RedundancyRemovalStats& stats) {
   Counters::incr("redundancy.faults_checked", stats.faults_checked);
   Counters::incr("redundancy.removed", stats.removed);
   Counters::incr("redundancy.speculative_discarded", stats.speculative_discarded);
   Counters::incr("redundancy.aborted", stats.aborted);
   Counters::incr("redundancy.aborted_unresolved", stats.aborted_unresolved);
-  Counters::incr("redundancy.sat_fallback.calls", stats.sat_fallback_calls);
   Counters::incr("redundancy.sat_fallback.proofs", stats.sat_proved_untestable);
   Counters::incr("redundancy.sat_fallback.tests", stats.sat_found_tests);
   Counters::incr("redundancy.sat_fallback.unknown", stats.sat_unknown);
@@ -152,27 +139,19 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
   std::uint64_t round_unresolved = 0;
   bool fixpoint = false;
   bool stopped = false;
-  // Session backend: one persistent SAT session per netlist state. Any
-  // mutation (simplify, substitution) resets it -- proofs must run against
-  // the netlist as already modified, exactly like the one-shot path.
-  const bool session_sat =
-      opt.sat_fallback && opt.backend == SatBackend::Session;
-  std::optional<SatSession> session;
-  std::optional<SatSession::CircuitId> session_cid;
-  // Non-legacy search strategies read NodeId-indexed SCOAP/level tables;
-  // these go stale at exactly the points the SAT session does (any netlist
-  // mutation), so both are invalidated together and the guidance is
-  // rebuilt lazily before the next speculation window.
+  // One SAT session per netlist state: any mutation (simplify,
+  // substitution) resets it, because proofs must run against the netlist as
+  // already modified. Non-legacy search strategies read NodeId-indexed
+  // SCOAP/level tables, which go stale at exactly the same points, so both
+  // are invalidated together and rebuilt lazily when next needed.
+  StateSession sat;
   AtpgOptions atpg_opt = opt.atpg;
   const bool guided_search = !atpg_opt.strategy.is_legacy();
   std::optional<AtpgGuidance> guidance;
-  const auto reset_session = [&] {
+  const auto reset_state = [&] {
     guidance.reset();
-    if (!session_sat) return;
-    session.emplace();
-    session_cid.reset();
+    sat.reset();
   };
-  reset_session();
   for (unsigned round = 0; round < opt.max_rounds && !stopped; ++round) {
     // Round boundary: a budget trip (or pending cancel) stops before any
     // new fault is examined; undecided faults stay in the circuit.
@@ -181,7 +160,7 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
       break;
     }
     nl.simplify();
-    reset_session();
+    reset_state();
     bool removed_this_round = false;
     round_unresolved = 0;
     const auto all_faults = enumerate_faults(nl, /*collapse=*/true);
@@ -223,9 +202,9 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
     std::vector<std::size_t> slots;  // fault indices decided in this window
     while (idx < faults.size()) {
       // Window boundary: the serial commit point. Ticks charged by PODEM
-      // and the SAT fallback land here in a jobs-invariant total (the set
-      // of faults decided per window never depends on the job count), so a
-      // budget stop falls between the same two windows on every run.
+      // and SAT land here in a jobs-invariant total (the set of faults
+      // decided per window never depends on the job count), so a budget
+      // stop falls between the same two windows on every run.
       if (robust::should_stop()) {
         stopped = true;
         break;
@@ -235,7 +214,7 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
       for (; end < faults.size() && slots.size() < window; ++end) {
         if (!fault_site_stale(nl, faults[end])) slots.push_back(end);
       }
-      std::vector<FaultVerdict> verdicts;
+      std::vector<AtpgStatus> verdicts;
       if (!slots.empty()) {
         nl.topo_order();
         nl.fanouts();  // warm the lazy caches before the parallel region
@@ -244,10 +223,10 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
         }
         atpg_opt.guidance = guidance ? &*guidance : nullptr;
         try {
-          verdicts = parallel_map<FaultVerdict>(
+          verdicts = parallel_map<AtpgStatus>(
               slots.size(), /*grain=*/1,
               [&](std::size_t k) {
-                return evaluate_fault(nl, faults[slots[k]], opt, atpg_opt);
+                return evaluate_fault(nl, faults[slots[k]], atpg_opt);
               });
         } catch (const robust::CancelledError&) {
           stopped = true;
@@ -264,42 +243,33 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
         // progress record stream is too.
         telemetry_progress("redundancy.faults", idx, faults.size());
         if (!decided) continue;  // stale site
-        const FaultVerdict& v = verdicts[used++];
+        const AtpgStatus podem = verdicts[used++];
         ++stats.faults_checked;
-        bool untestable = v.podem == AtpgStatus::Untestable;
-        if (v.podem == AtpgStatus::Aborted) {
+        bool untestable = podem == AtpgStatus::Untestable;
+        if (podem == AtpgStatus::Aborted) {
+          // PODEM gave up: SAT decides, here at the serial commit point and
+          // in fault order, so the verdict stream is identical at any job
+          // count.
           ++stats.aborted;
-          bool sat_ran = v.sat_ran;
-          SatFaultStatus sat_status = v.sat;
-          if (session_sat) {
-            // Deferred completion: the worker left the fault undecided; the
-            // session re-decides it here, serially and in fault order, so
-            // the verdict stream is identical at any job count.
-            try {
-              sat_status = deferred_session_sat(*session, session_cid, nl, f, opt);
-              sat_ran = true;
-            } catch (const robust::CancelledError&) {
-              stopped = true;
-              break;
-            }
+          SatFaultStatus st;
+          try {
+            st = sat.decide(nl, f, opt.sat_budget);
+          } catch (const robust::CancelledError&) {
+            stopped = true;
+            break;
           }
-          if (sat_ran) {
-            ++stats.sat_fallback_calls;
-            switch (sat_status) {
-              case SatFaultStatus::Untestable:
-                ++stats.sat_proved_untestable;
-                untestable = true;
-                break;
-              case SatFaultStatus::Testable:
-                ++stats.sat_found_tests;
-                break;
-              case SatFaultStatus::Unknown:
-                ++stats.sat_unknown;
-                ++round_unresolved;
-                break;
-            }
-          } else {
-            ++round_unresolved;
+          switch (st) {
+            case SatFaultStatus::Untestable:
+              ++stats.sat_proved_untestable;
+              untestable = true;
+              break;
+            case SatFaultStatus::Testable:
+              ++stats.sat_found_tests;
+              break;
+            case SatFaultStatus::Unknown:
+              ++stats.sat_unknown;
+              ++round_unresolved;
+              break;
           }
         }
         if (!untestable) continue;
@@ -307,7 +277,7 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
           ++stats.removed;
           removed_this_round = true;
           nl.simplify();
-          reset_session();
+          reset_state();
           mutated = true;  // verdicts past this fault are stale: re-decide
         }
       }
@@ -346,31 +316,23 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
 }
 
 bool is_irredundant(const Netlist& nl, const AtpgOptions& opt) {
-  // The netlist is const here, so one session encoding serves every
-  // SAT-completed fault (the one-shot backend keeps the per-fault miters),
-  // and one guidance build serves every strategy-driven PODEM call.
+  // The netlist is const here, so one SAT session serves every aborted
+  // fault and one guidance build every strategy-driven PODEM call.
   AtpgOptions eff = opt;
   std::optional<AtpgGuidance> guidance;
   if (!eff.strategy.is_legacy() && eff.guidance == nullptr) {
     guidance.emplace(AtpgGuidance::build(nl));
     eff.guidance = &*guidance;
   }
-  std::optional<SatSession> session;
-  std::optional<SatSession::CircuitId> cid;
-  if (sat_backend() == SatBackend::Session) session.emplace();
+  StateSession sat;
   for (const StuckFault& f : enumerate_faults(nl, /*collapse=*/true)) {
-    const AtpgResult r = run_podem(nl, f, eff);
-    if (r.status == AtpgStatus::Detected) continue;
-    if (r.status == AtpgStatus::Aborted) {
-      // Same completion step as remove_redundancies: let SAT decide.
-      SatFaultStatus st;
-      if (session) {
-        if (!cid) cid = session->add_circuit(nl);
-        st = session->prove_fault(*cid, f).status;
-      } else {
-        st = prove_fault(nl, f).status;
-      }
-      if (st == SatFaultStatus::Testable) continue;
+    const AtpgStatus st = run_podem(nl, f, eff).status;
+    if (st == AtpgStatus::Detected) continue;
+    // Same completion step as remove_redundancies: let SAT decide.
+    if (st == AtpgStatus::Aborted &&
+        sat.decide(nl, f, {kDefaultFaultConflicts, 0}) ==
+            SatFaultStatus::Testable) {
+      continue;
     }
     return false;
   }

@@ -8,13 +8,13 @@
 // rebuilt, because removing one redundancy can make other previously
 // redundant faults testable (removing several together is unsound).
 //
-// Completion: PODEM's backtrack budget can leave faults Aborted (nothing
-// proven). With `sat_fallback` enabled, every aborted fault is re-decided by
-// the SAT fault miter (sat/satpg.hpp) -- a genuine proof or a test in almost
-// all cases -- so aborted faults no longer silently escape the untestability
-// sweep. Off by default: the extra proofs trigger extra substitutions, and
-// the historical (PODEM-only) results stay reproducible bit-for-bit; the
-// bench/example drivers switch it on together with `--verify=sat|both`.
+// Completion: PODEM filters, SAT decides. PODEM runs under a small backtrack
+// budget (kRedundancyBacktrackLimit) and settles the easy faults; every
+// fault it aborts is decided by the fault miter of one incremental
+// SatSession per netlist state (sat/session.hpp), opened on the state's
+// first abort. Both engines give exact verdicts and substitutions follow
+// fault order, so the resulting netlist does not depend on the PODEM budget;
+// a fault is left undecided only if SAT also exhausts its conflict budget.
 #pragma once
 
 #include <cstdint>
@@ -22,40 +22,37 @@
 #include "atpg/podem.hpp"
 #include "netlist/netlist.hpp"
 #include "robust/robust.hpp"
-#include "sat/session.hpp"
+#include "sat/satpg.hpp"
 #include "sat/solver.hpp"
 
 namespace compsyn {
 
+/// PODEM backtrack budget of redundancy removal: past it a fault goes to
+/// SAT, which decides hard untestable faults far faster than PODEM's search.
+/// Set by the budget sweep in EXPERIMENTS.md; test generation keeps
+/// AtpgOptions' own default.
+inline constexpr std::uint64_t kRedundancyBacktrackLimit = 250;
+
 struct RedundancyRemovalOptions {
-  AtpgOptions atpg;            // bounded by default (see AtpgOptions)
+  AtpgOptions atpg{.backtrack_limit = kRedundancyBacktrackLimit};
   unsigned max_rounds = 1000;  // substitutions before giving up
   // Random-pattern pre-filter: faults a few random blocks already detect are
   // certainly testable and skip ATPG entirely. 0 disables the filter.
   unsigned random_filter_blocks = 128;
   std::uint64_t random_filter_seed = 0xF117ull;
-  // Re-decide PODEM-aborted faults with the SAT fault miter. Proofs found
-  // this way trigger the same constant substitution as PODEM proofs (which
-  // changes the resulting circuit, hence opt-in; see the header comment).
-  bool sat_fallback = false;
-  SolverBudget sat_budget{/*max_conflicts=*/200000, /*max_propagations=*/0};
-  // Session: aborted faults are re-decided through one persistent SatSession
-  // (shared encoding + learned clauses per netlist state), serially at the
-  // commit point so the verdict stream stays jobs-invariant. Oneshot keeps
-  // the per-fault fresh-miter path, solved inside the evaluation workers.
-  // Defaults to the process-wide --sat flag.
-  SatBackend backend = sat_backend();
+  // Conflict budget of the SAT decision on each PODEM-aborted fault.
+  SolverBudget sat_budget{/*max_conflicts=*/kDefaultFaultConflicts,
+                          /*max_propagations=*/0};
 };
 
 struct RedundancyRemovalStats {
   unsigned removed = 0;            // substitutions applied
   std::uint64_t faults_checked = 0;
-  std::uint64_t aborted = 0;       // PODEM hit its backtrack limit
+  std::uint64_t aborted = 0;       // PODEM hit its backtrack limit: SAT decides
   // Speculative verdicts computed for a window and dropped at its commit
   // point because an earlier substitution in the window made them stale.
   std::uint64_t speculative_discarded = 0;
-  // SAT fallback outcomes over the aborted faults:
-  std::uint64_t sat_fallback_calls = 0;
+  // SAT outcomes over the aborted faults:
   std::uint64_t sat_proved_untestable = 0;  // redundancy proofs PODEM missed
   std::uint64_t sat_found_tests = 0;        // testable after all
   std::uint64_t sat_unknown = 0;            // SAT budget also exhausted
@@ -77,7 +74,10 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
                                            const RedundancyRemovalOptions& opt = {});
 
 /// True if every (collapsed) stuck-at fault is provably testable. PODEM
-/// aborts are re-decided by SAT; an unresolved fault counts as failure.
-bool is_irredundant(const Netlist& nl, const AtpgOptions& opt = {});
+/// aborts are decided by SAT, as in remove_redundancies; an unresolved fault
+/// counts as failure.
+bool is_irredundant(const Netlist& nl,
+                    const AtpgOptions& opt = {
+                        .backtrack_limit = kRedundancyBacktrackLimit});
 
 }  // namespace compsyn

@@ -52,11 +52,10 @@ TruthTable ReachabilityTable::reachable_combos(const std::vector<NodeId>& nodes)
   return reach;
 }
 
-SatReachability::SatReachability(const Netlist& nl, const SolverBudget& per_query,
-                                 bool signature_cache)
-    : per_query_(per_query), signature_cache_(signature_cache) {
+SatReachability::SatReachability(const Netlist& nl, const SolverBudget& per_query)
+    : per_query_(per_query) {
   enc_ = encode_circuit(nl, solver_);
-  if (signature_cache_) sigs_ = node_signatures(nl);
+  sigs_ = node_signatures(nl);
 }
 
 bool SatReachability::nodes_equal(NodeId a, NodeId b) const {
@@ -103,8 +102,6 @@ TruthTable SatReachability::reachable_combos(const std::vector<NodeId>& nodes) c
       return TruthTable(k).complemented();  // all-ones
     }
   }
-  if (!signature_cache_) return solve_combos(nodes);
-
   // Exact repeat of an earlier query: the memoized table is the answer.
   for (const auto& [prev, table] : memo_) {
     if (prev == nodes) {

@@ -29,7 +29,6 @@
 #include "core/comparison.hpp"
 #include "core/truth_table.hpp"
 #include "netlist/netlist.hpp"
-#include "sat/session.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
 
@@ -83,9 +82,8 @@ class ReachabilityTable : public ReachabilityOracle {
 /// blown budget means it is treated as reachable.
 class SatReachability : public ReachabilityOracle {
  public:
-  /// `signature_cache` layers a functional-signature cache over the SAT
-  /// queries (defaults on under the session SAT backend, see --sat): repeat
-  /// node sets return their memoized table outright, and a node set whose
+  /// A functional-signature cache sits over the SAT queries: repeat node
+  /// sets return their memoized table outright, and a node set whose
   /// per-node simulation signatures (core/signature.hpp) align with an
   /// already-answered set reuses that answer after SAT proves the paired
   /// nodes functionally equal (diff assumptions Unsat) -- collisions are
@@ -93,8 +91,7 @@ class SatReachability : public ReachabilityOracle {
   /// consulted in insertion order, so answers remain deterministic.
   explicit SatReachability(const Netlist& nl,
                            const SolverBudget& per_query = {/*max_conflicts=*/20000,
-                                                            /*max_propagations=*/0},
-                           bool signature_cache = sat_backend() == SatBackend::Session);
+                                                            /*max_propagations=*/0});
 
   /// Nodes created after construction (or dead at construction) make the
   /// result fall back to all-ones: everything assumed reachable.
@@ -114,7 +111,6 @@ class SatReachability : public ReachabilityOracle {
   mutable Solver solver_;
   CircuitEncoding enc_;
   SolverBudget per_query_;
-  bool signature_cache_ = false;
   std::vector<std::uint64_t> sigs_;  // per-node 64-pattern signatures
   mutable std::vector<std::pair<std::vector<NodeId>, TruthTable>> memo_;
   mutable std::unordered_map<std::uint64_t, bool> eq_memo_;  // packed id pair

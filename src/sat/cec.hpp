@@ -35,23 +35,12 @@ std::optional<VerifyMode> parse_verify_mode(std::string_view s);
 /// in-repo miter closes, while still guaranteeing termination (Unknown).
 inline constexpr std::uint64_t kDefaultCecConflicts = 4'000'000;
 
-/// SAT-based CEC. On Unsat: equivalent and proven. On Sat: a counterexample
-/// is read back. On budget exhaustion: equivalent=false, proven=false, with
-/// a message saying the verdict is open (NOT a refutation).
-EquivalenceResult check_equivalent_sat(
-    const Netlist& a, const Netlist& b,
-    const SolverBudget& budget = {kDefaultCecConflicts, 0});
-
-/// As above, but through a persistent SatSession (sat/session.hpp): the
-/// circuits' encodings and the solver's learned clauses are shared with
-/// every other query on the session instead of being rebuilt.
-EquivalenceResult check_equivalent_sat(
-    SatSession& session, const Netlist& a, const Netlist& b,
-    const SolverBudget& budget = {kDefaultCecConflicts, 0});
-
-/// Mode dispatcher used by resynth_flow and the bench harnesses. When
-/// `session` is non-null the SAT proofs route through it (--sat=session);
-/// null keeps the historical per-query path (--sat=oneshot).
+/// Mode dispatcher used by resynth_flow and the bench harnesses. The SAT
+/// proofs run through `session` when given (encodings and learned clauses are
+/// shared with its other queries), else through a session local to this
+/// call. A SAT proof: on Unsat, equivalent and proven; on Sat, a
+/// counterexample is read back; on budget exhaustion, equivalent=false and
+/// proven=false with a message saying the verdict is open (NOT a refutation).
 EquivalenceResult check_equivalent_mode(
     const Netlist& a, const Netlist& b, Rng& rng, VerifyMode mode,
     unsigned random_words = 256,

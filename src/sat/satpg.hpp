@@ -1,17 +1,14 @@
-// SAT-based single stuck-at fault test generation / redundancy proving via
-// the fault-miter encoding (tseitin.hpp). This is the completion backend for
-// PODEM: where the structural search aborts on its backtrack budget, the
-// CDCL engine re-decides the fault -- Sat yields a test vector, Unsat is a
+// Verdict types of SAT-based single stuck-at fault test generation /
+// redundancy proving via the fault-miter encoding (tseitin.hpp), answered by
+// SatSession::prove_fault (sat/session.hpp). This is the deciding engine
+// behind PODEM: where the structural search aborts on its backtrack budget,
+// the CDCL engine decides the fault -- Sat yields a test vector, Unsat is a
 // genuine untestability (redundancy) proof, Unknown only means the conflict
 // budget ran out.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-#include "faults/fault.hpp"
-#include "netlist/netlist.hpp"
-#include "sat/solver.hpp"
 
 namespace compsyn {
 
@@ -27,11 +24,8 @@ struct SatFaultResult {
   std::uint64_t conflicts = 0;
 };
 
-/// Default conflict budget per fault; sized so the redundancy-removal
-/// fallback stays bounded even on pathological XOR cones.
+/// Default conflict budget per fault; sized so redundancy removal stays
+/// bounded even on pathological XOR cones.
 inline constexpr std::uint64_t kDefaultFaultConflicts = 200'000;
-
-SatFaultResult prove_fault(const Netlist& nl, const StuckFault& fault,
-                           const SolverBudget& budget = {kDefaultFaultConflicts, 0});
 
 }  // namespace compsyn

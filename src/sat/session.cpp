@@ -1,6 +1,5 @@
 #include "sat/session.hpp"
 
-#include <atomic>
 #include <sstream>
 
 #include "obs/chrome_trace.hpp"
@@ -11,12 +10,6 @@
 namespace compsyn {
 
 namespace {
-
-// Thread-local so concurrent serving lanes can run jobs with different
-// backends: every read site is on the orchestrating thread of its job
-// (flow setup, redundancy-removal defaults, bench drivers) -- exec-pool
-// workers never consult it.
-thread_local SatBackend t_sat_backend{SatBackend::Session};
 
 /// One solver query: a `sat.query.ns` sample, then a `sat.session.vars`
 /// counter-track point (the incremental session's size, which sawtooths as
@@ -62,24 +55,6 @@ std::string structural_key(const Netlist& nl) {
 }
 
 }  // namespace
-
-const char* to_string(SatBackend b) {
-  switch (b) {
-    case SatBackend::Session: return "session";
-    case SatBackend::Oneshot: return "oneshot";
-  }
-  return "?";
-}
-
-std::optional<SatBackend> parse_sat_backend(std::string_view s) {
-  if (s == "session") return SatBackend::Session;
-  if (s == "oneshot") return SatBackend::Oneshot;
-  return std::nullopt;
-}
-
-void set_sat_backend(SatBackend b) { t_sat_backend = b; }
-
-SatBackend sat_backend() { return t_sat_backend; }
 
 SatSession::CircuitId SatSession::add_circuit(const Netlist& nl) {
   std::string key = structural_key(nl);

@@ -1,8 +1,7 @@
-// Persistent incremental SAT sessions (the PR 2 engine, reused instead of
-// rebuilt). The one-shot entry points (sat/satpg.hpp, sat/cec.hpp) construct
-// a fresh Solver and a fresh Tseitin miter for every query, even when
-// hundreds of queries interrogate the same circuit. A SatSession keeps ONE
-// solver alive and
+// Persistent incremental SAT sessions: the one way the flow asks SAT about a
+// circuit (fault proofs in redundancy removal, CEC in the proof modes).
+// Rather than a fresh Solver and Tseitin miter per query, a SatSession keeps
+// ONE solver alive and
 //
 //  * encodes each circuit once (structural fingerprint + exact structural
 //    compare, so re-adding the same netlist is free and shares the clauses),
@@ -16,10 +15,11 @@
 // Learned clauses over the shared (ungated) circuit definitions survive
 // between queries: that clause reuse, plus skipping the re-encoding, is the
 // measured win in BENCH_table2_sat.json. The session is deterministic -- no
-// randomness, count-based compaction only -- but its conflict trajectories
-// differ from the one-shot engine's (the solver carries VSIDS/phase state
-// across queries), so near-budget verdicts (Unknown) can differ between
-// backends. Definitive verdicts (Sat/Unsat) never do.
+// randomness, count-based compaction only -- but the solver carries
+// VSIDS/phase state across queries, so a near-budget verdict (Unknown) can
+// depend on which queries came before. Definitive verdicts (Sat/Unsat) never
+// do; the fresh-miter parity oracles in tests/sat_session_test.cpp and
+// tests/sat_cec_fuzz_test.cpp check that.
 //
 // Sessions are single-threaded and caller-scoped: a session answers queries
 // about the snapshots it was given; after mutating a netlist, add it again
@@ -27,9 +27,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "faults/fault.hpp"
@@ -41,20 +39,6 @@
 #include "sat/tseitin.hpp"
 
 namespace compsyn {
-
-/// Thread-local switch between the persistent-session SAT path and the
-/// historical per-query ("oneshot") path, surfaced as --sat=session|oneshot
-/// on the flow and bench binaries. Session is the default. Thread-local
-/// (rather than process-wide) so concurrent serving lanes can honour
-/// per-job backends; one-shot binaries set it once on the main thread.
-enum class SatBackend { Session, Oneshot };
-
-const char* to_string(SatBackend b);
-/// Parses "session" / "oneshot"; nullopt on anything else.
-std::optional<SatBackend> parse_sat_backend(std::string_view s);
-
-void set_sat_backend(SatBackend b);
-SatBackend sat_backend();
 
 class SatSession {
  public:
@@ -75,8 +59,9 @@ class SatSession {
   CircuitId add_circuit(const Netlist& nl);
 
   /// SAT-ATPG over the shared encoding: gated fault miter, solve under the
-  /// activation, retire. Same verdicts and counters as sat/satpg.hpp's
-  /// prove_fault (conflicts are this query's delta).
+  /// activation, retire. Sat yields a test, Unsat is a redundancy proof,
+  /// Unknown only means the budget ran out (conflicts are this query's
+  /// delta). Counters: sat.atpg.calls/tests/redundancy_proofs/unknown.
   SatFaultResult prove_fault(CircuitId id, const StuckFault& fault,
                              const SolverBudget& budget = {kDefaultFaultConflicts,
                                                            0});

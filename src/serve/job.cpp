@@ -17,7 +17,6 @@
 #include "paths/paths.hpp"
 #include "robust/robust.hpp"
 #include "sat/cec.hpp"
-#include "sat/session.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
 
@@ -67,14 +66,12 @@ void begin_job_isolation() {
 JobExecution run_resynth_job(const JobSpec& spec) {
   JobExecution out;
   const auto verify = parse_verify_mode(spec.verify);
-  const auto backend = parse_sat_backend(spec.sat);
-  if (!verify || !backend) {  // from_json validated already; belt and braces
+  if (!verify) {  // from_json validated already; belt and braces
     out.status = "error";
-    out.error = "invalid verify/sat mode";
+    out.error = "invalid verify mode";
     out.report = job_error_report("error", out.error);
     return out;
   }
-  set_sat_backend(*backend);
 
   // Per-job robustness scopes, mirroring flow_main: the budget is installed
   // whenever a robust flag is present (limit 0 still counts ticks), the
@@ -87,8 +84,6 @@ JobExecution run_resynth_job(const JobSpec& spec) {
   std::ostringstream cout;  // the flow's stdout, captured
   try {
     RunReport report("resynth_flow");
-    RedundancyRemovalOptions rr_opt;
-    rr_opt.sat_fallback = *verify != VerifyMode::Sim;
     Netlist nl;
     try {
       nl = spec.bench.empty()
@@ -118,7 +113,7 @@ JobExecution run_resynth_job(const JobSpec& spec) {
     Netlist original;
     {
       const Span phase_rr0("redundancy_removal", SpanKind::Phase);
-      auto rr0 = remove_redundancies(nl, rr_opt);
+      auto rr0 = remove_redundancies(nl);
       if (rr0.status == robust::RunStatus::Interrupted) {
         throw robust::CancelledError(rr0.stop_reason);
       }
@@ -170,7 +165,7 @@ JobExecution run_resynth_job(const JobSpec& spec) {
 
     std::optional<Span> phase_rr1;
     phase_rr1.emplace("redundancy_removal_post", SpanKind::Phase);
-    auto rr1 = remove_redundancies(nl, rr_opt);
+    auto rr1 = remove_redundancies(nl);
     phase_rr1.reset();
     if (rr1.status == robust::RunStatus::Interrupted) {
       throw robust::CancelledError(rr1.stop_reason);
@@ -186,21 +181,13 @@ JobExecution run_resynth_job(const JobSpec& spec) {
     cout << "depth: " << original.depth() << " -> " << nl.depth() << "\n";
 
     Rng rng(1);
-    std::optional<SatSession> verify_session;
-    if (*verify != VerifyMode::Sim && sat_backend() == SatBackend::Session) {
-      verify_session.emplace();
-    }
     EquivalenceResult eq;
     {
       const Span phase_verify("verify", SpanKind::Phase);
       const Span sp("verify");
       eq = *verify == VerifyMode::Sim
                ? check_equivalent(original, nl, rng, 128)
-               : check_equivalent_mode(original, nl, rng, *verify, 128,
-                                       kDefaultExhaustiveLimit,
-                                       {kDefaultCecConflicts, 0},
-                                       verify_session ? &*verify_session
-                                                      : nullptr);
+               : check_equivalent_mode(original, nl, rng, *verify, 128);
     }
     if (robust::cancel_requested()) {
       throw robust::CancelledError(robust::cancel_reason());

@@ -128,8 +128,6 @@ std::string JobSpec::option_key() const {
   key += Json(weight_paths).dump();
   key += "|verify=";
   key += verify;
-  key += "|sat=";
-  key += sat;
   key += "|budget=";
   key += std::to_string(budget);
   return key;
@@ -146,7 +144,6 @@ Json JobSpec::to_json() const {
   j.set("weight_gates", weight_gates);
   j.set("weight_paths", weight_paths);
   j.set("verify", verify);
-  j.set("sat", sat);
   if (budget != 0) j.set("budget", budget);
   if (deadline > 0.0) j.set("deadline", deadline);
   return j;
@@ -187,10 +184,6 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, std::string* error) {
   if ((f = j.find("verify")) != nullptr) spec.verify = f->as_string();
   if (spec.verify != "sim" && spec.verify != "sat" && spec.verify != "both") {
     return fail("'verify' must be \"sim\", \"sat\", or \"both\"");
-  }
-  if ((f = j.find("sat")) != nullptr) spec.sat = f->as_string();
-  if (spec.sat != "session" && spec.sat != "oneshot") {
-    return fail("'sat' must be \"session\" or \"oneshot\"");
   }
   if ((f = j.find("budget")) != nullptr) spec.budget = f->as_u64();
   if ((f = j.find("deadline")) != nullptr) spec.deadline = f->as_double();

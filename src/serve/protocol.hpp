@@ -87,7 +87,6 @@ struct JobSpec {
   double weight_gates = 1.0;
   double weight_paths = 1.0;
   std::string verify = "sim";     // "sim" | "sat" | "both"
-  std::string sat = "session";    // "session" | "oneshot"
   std::uint64_t budget = 0;       // deterministic tick budget (0 = none)
   double deadline = 0.0;          // per-job wall-clock watchdog (0 = none)
 

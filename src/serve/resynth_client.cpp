@@ -249,7 +249,6 @@ bool spec_from_cli(const Cli& cli, const std::string& source, JobSpec* spec,
   spec->weight_gates = cli.get_double("weight-gates", 1.0);
   spec->weight_paths = cli.get_double("weight-paths", 1.0);
   spec->verify = cli.get("verify", "sim");
-  spec->sat = cli.get("sat", "session");
   spec->budget = cli.get_u64("budget", 0);
   spec->deadline = cli.get_double("deadline", 0.0);
   return true;

@@ -141,12 +141,10 @@ TEST(ExecDeterminism, RedundancyRemoval) {
   for (const char* c : {"s27", "add8", "syn150"}) {
     expect_jobs_invariant(c, [&] {
       Netlist nl = make_benchmark(c);
-      RedundancyRemovalOptions opt;
-      opt.sat_fallback = true;
-      const RedundancyRemovalStats st = remove_redundancies(nl, opt);
+      const RedundancyRemovalStats st = remove_redundancies(nl);
       std::ostringstream os;
       os << "removed=" << st.removed << " checked=" << st.faults_checked
-         << " aborted=" << st.aborted << " sat_calls=" << st.sat_fallback_calls
+         << " aborted=" << st.aborted
          << " sat_proofs=" << st.sat_proved_untestable
          << " sat_tests=" << st.sat_found_tests << " sat_unknown=" << st.sat_unknown
          << " unresolved=" << st.aborted_unresolved
@@ -184,9 +182,7 @@ TEST(ExecDeterminism, RunReportCountersAndTables) {
     RunReport report("exec_determinism");
 
     Netlist nl = make_benchmark("syn150");
-    RedundancyRemovalOptions rr;
-    rr.sat_fallback = true;
-    remove_redundancies(nl, rr);
+    remove_redundancies(nl);
     ResynthOptions opt;
     opt.k = 5;
     resynthesize(nl, opt);

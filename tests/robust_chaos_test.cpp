@@ -141,9 +141,7 @@ TEST(ChaosInject, SatFailuresPreserveEquivalence) {
   robust::InjectScope scope(*plan);
   const Netlist original = make_benchmark("syn150");
   Netlist nl = original;
-  RedundancyRemovalOptions ropt;
-  ropt.sat_fallback = true;
-  remove_redundancies(nl, ropt);
+  remove_redundancies(nl);
   ResynthOptions opt;
   opt.k = 5;
   resynthesize(nl, opt);

@@ -1,16 +1,19 @@
-// SAT fault proving (sat/satpg.hpp) against the PODEM ground truth, plus the
-// redundancy-removal SAT fallback that re-decides PODEM-aborted faults.
+// SAT fault proving (SatSession::prove_fault) against the PODEM ground
+// truth, plus redundancy removal's completion step: SAT decides every fault
+// PODEM aborts.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "atpg/podem.hpp"
 #include "atpg/redundancy.hpp"
+#include "bench_io/bench_io.hpp"
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
 #include "sat/satpg.hpp"
+#include "sat/session.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -25,6 +28,14 @@ void expect_detects(const Netlist& nl, const StuckFault& f,
   for (std::size_t i = 0; i < pi.size(); ++i) pi[i] = test[i] ? ~0ull : 0ull;
   sim.simulate_block(pi, 0);
   EXPECT_TRUE(sim.is_detected(0)) << to_string(nl, f);
+}
+
+/// One SAT-ATPG query through a session over `nl`.
+SatFaultResult prove_fault(const Netlist& nl, const StuckFault& f,
+                           const SolverBudget& budget = {kDefaultFaultConflicts,
+                                                         0}) {
+  SatSession session;
+  return session.prove_fault(session.add_circuit(nl), f, budget);
 }
 
 /// Every collapsed fault: unlimited-backtrack PODEM is the ground truth; the
@@ -136,12 +147,11 @@ TEST(SatAtpg, RedundancyFallbackResolvesAbortedFaults) {
 
   RedundancyRemovalOptions ropt;
   ropt.atpg.backtrack_limit = 1;
-  ropt.sat_fallback = true;
   ropt.random_filter_blocks = 0;  // no pre-filter: maximise PODEM pressure
   const RedundancyRemovalStats stats = remove_redundancies(nl, ropt);
 
   EXPECT_GT(stats.aborted, 0u);  // the limit really forced aborts
-  EXPECT_EQ(stats.sat_fallback_calls, stats.aborted);
+  EXPECT_EQ(stats.sat_proved_untestable + stats.sat_found_tests, stats.aborted);
   EXPECT_EQ(stats.sat_unknown, 0u);
   EXPECT_EQ(stats.aborted_unresolved, 0u);
   EXPECT_TRUE(stats.irredundant);
@@ -150,6 +160,30 @@ TEST(SatAtpg, RedundancyFallbackResolvesAbortedFaults) {
   const EquivalenceResult eq = check_equivalent(golden, nl, rng);
   EXPECT_TRUE(eq.equivalent);
   EXPECT_TRUE(eq.proven);  // 9 inputs: exhaustive
+}
+
+TEST(SatAtpg, DefaultRemovalDecidesFaultsPodemAbortsAt5000) {
+  // syn150 holds redundant faults that PODEM does not settle within 5,000
+  // backtracks, the test-generation default. Under the redundancy-removal
+  // defaults SAT decides every such fault: nothing is left undecided, the
+  // result is proven irredundant, and it is the same netlist the 5,000
+  // budget reaches (PODEM and SAT verdicts are exact).
+  const Netlist base = make_benchmark("syn150");
+  Netlist deep = base;
+  RedundancyRemovalOptions deep_opt;
+  deep_opt.atpg.backtrack_limit = 5000;
+  const RedundancyRemovalStats deep_stats = remove_redundancies(deep, deep_opt);
+  EXPECT_GT(deep_stats.aborted, 0u);
+
+  Netlist nl = base;
+  const RedundancyRemovalStats stats = remove_redundancies(nl);
+  EXPECT_GE(stats.aborted, deep_stats.aborted);
+  EXPECT_EQ(stats.sat_unknown, 0u);
+  EXPECT_EQ(stats.aborted_unresolved, 0u);
+  EXPECT_TRUE(stats.irredundant);
+  EXPECT_EQ(stats.removed, deep_stats.removed);
+  EXPECT_EQ(write_bench_string(nl), write_bench_string(deep));
+  EXPECT_TRUE(is_irredundant(nl));
 }
 
 TEST(SatAtpg, IsIrredundantSurvivesPodemAborts) {

@@ -3,10 +3,11 @@
 // the exhaustive-simulation ground truth. Deterministic by construction --
 // the seed sweep is fixed -- so a failure is always reproducible.
 //
-// The differential suites additionally push every pair (and full
-// redundancy-removal runs) through BOTH SAT backends, --sat=session and
-// --sat=oneshot: verdicts, substitutions, and final netlists must be
-// identical, which is the correctness contract of the persistent session.
+// The differential suites additionally check every pair's session verdict
+// against a fresh-miter oracle (sat_oracle.hpp), the correctness contract of
+// the persistent session, and run full redundancy removal under PODEM
+// budgets from 1 (SAT decides nearly every fault) to unlimited (SAT decides
+// none): substitutions and final netlists must be identical.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "netlist/equivalence.hpp"
 #include "sat/cec.hpp"
 #include "sat/session.hpp"
+#include "sat_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -87,7 +89,8 @@ TEST(SatCecFuzz, RandomCircuitsAgreeWithExhaustiveSimulation) {
     const EquivalenceResult truth = check_equivalent(a, b, ground_rng);
     ASSERT_TRUE(truth.proven) << "seed " << seed;  // <= 12 PIs: exhaustive
 
-    const EquivalenceResult sat = check_equivalent_sat(a, b);
+    SatSession session;
+    const EquivalenceResult sat = session.check_equivalent(a, b);
     ASSERT_TRUE(sat.proven) << "seed " << seed;
     EXPECT_EQ(sat.equivalent, truth.equivalent)
         << "seed " << seed << " scenario " << scenario;
@@ -108,9 +111,9 @@ TEST(SatCecFuzz, RandomCircuitsAgreeWithExhaustiveSimulation) {
   }
 }
 
-TEST(SatCecFuzz, SessionAndOneshotBackendsAgreeOnEveryPair) {
-  // The same pair sweep, session vs oneshot vs exhaustive simulation: all
-  // three must return the same verdict on every seeded scenario.
+TEST(SatCecFuzz, SessionAgreesWithFreshMiterOnEveryPair) {
+  // The same pair sweep, session vs fresh miter vs exhaustive simulation:
+  // all three must return the same verdict on every seeded scenario.
   Rng rng(0xF023);
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     SyntheticOptions opt;
@@ -137,9 +140,9 @@ TEST(SatCecFuzz, SessionAndOneshotBackendsAgreeOnEveryPair) {
     const EquivalenceResult truth = check_equivalent(a, b, ground_rng);
     ASSERT_TRUE(truth.proven) << "seed " << seed;
 
-    const EquivalenceResult oneshot = check_equivalent_sat(a, b);
+    const EquivalenceResult oneshot = oneshot_check_equivalent(a, b);
     SatSession session;
-    const EquivalenceResult ses = check_equivalent_sat(session, a, b);
+    const EquivalenceResult ses = session.check_equivalent(a, b);
     ASSERT_TRUE(oneshot.proven) << "seed " << seed;
     ASSERT_TRUE(ses.proven) << "seed " << seed;
     EXPECT_EQ(oneshot.equivalent, truth.equivalent) << "seed " << seed;
@@ -147,23 +150,24 @@ TEST(SatCecFuzz, SessionAndOneshotBackendsAgreeOnEveryPair) {
   }
 }
 
-/// Redundancy removal with the SAT fallback under one backend.
-Netlist run_removal(const Netlist& base, SatBackend backend,
+/// Redundancy removal under one PODEM backtrack budget (0 = unlimited).
+Netlist run_removal(const Netlist& base, std::uint64_t backtrack_limit,
                     RedundancyRemovalStats* stats) {
   Netlist nl = base;
   RedundancyRemovalOptions opt;
-  opt.sat_fallback = true;
-  opt.backend = backend;
-  // A tiny PODEM budget aborts many faults, forcing the SAT engines to
-  // carry the untestability sweep -- the differential surface under test.
-  opt.atpg.backtrack_limit = 4;
+  opt.atpg.backtrack_limit = backtrack_limit;
   *stats = remove_redundancies(nl, opt);
   return nl;
 }
 
-TEST(SatCecFuzz, RedundancyRemovalIsBackendInvariant) {
-  // Full removal runs through both backends: identical final netlists (byte
-  // compare of the .bench serialisation) and identical removal outcomes.
+TEST(SatCecFuzz, RedundancyRemovalIsBudgetInvariant) {
+  // PODEM and SAT both give exact verdicts and substitutions follow fault
+  // order, so the PODEM budget only moves work between the two engines: a
+  // budget of 1 aborts most hard faults into SAT, an unlimited one never
+  // calls SAT. Final netlists (byte compare of the .bench serialisation)
+  // and removal counts must not move.
+  const std::uint64_t other_budgets[] = {kRedundancyBacktrackLimit, 5000, 0};
+  std::uint64_t sat_decided = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SyntheticOptions opt;
     opt.inputs = 8 + static_cast<unsigned>(seed % 4);
@@ -173,25 +177,33 @@ TEST(SatCecFuzz, RedundancyRemovalIsBackendInvariant) {
     opt.redundant_term_chance = 0.4;
     const Netlist base = make_synthetic(opt);
 
-    RedundancyRemovalStats st_session, st_oneshot;
-    const Netlist via_session = run_removal(base, SatBackend::Session, &st_session);
-    const Netlist via_oneshot = run_removal(base, SatBackend::Oneshot, &st_oneshot);
-
-    EXPECT_EQ(write_bench_string(via_session), write_bench_string(via_oneshot))
-        << "seed " << seed;
-    EXPECT_EQ(st_session.removed, st_oneshot.removed) << "seed " << seed;
-    EXPECT_EQ(st_session.sat_proved_untestable, st_oneshot.sat_proved_untestable)
-        << "seed " << seed;
-    EXPECT_EQ(st_session.sat_found_tests, st_oneshot.sat_found_tests)
-        << "seed " << seed;
-    EXPECT_EQ(st_session.irredundant, st_oneshot.irredundant) << "seed " << seed;
+    RedundancyRemovalStats ref_stats;
+    const Netlist ref = run_removal(base, /*backtrack_limit=*/1, &ref_stats);
+    sat_decided += ref_stats.aborted;
+    EXPECT_TRUE(ref_stats.irredundant) << "seed " << seed;
+    for (const std::uint64_t limit : other_budgets) {
+      RedundancyRemovalStats st;
+      const Netlist got = run_removal(base, limit, &st);
+      EXPECT_EQ(write_bench_string(got), write_bench_string(ref))
+          << "seed " << seed << " limit " << limit;
+      EXPECT_EQ(st.removed, ref_stats.removed)
+          << "seed " << seed << " limit " << limit;
+      EXPECT_EQ(st.aborted_unresolved, 0u)
+          << "seed " << seed << " limit " << limit;
+      EXPECT_TRUE(st.irredundant) << "seed " << seed << " limit " << limit;
+      if (limit == 0) {
+        EXPECT_EQ(st.aborted, 0u) << "seed " << seed;
+      }
+    }
 
     // And the removal preserved the function (exhaustive at these widths).
     Rng rng(seed);
-    const EquivalenceResult eq = check_equivalent(base, via_session, rng);
+    const EquivalenceResult eq = check_equivalent(base, ref, rng);
     ASSERT_TRUE(eq.proven) << "seed " << seed;
     EXPECT_TRUE(eq.equivalent) << "seed " << seed;
   }
+  // The budget-1 runs really exercised SAT.
+  EXPECT_GT(sat_decided, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "sat/cec.hpp"
 #include "sat/solver.hpp"
 #include "sat/tseitin.hpp"
+#include "sat_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -86,7 +87,7 @@ TEST(SatCnf, MiterAgreesWithExhaustiveOnGeneratorCircuits) {
     const Netlist a = make_benchmark(entry.name);
     if (a.inputs().size() > kDefaultExhaustiveLimit) continue;
 
-    const EquivalenceResult sat_same = check_equivalent_sat(a, a);
+    const EquivalenceResult sat_same = oneshot_check_equivalent(a, a);
     EXPECT_TRUE(sat_same.equivalent) << entry.name;
     EXPECT_TRUE(sat_same.proven) << entry.name;
 
@@ -112,7 +113,7 @@ TEST(SatCnf, MiterAgreesWithExhaustiveOnGeneratorCircuits) {
     if (!mutated) continue;
 
     const EquivalenceResult sim = check_equivalent(a, b, rng);
-    const EquivalenceResult sat = check_equivalent_sat(a, b);
+    const EquivalenceResult sat = oneshot_check_equivalent(a, b);
     ASSERT_TRUE(sim.proven) << entry.name;  // <= 20 PIs: exhaustive
     EXPECT_TRUE(sat.proven) << entry.name;
     EXPECT_EQ(sat.equivalent, sim.equivalent) << entry.name;
@@ -132,7 +133,7 @@ TEST(SatCnf, CounterexampleIsConcrete) {
     const NodeId x = b.add_input("x"), y = b.add_input("y");
     b.mark_output(b.add_gate(GateType::Nand, {x, y}));
   }
-  const EquivalenceResult res = check_equivalent_sat(a, b);
+  const EquivalenceResult res = oneshot_check_equivalent(a, b);
   EXPECT_FALSE(res.equivalent);
   EXPECT_TRUE(res.proven);
   ASSERT_EQ(res.counterexample.size(), 2u);
@@ -153,7 +154,7 @@ TEST(SatCnf, ProofBeyondExhaustiveLimit) {
   EXPECT_TRUE(sim.equivalent);
   EXPECT_FALSE(sim.proven);  // random vectors only
 
-  const EquivalenceResult sat = check_equivalent_sat(golden, golden);
+  const EquivalenceResult sat = oneshot_check_equivalent(golden, golden);
   EXPECT_TRUE(sat.equivalent);
   EXPECT_TRUE(sat.proven);
 
@@ -175,7 +176,7 @@ TEST(SatCnf, MiterRefutesWideInequivalence) {
       break;
     }
   }
-  const EquivalenceResult res = check_equivalent_sat(a, b);
+  const EquivalenceResult res = oneshot_check_equivalent(a, b);
   EXPECT_FALSE(res.equivalent);
   EXPECT_TRUE(res.proven);
   ASSERT_EQ(res.counterexample.size(), a.inputs().size());

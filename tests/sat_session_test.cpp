@@ -1,5 +1,5 @@
-// Persistent SAT session (sat/session.hpp) against the one-shot engines:
-// encoding reuse, fault-proof and CEC verdict parity, the structural
+// Persistent SAT session (sat/session.hpp) against the fresh-miter oracles
+// (sat_oracle.hpp): encoding reuse, fault-proof and CEC verdict parity, the structural
 // fast path, retirement soundness across interleaved queries, and the
 // deterministic compaction rebuild.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "sat/cec.hpp"
 #include "sat/satpg.hpp"
 #include "sat/session.hpp"
+#include "sat_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -32,14 +33,14 @@ void expect_detects(const Netlist& nl, const StuckFault& f,
   EXPECT_TRUE(sim.is_detected(0)) << to_string(nl, f);
 }
 
-/// Every collapsed fault through ONE session vs the one-shot engine:
+/// Every collapsed fault through ONE session vs the fresh-miter oracle:
 /// definitive verdicts must agree exactly, and tests must really detect.
 void check_fault_parity(const Netlist& nl, std::size_t max_retired =
                                                SatSession::kDefaultMaxRetired) {
   SatSession session(max_retired);
   const auto id = session.add_circuit(nl);
   for (const StuckFault& f : enumerate_faults(nl)) {
-    const SatFaultResult oneshot = prove_fault(nl, f);
+    const SatFaultResult oneshot = oneshot_prove_fault(nl, f);
     ASSERT_NE(oneshot.status, SatFaultStatus::Unknown)
         << nl.name() << " " << to_string(nl, f);
     const SatFaultResult ses = session.prove_fault(id, f);
@@ -127,7 +128,7 @@ TEST(SatSession, CecParityWithOneshot) {
         }
       }
     }
-    const EquivalenceResult oneshot = check_equivalent_sat(a, b);
+    const EquivalenceResult oneshot = oneshot_check_equivalent(a, b);
     ASSERT_TRUE(oneshot.proven) << "seed " << seed;
     SatSession session;
     const EquivalenceResult ses = session.check_equivalent(a, b);
@@ -178,19 +179,6 @@ TEST(SatSession, RetirementKeepsLaterQueriesSound) {
   const EquivalenceResult eq2 = session.check_equivalent(nl, other);
   EXPECT_EQ(eq1.equivalent, eq2.equivalent);
   EXPECT_EQ(eq1.proven, eq2.proven);
-}
-
-TEST(SatSession, BackendFlagParsesAndRoundTrips) {
-  EXPECT_EQ(parse_sat_backend("session"), SatBackend::Session);
-  EXPECT_EQ(parse_sat_backend("oneshot"), SatBackend::Oneshot);
-  EXPECT_FALSE(parse_sat_backend("fresh").has_value());
-  EXPECT_FALSE(parse_sat_backend("").has_value());
-  const SatBackend saved = sat_backend();
-  set_sat_backend(SatBackend::Oneshot);
-  EXPECT_EQ(sat_backend(), SatBackend::Oneshot);
-  EXPECT_STREQ(to_string(SatBackend::Oneshot), "oneshot");
-  EXPECT_STREQ(to_string(SatBackend::Session), "session");
-  set_sat_backend(saved);
 }
 
 #if COMPSYN_TRACE

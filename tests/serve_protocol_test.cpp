@@ -163,7 +163,6 @@ TEST(ServeJobSpec, RoundTripsAllFields) {
   spec.weight_gates = 0.25;
   spec.weight_paths = 1.75;
   spec.verify = "both";
-  spec.sat = "oneshot";
   spec.budget = 12345;
   spec.deadline = 1.5;
   std::string err;
@@ -177,7 +176,6 @@ TEST(ServeJobSpec, RoundTripsAllFields) {
   EXPECT_EQ(back->weight_gates, spec.weight_gates);
   EXPECT_EQ(back->weight_paths, spec.weight_paths);
   EXPECT_EQ(back->verify, spec.verify);
-  EXPECT_EQ(back->sat, spec.sat);
   EXPECT_EQ(back->budget, spec.budget);
   EXPECT_EQ(back->deadline, spec.deadline);
   EXPECT_EQ(back->option_key(), spec.option_key());
@@ -196,7 +194,6 @@ TEST(ServeJobSpec, DefaultsMatchResynthFlow) {
   EXPECT_EQ(spec->weight_gates, 1.0);
   EXPECT_EQ(spec->weight_paths, 1.0);
   EXPECT_EQ(spec->verify, "sim");
-  EXPECT_EQ(spec->sat, "session");
   EXPECT_EQ(spec->budget, 0u);
   EXPECT_EQ(spec->deadline, 0.0);
   EXPECT_FALSE(spec->robust_active());
@@ -224,9 +221,6 @@ TEST(ServeJobSpec, ValidationRejectsBadFields) {
   j = base();
   j.set("verify", "always");
   EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());
-  j = base();
-  j.set("sat", "magic");
-  EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());
   // Missing id / circuit.
   j = Json::object();
   j.set("circuit", "c17");
@@ -243,14 +237,13 @@ TEST(ServeJobSpec, OptionKeySeparatesEveryKnob) {
   JobSpec a;
   a.id = "a";
   a.circuit = "c17";
-  std::vector<JobSpec> variants(7, a);
+  std::vector<JobSpec> variants(6, a);
   variants[0].proc = "3";
   variants[1].k = 7;
   variants[2].weight_gates = 2.0;
   variants[3].weight_paths = 0.5;
   variants[4].verify = "sat";
-  variants[5].sat = "oneshot";
-  variants[6].budget = 99;
+  variants[5].budget = 99;
   for (const JobSpec& v : variants) {
     EXPECT_NE(v.option_key(), a.option_key());
   }

@@ -228,8 +228,8 @@ TEST_F(HistogramTest, SnapshotIsNameSorted) {
   EXPECT_EQ(snap[3].name, "zz.ns");
 }
 
-/// Runs one resynthesis, then redundancy removal with the SAT fallback
-/// behind a PODEM backtrack limit small enough to abort, and returns
+/// Runs one resynthesis, then redundancy removal behind a PODEM backtrack
+/// limit small enough to abort (so SAT decides some faults), and returns
 /// (name, count) per histogram. Counts are a pure function of the work
 /// performed, so they must not depend on the thread count.
 std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts(
@@ -240,7 +240,6 @@ std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts(
   Netlist nl = make_benchmark("alu4");
   (void)procedure2(nl, 5);
   RedundancyRemovalOptions rr;
-  rr.sat_fallback = true;
   rr.atpg.backtrack_limit = 2;
   (void)remove_redundancies(nl, rr);
   set_jobs(1);
