@@ -6,7 +6,7 @@
 //   * cone expand-slack 0 (paper's enumeration) vs the default slack.
 //
 // Flags: --circuits=a,b,c   --verify=sim|sat|both
-//        --report=<file>.json   --trace   --jobs=N
+//        --report=<file>.json   --trace
 #include "bench/common.hpp"
 #include "util/table.hpp"
 

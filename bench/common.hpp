@@ -12,7 +12,6 @@
 
 #include "atpg/redundancy.hpp"
 #include "core/resynth.hpp"
-#include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
 #include "netlist/netlist.hpp"
@@ -39,7 +38,6 @@ namespace compsyn::bench {
 ///   --events=<file>     stream a compsyn-events-v1 JSONL event log
 ///   --progress[=SECS]   stderr heartbeat, at most one line per SECS (bare
 ///                       flag: every second); stdout untouched
-///   --jobs=N            worker threads for the parallel regions (default 1)
 ///   --budget=TICKS      deterministic anytime budget (DESIGN.md §10)
 ///   --deadline=SECS     wall-clock watchdog (non-deterministic)
 ///   --inject=SPEC       scripted fault injection for chaos testing
@@ -48,23 +46,13 @@ namespace compsyn::bench {
 /// uninstrumented build; the profile-grade flags (--trace-out/--events/
 /// --progress) select the extended level, which adds the histograms/phases/
 /// hot_cones report sections -- plain --report output stays byte-identical
-/// either way. The exec layer guarantees identical results (and counters)
-/// at any --jobs value; only the timings change. A budget trip winds the
-/// tables down to their verified best-so-far state and finish() returns exit
-/// code 20.
+/// either way. The flow runs on one thread (DESIGN.md §9). A budget trip
+/// winds the tables down to their verified best-so-far state and finish()
+/// returns exit code 20.
 class BenchRun {
  public:
   BenchRun(std::string name, const Cli& cli) : cli_(cli), report_(std::move(name)) {
     if (!obs_cli_start(cli_, report_.name())) std::exit(2);
-    if (cli_.has("jobs")) {
-      const int j = cli_.get_int("jobs", 1);
-      if (j < 1) {
-        std::cerr << "error: --jobs=" << cli_.get("jobs")
-                  << " (expected a positive integer)\n";
-        std::exit(2);
-      }
-      set_jobs(static_cast<unsigned>(j));
-    }
     robust_active_ = cli_.has("budget") || cli_.has("deadline") || cli_.has("inject");
     if (cli_.has("inject")) {
       std::string err;

@@ -2,7 +2,7 @@
 // draws, prints its gate-level structure, and verifies the implemented
 // function exhaustively against the interval definition.
 //
-// Flags: --report=<file>.json   --trace   --jobs=N
+// Flags: --report=<file>.json   --trace
 #include <iostream>
 #include <numeric>
 

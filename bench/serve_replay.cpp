@@ -9,8 +9,7 @@
 // sum is too), in compsyn-bench-v2 form.
 //
 // Flags: --circuits=a,b,c   --rounds=N (default 3)   --k=K (default 5)
-//        --lanes=1,2,4 (daemon lane counts; default 1)
-//        --daemon-jobs=N (exec pool per lane)   --report=<file>.json
+//        --lanes=1,2,4 (daemon lane counts; default 1)   --report=<file>.json
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -103,7 +102,7 @@ struct Daemon {
   std::string pid_path;
   std::string err_path;
 
-  bool start(unsigned daemon_jobs, unsigned lanes) {
+  bool start(unsigned lanes) {
     const std::string dir = "/tmp";
     const std::string tag = "compsyn_bench_serve_" +
                             std::to_string(::getpid()) + "_l" +
@@ -114,8 +113,7 @@ struct Daemon {
     std::remove(socket_path.c_str());
     const std::string cmd =
         std::string(RESYNTH_SERVE_PATH) + " --socket=" + socket_path +
-        " --lanes=" + std::to_string(lanes) +
-        " --jobs=" + std::to_string(daemon_jobs) + " 2>" + err_path +
+        " --lanes=" + std::to_string(lanes) + " 2>" + err_path +
         " & echo $! > " + pid_path;
     if (std::system(cmd.c_str()) != 0) return false;
     for (int waited = 0; waited < 10000; waited += 20) {
@@ -165,10 +163,10 @@ Json round_trip(int fd, const Json& msg) {
 /// false on any job failure; fills cold/warm stats and the daemon's final
 /// stats reply.
 bool replay_config(const std::vector<std::string>& circuits, unsigned rounds,
-                   unsigned k, unsigned daemon_jobs, unsigned lanes,
+                   unsigned k, unsigned lanes,
                    RegimeStats* cold, RegimeStats* warm, Json* stats) {
   Daemon d;
-  if (!d.start(daemon_jobs, lanes)) return false;
+  if (!d.start(lanes)) return false;
   cold->lanes = warm->lanes = lanes;
   // Client concurrency matches the lane count: enough in-flight jobs to
   // keep every lane busy, never more than the jobs available.
@@ -249,8 +247,6 @@ int run_main(int argc, char** argv) {
   const unsigned rounds =
       std::max(2u, static_cast<unsigned>(cli.get_int("rounds", 3)));
   const unsigned k = static_cast<unsigned>(cli.get_int("k", 5));
-  const unsigned daemon_jobs =
-      std::max(1, cli.get_int("daemon-jobs", 1));
   std::vector<std::string> circuits = {"c17", "s27",  "add8", "cmp8",
                                        "dec5", "mux4", "alu4"};
   if (cli.has("circuits")) {
@@ -275,7 +271,7 @@ int run_main(int argc, char** argv) {
   for (std::size_t i = 0; i < lane_counts.size(); ++i) {
     std::cout << (i ? "," : "") << lane_counts[i];
   }
-  std::cout << "}, --jobs=" << daemon_jobs << " per lane\n";
+  std::cout << "}\n";
 
   std::vector<RegimeStats> colds, warms;
   Json counters_sum = Json::object();
@@ -283,8 +279,7 @@ int run_main(int argc, char** argv) {
   for (unsigned lanes : lane_counts) {
     RegimeStats cold, warm;
     Json stats;
-    if (!replay_config(circuits, rounds, k, daemon_jobs, lanes, &cold, &warm,
-                       &stats)) {
+    if (!replay_config(circuits, rounds, k, lanes, &cold, &warm, &stats)) {
       return 1;
     }
     const double cold_tput =
@@ -346,7 +341,6 @@ int run_main(int argc, char** argv) {
     }
     meta.set("rounds", std::uint64_t{rounds});
     meta.set("k", std::uint64_t{k});
-    meta.set("daemon_jobs", std::uint64_t{daemon_jobs});
     meta.set("warm_over_cold_throughput", round3(worst_speedup));
     doc.set("meta", std::move(meta));
     doc.set("spans", Json::array());

@@ -4,7 +4,7 @@
 // test against the robust waveform algebra. Also re-checks the Section 3.3
 // claim: every path delay fault of the unit is robustly testable.
 //
-// Flags: --report=<file>.json   --trace   --jobs=N
+// Flags: --report=<file>.json   --trace
 #include <iostream>
 #include <numeric>
 

@@ -11,11 +11,10 @@
 // between the two spans is the identification time the orbit tier saves.
 //
 // Flags: --npn=off|on|both (default both)   --circuits=a,b,c   --k=5,6
-//        --verify=sim|sat|both   --report=<file>.json   --trace   --jobs=N
-// The stats tallies are process-global relaxed atomics, deterministic at
-// --jobs=1; with --jobs>1 the per-mode deltas (and the derived counters)
-// depend on work/thread interleaving and are omitted from the report so
-// --report output stays a deterministic function of the flags.
+//        --verify=sim|sat|both   --report=<file>.json   --trace
+// The stats tallies are process-global relaxed atomics; the flow runs on
+// one thread, so the per-mode deltas are a deterministic function of the
+// flags.
 #include <map>
 
 #include "bench/common.hpp"
@@ -77,9 +76,7 @@ ModeTotals run_mode(const std::vector<std::string>& circuits,
                     const std::vector<unsigned>& ks, bool npn_memo,
                     VerifyMode verify) {
   // Fresh memo state so each mode starts from the same cold caches and the
-  // tier-1 (exact-table) hit stream is identical between the arms. This
-  // clears the calling thread's memos, which is the complete state at
-  // --jobs=1; worker-thread memos at --jobs>1 are cold per pool anyway.
+  // tier-1 (exact-table) hit stream is identical between the arms.
   clear_exact_identification_memo();
   const NpnIdentifyStats before = npn_identify_stats();
   ModeTotals out;
@@ -141,7 +138,6 @@ int run_main(int argc, char** argv) {
   for (const std::string& s : split(cli.get("k", "5,6"), ',')) {
     if (!s.empty()) ks.push_back(static_cast<unsigned>(std::stoul(s)));
   }
-  const bool deterministic_stats = cli.get_int("jobs", 1) == 1;
   run.report().set_meta("k", cli.get("k", "5,6"));
   run.report().set_meta("npn", npn_arg);
   {
@@ -169,12 +165,6 @@ int run_main(int argc, char** argv) {
       }
     }
     std::cout << "netlists byte-identical between modes: yes\n\n";
-  }
-
-  if (!deterministic_stats) {
-    std::cout << "(--jobs>1: per-mode identification stats depend on thread "
-                 "interleaving and are omitted)\n";
-    return run.finish();
   }
 
   Table t({"npn memo", "exact searches", "canonicalize", "orbit hits",

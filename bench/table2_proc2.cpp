@@ -4,7 +4,7 @@
 //
 // Flags: --circuits=a,b,c   --full   --k=5,6 (Ks to try)
 //        --verify=sim|sat|both (equivalence-check backend, default sim)
-//        --report=<file>.json   --trace   --jobs=N   (see bench/common.hpp)
+//        --report=<file>.json   --trace   (see bench/common.hpp)
 #include "bench/common.hpp"
 #include "util/table.hpp"
 

@@ -4,7 +4,7 @@
 //
 // Flags: --circuits=a,b,c  --k=5,6  --adds=N
 //        --verify=sim|sat|both (equivalence-check backend, default sim)
-//        --report=<file>.json   --trace   --jobs=N
+//        --report=<file>.json   --trace
 #include "bench/common.hpp"
 #include "rar/rar.hpp"
 #include "techmap/techmap.hpp"

@@ -6,7 +6,7 @@
 //
 // Flags: --circuits=a,b,c  --patterns=N (default 2^20; the paper used 3e7)
 //        --k=5,6  --seed=S  --verify=sim|sat|both
-//        --report=<file>.json  --trace  --jobs=N
+//        --report=<file>.json  --trace
 #include "bench/common.hpp"
 #include "faults/fault_sim.hpp"
 #include "util/table.hpp"

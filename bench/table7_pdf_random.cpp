@@ -10,7 +10,7 @@
 //
 // Flags: --circuit=name (default syn300)  --window=N (default 20000)
 //        --pairs=N (default 2e6)  --seed=S  --k=5,6  --adds=N
-//        --verify=sim|sat|both  --report=<file>.json  --trace  --jobs=N
+//        --verify=sim|sat|both  --report=<file>.json  --trace
 #include "bench/common.hpp"
 #include "delay/nonenum.hpp"
 #include "delay/robust.hpp"

@@ -15,7 +15,7 @@
 //     finite budget instead permits Aborted faults, where variants may
 //     legitimately differ in which faults they resolve.
 // Wall time lives in the report spans and per-run records only -- stdout and
-// the bench.atpg.* counters are deterministic and jobs-invariant, so two
+// the bench.atpg.* counters are deterministic, so two
 // runs gate cleanly under `bench_diff --strict-counters` (CI perf-smoke).
 //
 //   $ ./table_atpg

@@ -7,7 +7,6 @@
 //   $ ./resynth_flow --proc=combined --weight-gates=1 --weight-paths=0.25 syn150
 //   $ ./resynth_flow --out=result.bench --report=run.json syn150
 //   $ ./resynth_flow --verify=sat syn1000   (SAT proof at any input width)
-//   $ ./resynth_flow --jobs=8 syn300        (same result, more threads)
 //
 // Anytime / robustness controls (DESIGN.md §10):
 //   $ ./resynth_flow --budget=50000 syn300      (deterministic tick budget)
@@ -26,11 +25,9 @@
 #include <iostream>
 #include <optional>
 
-#include "atpg/guided.hpp"
 #include "atpg/redundancy.hpp"
 #include "bench_io/bench_io.hpp"
 #include "core/resynth.hpp"
-#include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
 #include "obs/counters.hpp"
@@ -239,12 +236,10 @@ int flow_main(int argc, char** argv) {
   if (cli.positional().empty()) {
     std::cerr << "usage: resynth_flow [--proc=2|3|combined] [--k=K] "
                  "[--weight-gates=W --weight-paths=W] [--verify=sim|sat|both] "
-                 "[--atpg-backtrace=legacy|level|scoap] "
-                 "[--atpg-frontier=legacy|level|scoap] "
                  "[--out=file.bench] [--report=file.json] [--trace] "
                  "[--trace-out=trace.json] [--events=log.jsonl] "
                  "[--progress[=SECS]] "
-                 "[--jobs=N] [--budget=TICKS] [--deadline=SECONDS] "
+                 "[--budget=TICKS] [--deadline=SECONDS] "
                  "[--checkpoint=ck.json] [--resume=ck.json] [--inject=SPEC] "
                  "<suite-name | file.bench>\n"
                  "  suite names:";
@@ -253,15 +248,6 @@ int flow_main(int argc, char** argv) {
     return robust::kExitUsage;
   }
   if (!obs_cli_start(cli, "resynth_flow")) return robust::kExitUsage;
-  if (cli.has("jobs")) {
-    const int j = cli.get_int("jobs", 1);
-    if (j < 1) {
-      std::cerr << "error: --jobs=" << cli.get("jobs")
-                << " (expected a positive integer)\n";
-      return robust::kExitUsage;
-    }
-    set_jobs(static_cast<unsigned>(j));
-  }
   const std::string verify_str = cli.get("verify", "sim");
   const auto verify = parse_verify_mode(verify_str);
   if (!verify) {
@@ -334,29 +320,6 @@ int flow_main(int argc, char** argv) {
   robust::DeadlineWatchdog watchdog(deadline);
 
   RunReport report("resynth_flow");
-  RedundancyRemovalOptions rr_opt;
-  // Search-order policies for the PODEM behind redundancy removal
-  // (DESIGN.md §16). They change search order and which faults exceed the
-  // backtrack budget and so reach SAT -- the counters -- but never a
-  // verdict, so the resulting netlist is the same under every policy.
-  if (cli.has("atpg-backtrace")) {
-    const auto p = parse_backtrace_policy(cli.get("atpg-backtrace"));
-    if (!p) {
-      std::cerr << "error: --atpg-backtrace=" << cli.get("atpg-backtrace")
-                << " (expected legacy, level, or scoap)\n";
-      return robust::kExitUsage;
-    }
-    rr_opt.atpg.strategy.backtrace = *p;
-  }
-  if (cli.has("atpg-frontier")) {
-    const auto p = parse_frontier_policy(cli.get("atpg-frontier"));
-    if (!p) {
-      std::cerr << "error: --atpg-frontier=" << cli.get("atpg-frontier")
-                << " (expected legacy, level, or scoap)\n";
-      return robust::kExitUsage;
-    }
-    rr_opt.atpg.strategy.frontier = *p;
-  }
   Netlist nl;
   try {
     nl = cfg.source.size() > 6 &&
@@ -398,7 +361,7 @@ int flow_main(int argc, char** argv) {
     restore_counters(ck.counters);
   } else {
     const Span phase_rr0("redundancy_removal", SpanKind::Phase);
-    auto rr0 = remove_redundancies(nl, rr_opt);
+    auto rr0 = remove_redundancies(nl);
     if (rr0.status == robust::RunStatus::Interrupted) {
       throw robust::CancelledError(rr0.stop_reason);
     }
@@ -470,7 +433,7 @@ int flow_main(int argc, char** argv) {
 
   std::optional<Span> phase_rr1;
   phase_rr1.emplace("redundancy_removal_post", SpanKind::Phase);
-  auto rr1 = remove_redundancies(nl, rr_opt);
+  auto rr1 = remove_redundancies(nl);
   phase_rr1.reset();
   if (rr1.status == robust::RunStatus::Interrupted) {
     throw robust::CancelledError(rr1.stop_reason);

@@ -64,7 +64,7 @@ struct CompactionResult {
 /// Static compaction: X-fills `patterns` (X bits keyed by their original
 /// pattern index), replays forward for the reference detected bitmap, then
 /// replays in reverse with fault dropping to elect the kept subset.
-/// Deterministic and jobs-invariant (the simulator's contract).
+/// Deterministic (the simulator's contract).
 CompactionResult compact_patterns(const Netlist& nl,
                                   const std::vector<StuckFault>& faults,
                                   const std::vector<TestPattern>& patterns,

@@ -9,8 +9,8 @@
 //   3. guided PODEM per residue fault; each detected cube is X-filled and
 //      fault-simulated so it drops other faults before they are targeted.
 // Every stage is a pure function of its options (seeded RNG, deterministic
-// X-fill, jobs-invariant fault simulator), so results are byte-identical
-// across runs and --jobs values. Strategies change pattern COUNTS and
+// X-fill, serial fault simulator), so results are byte-identical across
+// runs. Strategies change pattern COUNTS and
 // backtrack counts only; Detected/Untestable accounting is
 // strategy-invariant at an unlimited backtrack budget (podem.hpp).
 #pragma once

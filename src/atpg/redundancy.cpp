@@ -1,11 +1,9 @@
 #include "atpg/redundancy.hpp"
 
-#include <algorithm>
+#include <cassert>
 #include <iostream>
 #include <optional>
 
-#include "atpg/scoap.hpp"
-#include "exec/exec.hpp"
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
 #include "obs/counters.hpp"
@@ -48,10 +46,6 @@ bool substitute_constant(Netlist& nl, const StuckFault& f) {
   return true;
 }
 
-}  // namespace
-
-namespace {
-
 /// A fault enumerated before earlier substitutions may reference logic that
 /// has since changed; skip sites that no longer exist in the live netlist.
 bool fault_site_stale(const Netlist& nl, const StuckFault& f) {
@@ -63,32 +57,6 @@ bool fault_site_stale(const Netlist& nl, const StuckFault& f) {
   if (static_cast<std::size_t>(f.pin) >= nd.fanins.size()) return true;
   const GateType src = nl.node(nd.fanins[static_cast<std::size_t>(f.pin)]).type;
   return src == GateType::Const0 || src == GateType::Const1;
-}
-
-}  // namespace
-
-namespace {
-
-/// Maximum speculation window: how many faults are decided against one
-/// netlist snapshot before the verdicts are committed in fault order. Larger
-/// windows expose more parallelism; every substitution discards the
-/// not-yet-committed remainder of its window (those faults are re-decided),
-/// so the window adapts: it resets to 1 after a substitution (a
-/// redundancy-rich stretch proceeds serially) and doubles after every window
-/// that commits at least one PODEM verdict without a substitution, up to
-/// this cap. Stale fault sites are skipped while a window is formed, so they
-/// take no slot and cannot make a window look clean. The evolution depends
-/// only on the committed verdicts, never on the job count.
-constexpr std::size_t kMaxCommitWindow = 32;
-
-/// Worker-side fault evaluation: PODEM only, against a read-only snapshot.
-/// An aborted fault is decided afterwards by SAT at the serial commit point
-/// (a session is single-threaded), in fault order, so the verdict stream is
-/// identical at any job count.
-AtpgStatus evaluate_fault(const Netlist& nl, const StuckFault& f,
-                          const AtpgOptions& atpg) {
-  const Span sp("atpg.fault", SpanKind::Sample);
-  return run_podem(nl, f, atpg).status;
 }
 
 /// SAT decisions for one netlist state: the session encodes the circuit once
@@ -117,7 +85,6 @@ class StateSession {
 void publish_stats(const RedundancyRemovalStats& stats) {
   Counters::incr("redundancy.faults_checked", stats.faults_checked);
   Counters::incr("redundancy.removed", stats.removed);
-  Counters::incr("redundancy.speculative_discarded", stats.speculative_discarded);
   Counters::incr("redundancy.aborted", stats.aborted);
   Counters::incr("redundancy.aborted_unresolved", stats.aborted_unresolved);
   Counters::incr("redundancy.sat_fallback.proofs", stats.sat_proved_untestable);
@@ -129,6 +96,7 @@ void publish_stats(const RedundancyRemovalStats& stats) {
 
 RedundancyRemovalStats remove_redundancies(Netlist& nl,
                                            const RedundancyRemovalOptions& opt) {
+  assert(opt.atpg.strategy.is_legacy());
   RedundancyRemovalStats stats;
   // Multiple substitutions are applied within one sweep, but each
   // untestability proof runs against the netlist as already modified, which
@@ -141,17 +109,8 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
   bool stopped = false;
   // One SAT session per netlist state: any mutation (simplify,
   // substitution) resets it, because proofs must run against the netlist as
-  // already modified. Non-legacy search strategies read NodeId-indexed
-  // SCOAP/level tables, which go stale at exactly the same points, so both
-  // are invalidated together and rebuilt lazily when next needed.
+  // already modified.
   StateSession sat;
-  AtpgOptions atpg_opt = opt.atpg;
-  const bool guided_search = !atpg_opt.strategy.is_legacy();
-  std::optional<AtpgGuidance> guidance;
-  const auto reset_state = [&] {
-    guidance.reset();
-    sat.reset();
-  };
   for (unsigned round = 0; round < opt.max_rounds && !stopped; ++round) {
     // Round boundary: a budget trip (or pending cancel) stops before any
     // new fault is examined; undecided faults stay in the circuit.
@@ -160,7 +119,7 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
       break;
     }
     nl.simplify();
-    reset_state();
+    sat.reset();
     bool removed_this_round = false;
     round_unresolved = 0;
     const auto all_faults = enumerate_faults(nl, /*collapse=*/true);
@@ -186,79 +145,32 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
       stopped = true;
       break;
     }
-    // Speculative windowed commit (exec/exec.hpp): the window is formed
-    // serially -- stale sites are skipped against the current netlist, as
-    // the serial sweep would skip them at their turn -- and up to `window`
-    // live faults are decided in parallel against that netlist, then the
-    // verdicts are committed serially in fault order. The first
-    // substitution mutates the netlist, which invalidates the verdicts
-    // behind it -- those faults are re-decided in the next window. Every
-    // committed verdict was therefore computed against exactly the netlist
-    // state the serial sweep would have used, so verdicts and stats match
-    // the serial order at any job count. The same windowed path runs at
-    // --jobs=1 so the exec.* counters are jobs-invariant too.
-    std::size_t idx = 0;
-    std::size_t window = 1;
-    std::vector<std::size_t> slots;  // fault indices decided in this window
-    while (idx < faults.size()) {
-      // Window boundary: the serial commit point. Ticks charged by PODEM
-      // and SAT land here in a jobs-invariant total (the set of faults
-      // decided per window never depends on the job count), so a budget
-      // stop falls between the same two windows on every run.
+    // Each fault is decided against the live netlist, in fault order: skip a
+    // stale site, PODEM, SAT on a PODEM abort, substitute an untestable one.
+    for (std::size_t idx = 0; idx < faults.size(); ++idx) {
+      // Decision point: the ticks PODEM and SAT charged so far are a pure
+      // function of the input, so a budget stop falls before the same fault
+      // on every run.
       if (robust::should_stop()) {
         stopped = true;
         break;
       }
-      slots.clear();
-      std::size_t end = idx;
-      for (; end < faults.size() && slots.size() < window; ++end) {
-        if (!fault_site_stale(nl, faults[end])) slots.push_back(end);
-      }
-      std::vector<AtpgStatus> verdicts;
-      if (!slots.empty()) {
-        nl.topo_order();
-        nl.fanouts();  // warm the lazy caches before the parallel region
-        if (guided_search && !guidance) {
-          guidance.emplace(AtpgGuidance::build(nl));
+      const StuckFault& f = faults[idx];
+      telemetry_progress("redundancy.faults", idx + 1, faults.size());
+      if (fault_site_stale(nl, f)) continue;
+      ++stats.faults_checked;
+      bool untestable = false;
+      try {
+        AtpgStatus podem;
+        {
+          const Span sp("atpg.fault", SpanKind::Sample);
+          podem = run_podem(nl, f, opt.atpg).status;
         }
-        atpg_opt.guidance = guidance ? &*guidance : nullptr;
-        try {
-          verdicts = parallel_map<AtpgStatus>(
-              slots.size(), /*grain=*/1,
-              [&](std::size_t k) {
-                return evaluate_fault(nl, faults[slots[k]], atpg_opt);
-              });
-        } catch (const robust::CancelledError&) {
-          stopped = true;
-          break;
-        }
-      }
-      bool mutated = false;
-      std::size_t used = 0;  // verdicts taken up by the commit loop
-      while (idx < end && !mutated) {
-        const StuckFault& f = faults[idx];
-        const bool decided = used < slots.size() && slots[used] == idx;
-        ++idx;
-        // Serial commit point: idx's evolution is jobs-invariant, so the
-        // progress record stream is too.
-        telemetry_progress("redundancy.faults", idx, faults.size());
-        if (!decided) continue;  // stale site
-        const AtpgStatus podem = verdicts[used++];
-        ++stats.faults_checked;
-        bool untestable = podem == AtpgStatus::Untestable;
+        untestable = podem == AtpgStatus::Untestable;
         if (podem == AtpgStatus::Aborted) {
-          // PODEM gave up: SAT decides, here at the serial commit point and
-          // in fault order, so the verdict stream is identical at any job
-          // count.
+          // PODEM gave up: SAT decides.
           ++stats.aborted;
-          SatFaultStatus st;
-          try {
-            st = sat.decide(nl, f, opt.sat_budget);
-          } catch (const robust::CancelledError&) {
-            stopped = true;
-            break;
-          }
-          switch (st) {
+          switch (sat.decide(nl, f, opt.sat_budget)) {
             case SatFaultStatus::Untestable:
               ++stats.sat_proved_untestable;
               untestable = true;
@@ -272,22 +184,15 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
               break;
           }
         }
-        if (!untestable) continue;
-        if (substitute_constant(nl, f)) {
-          ++stats.removed;
-          removed_this_round = true;
-          nl.simplify();
-          reset_state();
-          mutated = true;  // verdicts past this fault are stale: re-decide
-        }
+      } catch (const robust::CancelledError&) {
+        stopped = true;
+        break;
       }
-      // Verdicts behind a substitution (or a stop) are dropped unused.
-      stats.speculative_discarded += slots.size() - used;
-      if (stopped) break;
-      if (mutated) {
-        window = 1;
-      } else if (used > 0) {
-        window = std::min(window * 2, kMaxCommitWindow);
+      if (untestable && substitute_constant(nl, f)) {
+        ++stats.removed;
+        removed_this_round = true;
+        nl.simplify();
+        sat.reset();
       }
     }
     if (stopped) break;
@@ -316,17 +221,12 @@ RedundancyRemovalStats remove_redundancies(Netlist& nl,
 }
 
 bool is_irredundant(const Netlist& nl, const AtpgOptions& opt) {
+  assert(opt.strategy.is_legacy());
   // The netlist is const here, so one SAT session serves every aborted
-  // fault and one guidance build every strategy-driven PODEM call.
-  AtpgOptions eff = opt;
-  std::optional<AtpgGuidance> guidance;
-  if (!eff.strategy.is_legacy() && eff.guidance == nullptr) {
-    guidance.emplace(AtpgGuidance::build(nl));
-    eff.guidance = &*guidance;
-  }
+  // fault.
   StateSession sat;
   for (const StuckFault& f : enumerate_faults(nl, /*collapse=*/true)) {
-    const AtpgStatus st = run_podem(nl, f, eff).status;
+    const AtpgStatus st = run_podem(nl, f, opt).status;
     if (st == AtpgStatus::Detected) continue;
     // Same completion step as remove_redundancies: let SAT decide.
     if (st == AtpgStatus::Aborted &&

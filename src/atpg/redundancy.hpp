@@ -15,6 +15,11 @@
 // first abort. Both engines give exact verdicts and substitutions follow
 // fault order, so the resulting netlist does not depend on the PODEM budget;
 // a fault is left undecided only if SAT also exhausts its conflict budget.
+//
+// PODEM runs here in its legacy search order (AtpgStrategy's default): the
+// SCOAP-guided policies of atpg/guided.hpp cut the aborts that reach SAT
+// but not the time, so this path takes no guidance table and asserts
+// `strategy.is_legacy()`. The policies serve test generation only.
 #pragma once
 
 #include <cstdint>
@@ -49,9 +54,6 @@ struct RedundancyRemovalStats {
   unsigned removed = 0;            // substitutions applied
   std::uint64_t faults_checked = 0;
   std::uint64_t aborted = 0;       // PODEM hit its backtrack limit: SAT decides
-  // Speculative verdicts computed for a window and dropped at its commit
-  // point because an earlier substitution in the window made them stale.
-  std::uint64_t speculative_discarded = 0;
   // SAT outcomes over the aborted faults:
   std::uint64_t sat_proved_untestable = 0;  // redundancy proofs PODEM missed
   std::uint64_t sat_found_tests = 0;        // testable after all

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "core/signature.hpp"
-#include "exec/exec.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
 
@@ -404,12 +403,9 @@ NpnStatsAtomics& npn_atomics() {
   return stats;
 }
 
-void npn_count(std::atomic<std::uint64_t>& counter, const char* name,
-               bool tally) {
+void npn_count(std::atomic<std::uint64_t>& counter, const char* name) {
   counter.fetch_add(1, std::memory_order_relaxed);
-  // Registry counters land in reports, so they follow the PR 3 contract:
-  // only tallied outside exec regions, keeping reports jobs-invariant.
-  if (tally) Counters::incr(name);
+  Counters::incr(name);
 }
 
 /// One polarity half of a stored search, in emission order.
@@ -555,18 +551,12 @@ const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
   if (opt.exact) {
     Counters::incr("identify.exact.attempts");
     ExactMemo& memo = exact_memo();
-    // The memo is per thread, so inside an exec region the hit/miss split
-    // depends on which worker ran which query -- a jobs-variant quantity.
-    // Reports must be identical at any --jobs value, so the memo tallies
-    // are only kept for queries made outside parallel regions (the inline
-    // --jobs=1 path counts as a region too, keeping the counts invariant).
-    const bool tally = !in_parallel_region();
     const std::uint64_t sig = memo_signature(f, opt);
     auto it = memo.buckets.find(sig);
     if (it != memo.buckets.end()) {
       for (const ExactMemoEntry& e : it->second) {
         if (memo_entry_matches(e, f, opt)) {
-          if (tally) Counters::incr("identify.memo.hits");
+          Counters::incr("identify.memo.hits");
           note_memo_query(memo, /*hit=*/true);
           if (!e.specs.empty()) Counters::incr("identify.exact.hits");
           return e.specs;
@@ -575,9 +565,9 @@ const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
       // Same signature, different query: a genuine 64-bit collision. The
       // exact confirm above keeps it harmless; count it so reports surface
       // how (in)frequent collisions are in practice.
-      if (tally) Counters::incr("identify.memo.collisions");
+      Counters::incr("identify.memo.collisions");
     }
-    if (tally) Counters::incr("identify.memo.misses");
+    Counters::incr("identify.memo.misses");
     note_memo_query(memo, /*hit=*/false);
 
     // Tier 2: the NPN-orbit memo. Only for the flag shape the resynthesis
@@ -593,7 +583,7 @@ const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
     bool reused = false;
     if (use_npn) {
       canon = npn_canonicalize(f, NpnGroup::kPermOutputReflect);
-      npn_count(stats.canonicalizations, "identify.npn.canonicalizations", tally);
+      npn_count(stats.canonicalizations, "identify.npn.canonicalizations");
       nsig = signature_mix(table_signature(canon.table), opt.max_results);
       auto nit = nmemo.buckets.find(nsig);
       if (nit != nmemo.buckets.end()) {
@@ -604,29 +594,29 @@ const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
           }
         }
         if (!orbit) {
-          npn_count(stats.confirm_rejects, "identify.npn.confirm_rejects", tally);
+          npn_count(stats.confirm_rejects, "identify.npn.confirm_rejects");
         }
       }
       if (orbit) {
-        npn_count(stats.orbit_hits, "identify.npn.orbit_hits", tally);
+        npn_count(stats.orbit_hits, "identify.npn.orbit_hits");
         if (!orbit->has_specs) {
           // The orbit has no comparison member under any permutation,
           // output polarity, or reflection: empty result, no search.
-          npn_count(stats.negative_reuses, "identify.npn.negative_reuses", tally);
+          npn_count(stats.negative_reuses, "identify.npn.negative_reuses");
           reused = true;
         } else if (derive_orbit_specs(*orbit, f, canon.transform, &out)) {
-          npn_count(stats.transform_reuses, "identify.npn.transform_reuses", tally);
+          npn_count(stats.transform_reuses, "identify.npn.transform_reuses");
           reused = true;
         } else {
           // Not derivable byte-exactly (truncated stored search under a
           // real relabeling, or a confirm failed): fresh search below.
           out.clear();
-          npn_count(stats.positive_fallbacks, "identify.npn.positive_fallbacks", tally);
+          npn_count(stats.positive_fallbacks, "identify.npn.positive_fallbacks");
         }
       }
     }
     if (!reused) {
-      npn_count(stats.exact_searches, "identify.npn.exact_searches", tally);
+      npn_count(stats.exact_searches, "identify.npn.exact_searches");
       std::vector<unsigned> lens;
       bool plain_trunc = false;
       bool comp_trunc = false;

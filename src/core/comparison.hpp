@@ -83,7 +83,7 @@ void clear_exact_identification_memo();
 /// part of any report). exact_searches counts full exact-engine searches
 /// regardless of the npn_memo toggle, so an off-vs-on delta of two
 /// snapshots measures exactly the searches the orbit tier removed.
-/// Deterministic at --jobs=1; bench binaries snapshot it there.
+/// Deterministic while one thread identifies (every one-shot binary).
 struct NpnIdentifyStats {
   std::uint64_t canonicalizations = 0;  // orbit keys computed (tier-1 misses)
   std::uint64_t orbit_hits = 0;         // confirmed canonical-table matches

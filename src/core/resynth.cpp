@@ -7,7 +7,6 @@
 
 #include "core/multi_unit.hpp"
 #include "core/sdc.hpp"
-#include "exec/exec.hpp"
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "obs/counters.hpp"
@@ -61,11 +60,6 @@ bool beats(std::int64_t gates, std::int64_t paths, const Candidate& b,
   return false;
 }
 
-/// True if a is valid and strictly better than b.
-bool better(const Candidate& a, const Candidate& b, const ResynthOptions& opt) {
-  return a.valid && beats(a.delta_gates, a.delta_paths, b, opt);
-}
-
 /// True if applying the candidate is a strict improvement (avoids churn and
 /// guarantees termination).
 bool improves(const Candidate& c, const ResynthOptions& opt) {
@@ -92,21 +86,6 @@ struct ConeProto {
   std::vector<NodeId> removable;  // interiors freed by the replacement
   TruthTable reduced;
   std::int64_t n_old = 0;         // equivalent gates freed
-};
-
-/// Per-cone evaluation result: the pieces best_candidate merges in cone
-/// order. `base` holds the constant candidate or the best base-spec
-/// candidate (plus the don't-care specs when the oracle is concurrent);
-/// `multi` the Section 6 multi-unit candidate. When the oracle cannot be
-/// queried from workers, the don't-care step is deferred: `needs_dc` is set
-/// and `proto` carries the context the merge loop needs to run it serially,
-/// in cone order, exactly as the serial sweep would.
-struct ConeEval {
-  Candidate base;
-  Candidate multi;
-  bool comparison_cone = false;
-  bool needs_dc = false;
-  ConeProto proto;
 };
 
 /// Scores one spec (or multi-unit spec) of a cone and makes it `best` when
@@ -141,10 +120,7 @@ void consider_spec(const ConeProto& proto, std::uint64_t np_g,
 }
 
 /// The don't-care identification step for one cone (Section 6 (1)): folds
-/// every qualifying DC spec into `best`. Callers control WHERE this runs:
-/// inline in a worker for concurrent oracles, serially in cone order
-/// otherwise, so oracle queries are issued in the same order as the serial
-/// sweep and budgeted answers cannot drift with the job count.
+/// every qualifying DC spec into `best`.
 void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
                        std::uint64_t np_g, const std::vector<std::uint64_t>& np,
                        const ResynthOptions& opt, Candidate& best) {
@@ -162,19 +138,17 @@ void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
   }
 }
 
-/// Everything about one cone that does not require ordered oracle access:
-/// cone function, support reduction, base-spec identification, the
-/// multi-unit rewrite, and (for concurrent oracles) the DC step. `cone`
-/// must outlive the returned evaluation (its proto points at it).
-ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
-                       const std::vector<std::uint64_t>& np, std::uint64_t np_g,
-                       const ReachabilityOracle* reach,
-                       const ResynthOptions& opt) {
-  // Per-cone sample: `resynth.cone.ns` histogram plus a slice on the
-  // calling thread's trace track (workers included).
+/// Scores every candidate of one cone into `best`, in the order base specs,
+/// don't-care specs (when `reach` is non-null), multi-unit rewrite. Every
+/// fold replaces only on "strictly better", so the earliest candidate wins
+/// ties.
+void consider_cone(const Netlist& nl, const Cone& cone,
+                   const std::vector<std::uint64_t>& np, std::uint64_t np_g,
+                   const ReachabilityOracle* reach, const ResynthOptions& opt,
+                   Candidate& best, ResynthStats& stats) {
+  // Per-cone sample: `resynth.cone.ns` histogram plus a trace slice.
   const Span sp("resynth.cone", SpanKind::Sample);
-  ConeEval ev;
-  ConeProto& proto = ev.proto;
+  ConeProto proto;
   proto.cone = &cone;
   proto.reduced = cone_function(nl, cone).support_reduced(&proto.kept);
   proto.n_old = static_cast<std::int64_t>(
@@ -182,8 +156,10 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
 
   if (proto.reduced.num_vars() == 0) {
     // The cone computes a constant: everything removable goes away.
-    ev.comparison_cone = true;
-    Candidate& c = ev.base;
+    ++stats.comparison_cones;
+    const auto delta_paths = static_cast<std::int64_t>(np_g);
+    if (!beats(proto.n_old, delta_paths, best, opt)) return;
+    Candidate c;
     c.valid = true;
     c.cone = cone;
     c.kept = std::move(proto.kept);
@@ -191,98 +167,47 @@ ConeEval evaluate_cone(const Netlist& nl, const Cone& cone,
     c.is_constant = true;
     c.constant_value = proto.reduced.get(0);
     c.delta_gates = proto.n_old;
-    c.delta_paths = static_cast<std::int64_t>(np_g);
-    return ev;
+    c.delta_paths = delta_paths;
+    best = std::move(c);
+    return;
   }
 
   const auto& specs = identify_comparison(proto.reduced, opt.identify);
-  ev.comparison_cone = !specs.empty();
+  const bool comparison = !specs.empty();
+  if (comparison) ++stats.comparison_cones;
   for (const ComparisonSpec& spec : specs) {
-    consider_spec(proto, np_g, np, &spec, nullptr, opt, ev.base);
+    consider_spec(proto, np_g, np, &spec, nullptr, opt, best);
   }
-  if (reach != nullptr) {
-    if (reach->concurrent()) {
-      consider_dc_specs(proto, *reach, np_g, np, opt, ev.base);
-    } else {
-      ev.needs_dc = true;
-    }
-  }
-  if (specs.empty() && opt.max_units > 1) {
+  if (reach != nullptr) consider_dc_specs(proto, *reach, np_g, np, opt, best);
+  if (!comparison && opt.max_units > 1) {
     MultiIdentifyOptions mopt;
     mopt.max_units = opt.max_units;
     if (const auto multi = identify_multi_comparison(proto.reduced, mopt)) {
-      consider_spec(proto, np_g, np, nullptr, &*multi, opt, ev.multi);
+      consider_spec(proto, np_g, np, nullptr, &*multi, opt, best);
     }
   }
-  return ev;
 }
 
-/// Cones per chunk for the candidate-evaluation fan-out. Fixed (never
-/// derived from the job count) so the chunk partition -- and with it every
-/// exec.* counter -- is identical for --jobs=1 and --jobs=N.
-constexpr std::size_t kConeGrain = 8;
-
-/// Evaluates every cone at root g and returns the best candidate.
-/// `reach` is non-null when SDC-aware identification is enabled.
-///
-/// Cones of one root are scored concurrently against the read-only netlist
-/// (parallel_map, merged in cone-enumeration order), so the selected
-/// candidate -- including every tie-break -- is byte-identical at any job
-/// count. Sampled identification (opt.identify.exact == false) consumes a
-/// caller-owned Rng whose stream depends on evaluation order interleaving,
-/// so it keeps the historical fully-serial sweep.
+/// Evaluates every cone at root g, in enumeration order, and returns the
+/// best candidate. `reach` is non-null when SDC-aware identification is
+/// enabled. Sampled identification (opt.identify.exact == false) draws from
+/// the caller-owned Rng in this same cone order.
 Candidate best_candidate(const Netlist& nl, NodeId g,
                          const std::vector<std::uint64_t>& np,
                          const ReachabilityOracle* reach,
                          const ResynthOptions& opt, ResynthStats& stats) {
-  Candidate best;
   ConeOptions cone_opt;
   cone_opt.max_leaves = opt.k;
   cone_opt.max_cones = opt.max_cones;
   cone_opt.expand_slack = opt.cone_slack;
-  const std::uint64_t np_g = np[g];
-
-  if (!opt.identify.exact) {
-    // Historical serial sweep: base specs, then DC specs, then multi-unit,
-    // cone by cone, sharing one Rng stream.
-    robust::charge(1);
-    for (const Cone& cone : enumerate_cones(nl, g, cone_opt)) {
-      ++stats.cones_considered;
-      robust::charge(1);
-      ConeEval ev = evaluate_cone(nl, cone, np, np_g, nullptr, opt);
-      if (ev.comparison_cone) ++stats.comparison_cones;
-      if (ev.base.valid && better(ev.base, best, opt)) best = ev.base;
-      if (reach != nullptr && !ev.base.is_constant) {
-        consider_dc_specs(ev.proto, *reach, np_g, np, opt, best);
-      }
-      if (ev.multi.valid && better(ev.multi, best, opt)) best = ev.multi;
-    }
-    return best;
-  }
-
   const std::vector<Cone> cones = enumerate_cones(nl, g, cone_opt);
   stats.cones_considered += cones.size();
-  // One tick per root plus one per cone evaluated, charged serially before
-  // the fan-out: the tick stream is a pure function of the netlist state,
-  // so budget decisions taken between roots are jobs-invariant.
+  // One tick per root plus one per cone evaluated.
   robust::charge(1 + cones.size());
-  // Warm the netlist's lazy caches (topo order, fanouts) before the
-  // fan-out: workers only ever read them.
-  nl.topo_order();
-  nl.fanouts();
-  std::vector<ConeEval> evals =
-      parallel_map<ConeEval>(cones.size(), kConeGrain, [&](std::size_t i) {
-        return evaluate_cone(nl, cones[i], np, np_g, reach, opt);
-      });
-
-  // Merge in cone-enumeration order. Every fold replaces only on "strictly
-  // better", so the earliest candidate wins ties exactly as in the serial
-  // sweep; per-cone order is base specs, DC specs, multi-unit.
-  for (ConeEval& ev : evals) {
-    if (ev.comparison_cone) ++stats.comparison_cones;
-    if (ev.base.valid && better(ev.base, best, opt)) best = ev.base;
-    if (ev.needs_dc) consider_dc_specs(ev.proto, *reach, np_g, np, opt, best);
-    if (ev.multi.valid && better(ev.multi, best, opt)) best = ev.multi;
+  Candidate best;
+  for (const Cone& cone : cones) {
+    robust::poll_cancellation();
+    consider_cone(nl, cone, np, np[g], reach, opt, best, stats);
   }
   return best;
 }
@@ -321,10 +246,10 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
     if (nl.is_dead(g) || !is_gate(nl, g)) continue;
     if (!marked[g] || skip[g]) continue;
 
-    // Serial decision point: the tick total here is jobs-invariant, so a
-    // budget trip stops every run at the same root. Cancellation observed
-    // here (or thrown from the fan-out below) abandons only the current
-    // root — nothing of it has been committed yet.
+    // Decision point: the tick total here is a pure function of the input,
+    // so a budget trip stops every run at the same root. Cancellation
+    // observed here (or thrown from a per-cone poll below) abandons only the
+    // current root — nothing of it has been committed yet.
     if (robust::should_stop()) {
       *stopped = true;
       break;
@@ -333,7 +258,7 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
     {
       // Hot-cone attribution: whole-root candidate search time, keyed by
       // the root gate's name (synthesized gates without one key as
-      // "n<id>"), measured on this serial commit path.
+      // "n<id>").
       Span root_span(nl.node(g).name, SpanKind::Root, g);
       const std::uint64_t cones_before = stats.cones_considered;
       try {

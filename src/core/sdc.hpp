@@ -43,12 +43,6 @@ class ReachabilityOracle {
   /// Truth table over `nodes` (nodes[0] = MSB) whose ON-set contains every
   /// joint value combination that occurs for some input pattern.
   virtual TruthTable reachable_combos(const std::vector<NodeId>& nodes) const = 0;
-
-  /// True when reachable_combos may be called from several threads at once
-  /// AND its answers are independent of the query order. The parallel
-  /// resynthesis path queries non-concurrent oracles serially, in cone
-  /// order, so the --jobs=N result stays byte-identical to --jobs=1.
-  virtual bool concurrent() const { return false; }
 };
 
 class ReachabilityTable : public ReachabilityOracle {
@@ -62,9 +56,6 @@ class ReachabilityTable : public ReachabilityOracle {
   /// created after construction are rejected (returns an all-ones table:
   /// everything assumed reachable, which is always safe).
   TruthTable reachable_combos(const std::vector<NodeId>& nodes) const override;
-
-  /// Pure reads over the precomputed pattern bits: order-independent.
-  bool concurrent() const override { return true; }
 
   std::size_t tracked_nodes() const { return nodes_; }
 
@@ -95,10 +86,9 @@ class SatReachability : public ReachabilityOracle {
 
   /// Nodes created after construction (or dead at construction) make the
   /// result fall back to all-ones: everything assumed reachable.
+  /// Incremental solving mutates solver_, and learned clauses make budgeted
+  /// answers depend on the query order: resynthesis queries in cone order.
   TruthTable reachable_combos(const std::vector<NodeId>& nodes) const override;
-
-  /// Incremental solving mutates solver_ and learned clauses make budgeted
-  /// answers depend on the query order; inherits concurrent() == false.
 
  private:
   /// SAT-confirmed functional equality of two encoded nodes (memoized).

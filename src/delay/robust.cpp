@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "exec/exec.hpp"
-
 namespace compsyn {
 
 bool robustly_tests(const Netlist& nl, const Path& path, bool rising,
@@ -166,20 +164,12 @@ PdfTestability count_robustly_testable(const Netlist& nl,
   PdfTestability out;
   const auto paths = enumerate_paths(nl, path_cap);
   out.total_faults = 2 * paths.size();
-  // Each path-delay fault (path, transition) is tested independently against
-  // the read-only netlist; fan the fault list out over the exec layer and
-  // sum the testable counts (a commutative fold: jobs-invariant). Item 2i is
-  // path i rising, 2i+1 falling, matching the serial enumeration order.
-  nl.topo_order();
-  nl.fanouts();  // warm the lazy caches before the parallel region
-  out.testable = parallel_reduce<std::size_t>(
-      2 * paths.size(), kDefaultGrain, 0,
-      [&](std::size_t i) -> std::size_t {
-        const Path& p = paths[i / 2];
-        const bool rising = (i % 2) == 0;
-        return find_robust_test(nl, p, rising, exhaustive_limit) ? 1 : 0;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; });
+  // Each path is tested for its rising and its falling transition.
+  for (const Path& p : paths) {
+    for (const bool rising : {true, false}) {
+      if (find_robust_test(nl, p, rising, exhaustive_limit)) ++out.testable;
+    }
+  }
   return out;
 }
 

@@ -26,7 +26,7 @@
 // of live faults pay only for their paths.
 //
 // The simulator is serial: detected sets, first-detecting patterns and the
-// fsim.* counters do not depend on --jobs.
+// fsim.* counters are a pure function of the netlist, faults and patterns.
 #pragma once
 
 #include <cstdint>

@@ -11,7 +11,7 @@ bool bench_normalize_v2(Json doc, Json* out, std::string* error) {
   };
   if (!doc.is_object()) return fail("bench report is not a JSON object");
   // Legacy hand-authored summary shape ({"bench": ..., "runs": [...]}, used
-  // by the jobs/sat sweep files): lift it into v2 with the sweep rows as a
+  // by earlier sweep files): lift it into v2 with the sweep rows as a
   // "runs" section and everything else as meta.
   const Json* bench = doc.find("bench");
   const Json* runs = doc.find("runs");

@@ -38,7 +38,6 @@ namespace {
 
 struct Event {
   char ph;                // 'X', 'i', 'C'
-  std::uint32_t tid;
   std::uint64_t ts_ns;    // relative to open()
   std::uint64_t dur_ns;   // 'X' only
   double value;           // counter sample
@@ -53,7 +52,6 @@ struct Collector {
 };
 
 std::atomic<bool> g_open{false};
-thread_local std::uint32_t t_track = 0;
 
 Collector& collector() {
   static Collector* c = new Collector();  // leaked: events may land at exit
@@ -66,7 +64,7 @@ void push(char ph, std::uint64_t at_ns, std::uint64_t dur_ns, double value,
   Collector& c = collector();
   std::lock_guard<std::mutex> lock(c.mu);
   const std::uint64_t ts = at_ns >= c.epoch_ns ? at_ns - c.epoch_ns : 0;
-  c.events.push_back({ph, t_track, ts, dur_ns, value, std::string(name)});
+  c.events.push_back({ph, ts, dur_ns, value, std::string(name)});
 }
 
 /// ts in fractional microseconds, the unit the trace-event format uses.
@@ -78,7 +76,7 @@ Json event_json(const Event& e) {
   o.set("ph", std::string(1, e.ph));
   o.set("ts", ts_us(e.ts_ns));
   o.set("pid", std::uint64_t{1});
-  o.set("tid", static_cast<std::uint64_t>(e.tid));
+  o.set("tid", std::uint64_t{0});
   if (e.ph == 'X') o.set("dur", ts_us(e.dur_ns));
   if (e.ph == 'i') o.set("s", "t");
   if (e.ph == 'C') {
@@ -89,13 +87,13 @@ Json event_json(const Event& e) {
   return o;
 }
 
-Json metadata_json(const char* what, std::uint32_t tid, const std::string& name) {
+Json metadata_json(const char* what, const std::string& name) {
   Json o = Json::object();
   o.set("name", what);
   o.set("ph", "M");
   o.set("ts", 0.0);
   o.set("pid", std::uint64_t{1});
-  o.set("tid", static_cast<std::uint64_t>(tid));
+  o.set("tid", std::uint64_t{0});
   Json args = Json::object();
   args.set("name", name);
   o.set("args", std::move(args));
@@ -105,23 +103,14 @@ Json metadata_json(const char* what, std::uint32_t tid, const std::string& name)
 std::string trace_text(std::vector<Event> events) {
   // Buffer order is close order; a slice is pushed after the work it
   // describes. Sort by start time (stable, so equal stamps keep close
-  // order); per thread the recorded intervals nest in real time.
+  // order); the recorded intervals nest in real time.
   std::stable_sort(events.begin(), events.end(),
                    [](const Event& a, const Event& b) {
                      return a.ts_ns < b.ts_ns;
                    });
   Json out = Json::array();
-  out.push(metadata_json("process_name", 0, "compsyn"));
-  // One thread-name metadata event per track seen, in track order.
-  std::vector<std::uint32_t> tracks;
-  for (const Event& e : events) tracks.push_back(e.tid);
-  std::sort(tracks.begin(), tracks.end());
-  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
-  for (std::uint32_t t : tracks) {
-    out.push(metadata_json("thread_name", t,
-                           t == 0 ? "main/worker-0"
-                                  : "worker-" + std::to_string(t)));
-  }
+  out.push(metadata_json("process_name", "compsyn"));
+  if (!events.empty()) out.push(metadata_json("thread_name", "main"));
   for (const Event& e : events) out.push(event_json(e));
   Json doc = Json::object();
   doc.set("traceEvents", std::move(out));
@@ -179,7 +168,6 @@ void ChromeTrace::record_counter(std::string_view name, double value) {
   push('C', now_ns(), 0, value, name);
 }
 
-void ChromeTrace::set_thread_track(std::uint32_t track) { t_track = track; }
 
 }  // namespace compsyn
 

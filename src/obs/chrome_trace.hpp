@@ -6,8 +6,7 @@
 // The sink exists only after open(); it is not a gate. Spans (obs/trace.hpp)
 // that the level lets record hand their label, start and duration here when
 // they close, so the trace shows the same labels as the aggregate report,
-// with per-thread tracks fed by the exec layer's worker ids
-// (set_thread_track, called from the pool's worker loop). Compiled out
+// all on one track: the flow runs on one thread. Compiled out
 // entirely under -DCOMPSYN_TRACE=0, where flush() still writes a valid,
 // empty trace.
 //
@@ -62,10 +61,6 @@ class ChromeTrace {
     if (obs_level() == ObsLevel::extended) record_counter(name, value);
   }
 
-  /// Sets the calling thread's track id (chrome `tid`). Track 0 is the
-  /// main thread; the exec pool assigns its worker ids.
-  static void set_thread_track(std::uint32_t track);
-
  private:
   static void record_instant(std::string_view name);
   static void record_counter(std::string_view name, double value);
@@ -82,7 +77,6 @@ class ChromeTrace {
   static void record(std::string_view, std::uint64_t, std::uint64_t) {}
   static void instant(std::string_view) {}
   static void counter(std::string_view, double) {}
-  static void set_thread_track(std::uint32_t) {}
 };
 
 #endif

@@ -6,9 +6,6 @@
 // two registries. Threads route through their *bound* domain
 // (thread-local, RAII ObsDomainBind), defaulting to the process domain,
 // so one-shot binaries never bind one and behave exactly as before.
-// Exec-pool workers inherit the domain of the thread that opened the
-// parallel region, so spans and counters recorded from workers land in
-// the right lane's report.
 //
 // Only Counters and the aggregate span table (Trace) live in a domain: run
 // reports embed exactly those two sections unconditionally. Histograms,

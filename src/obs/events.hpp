@@ -11,7 +11,7 @@
 //   progress   -- {"phase": <sweep>, "done": N, "total": M}; emitted at
 //                 deterministic commit points with a fixed work stride, so
 //                 the progress record sequence (ignoring t_ms) is identical
-//                 at any --jobs value
+//                 on every run
 //   heartbeat  -- {"phase": ..., "elapsed_s": ...}; time-gated (explicitly
 //                 non-deterministic -- consumers needing determinism drop it)
 //   milestone  -- {"what": "checkpoint.write" | "budget.exhausted" |

@@ -6,8 +6,7 @@
 // in [2^k, 2^(k+1)) ns (bucket 0 also absorbs 0) -- so the bucket layout is
 // a constant of the binary, never of the data. Bucket *counts* are timing
 // data and vary run to run, but the total sample count per histogram is a
-// pure function of the work performed, hence jobs-invariant (tested at
-// --jobs=1 vs --jobs=8).
+// pure function of the work performed.
 //
 // Samples come from Sample spans (obs/trace.hpp), which record only at
 // ObsLevel::extended, so plain --report runs keep byte-identical reports.

@@ -55,7 +55,7 @@ void telemetry_progress(std::string_view phase, std::uint64_t done,
   if (obs_level() < ObsLevel::extended) return;
 
   // Event-log record at a fixed work stride (plus the final tick), so the
-  // progress sequence is a function of the work, not of --jobs or timing.
+  // progress sequence is a function of the work, not of timing.
   if (EventLog::active() &&
       (done % kProgressStride == 0 || done == total)) {
     EventLog::progress(phase, done, total);

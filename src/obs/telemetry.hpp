@@ -6,10 +6,10 @@
 //  * hot cones  -- per-root candidate-search time summed per Root span
 //    label (the root gate's name); the report's "hot_cones" section.
 //  * telemetry_progress() -- deterministic commit-point progress ticks from
-//    the engines (resynthesis root sweep, redundancy-removal windows). Feeds
-//    the --events log at a fixed work stride (jobs-invariant sequence) and
-//    the --progress stderr heartbeat (time-gated one-liner; stderr only, so
-//    stdout stays untouched).
+//    the engines (resynthesis root sweep, redundancy-removal fault sweep).
+//    Feeds the --events log at a fixed work stride (deterministic sequence)
+//    and the --progress stderr heartbeat (time-gated one-liner; stderr only,
+//    so stdout stays untouched).
 #pragma once
 
 #include <cstddef>
@@ -39,7 +39,7 @@ struct HotCone {
   std::uint64_t cones = 0;  // cones evaluated under this root
 };
 
-/// Work stride between event-log progress records (fixed, jobs-invariant).
+/// Work stride between event-log progress records (fixed, deterministic).
 inline constexpr std::uint64_t kProgressStride = 16;
 
 #if COMPSYN_TRACE

@@ -4,9 +4,7 @@
 // returns Unknown", "the 2nd oracle query times out", "the budget trips at
 // tick 5000", "exit hard after the 1st checkpoint write". Counters are
 // global atomics, so a plan replays identically on every run with the same
-// input and flags (at --jobs=1 exactly; at higher job counts the *set* of
-// events is fixed even when several threads race to the counter, because
-// fetch_add hands out each ordinal exactly once).
+// input and flags.
 //
 // Hooks are free functions that engines call at the matching points; with
 // no plan installed they compile down to one relaxed atomic load. The plan

@@ -19,8 +19,7 @@ namespace {
 // Leaked-static style is unnecessary: Slot is trivially destructible.
 Slot g_default_slot;
 
-// The calling thread's bound slot (nullptr = use the default). Exec-pool
-// workers bind the region opener's slot around each chunk; serve lanes
+// The calling thread's bound slot (nullptr = use the default). Serve lanes
 // bind their private slot around the job loop.
 thread_local Slot* t_slot = nullptr;
 
@@ -154,8 +153,8 @@ StopReason stop_reason() {
   if (cancel_requested()) return cancel_reason();
   if (budget_exhausted()) {
     // First observation of the trip gets a telemetry milestone. Emitted
-    // here -- a serial decision point -- rather than in charge(), which runs
-    // on worker threads in the hot path.
+    // here -- a decision point -- rather than in charge(), which runs in
+    // the hot path.
     static std::atomic<bool> announced{false};
     if (!announced.exchange(true, std::memory_order_relaxed)) {
       ChromeTrace::instant("budget.exhausted");

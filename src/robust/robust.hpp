@@ -4,20 +4,18 @@
 //
 // * Budget — counts abstract work *ticks* (cones evaluated, SAT conflicts,
 //   PODEM backtracks, fault-sim blocks). Engines charge ticks for work they
-//   have COMPLETED and consult the budget only at serial commit points
-//   (between roots in the resynthesis sweep, between commit windows in
-//   redundancy removal). Because the work performed before each commit
-//   point is a pure function of the input — the exec layer's chunk
-//   partition never depends on the job count — the tick total observed at
-//   every decision point is identical at any --jobs, so `--budget=N` stops
-//   at the same place bit-for-bit on every run. The budget never throws:
-//   engines notice `should_stop()` and wind down, committing only
-//   fully-verified work.
+//   have COMPLETED and consult the budget only at commit points (between
+//   roots in the resynthesis sweep, between faults in redundancy removal).
+//   Because the work performed before each commit point is a pure function
+//   of the input, the tick total observed at every decision point is too,
+//   so `--budget=N` stops at the same place bit-for-bit on every run. The
+//   budget never throws: engines notice `should_stop()` and wind down,
+//   committing only fully-verified work.
 //
 // * Cancellation — an asynchronous flag set by a signal handler, the
 //   deadline watchdog, or `request_cancel()`. It is checked at frequent
-//   poll points (exec chunk loops, solver iterations) and surfaces as a
-//   `CancelledError` thrown from `poll_cancellation()`. Where the flag
+//   poll points (every cone in resynthesis, solver iterations) and surfaces
+//   as a `CancelledError` thrown from `poll_cancellation()`. Where the flag
 //   happens to be observed depends on wall-clock timing, so cancellation is
 //   documented non-deterministic; the contract is weaker but still strong:
 //   the run winds down at the next poll point, commits nothing unverified,
@@ -31,8 +29,6 @@
 // process-default slot (exactly the old process-global behaviour), while
 // the serving daemon binds a private slot per job lane (SlotBind) so one
 // lane's budget trip or per-job deadline can never stop a neighbour's job.
-// Exec-pool workers inherit the slot of the thread that opened the parallel
-// region, so ticks charged from workers land on the right lane.
 //
 // Signals are the exception: SIGINT/SIGTERM must stop the whole process,
 // not one lane, so a signal cancellation is recorded process-globally and
@@ -83,8 +79,7 @@ inline RunStatus run_status_for(StopReason r) {
 
 /// Counts work ticks against an optional limit. `limit == 0` means
 /// unlimited (counting still happens so reports can show ticks consumed).
-/// The counter is atomic: engines may charge from worker threads; the
-/// *decision* to stop is only ever taken at serial points.
+/// The *decision* to stop is only taken at commit points.
 class Budget {
  public:
   explicit Budget(std::uint64_t limit = 0, std::uint64_t consumed = 0)
@@ -105,7 +100,7 @@ class Budget {
 /// One isolation unit of robustness state: the installed budget and any
 /// pending (non-signal) cancellation. The process has a default slot that
 /// unbound threads share; a serving lane owns a private one. All members
-/// are lock-free atomics -- reads are wait-free from workers and handlers.
+/// are lock-free atomics -- reads are wait-free from lanes and handlers.
 struct Slot {
   std::atomic<Budget*> budget{nullptr};
   std::atomic<int> cancel_reason{0};  // 0 = none, else StopReason value
@@ -119,8 +114,7 @@ Slot& default_slot();
 Slot& current_slot();
 
 /// Binds `s` as the calling thread's slot for a scope. Used by serving
-/// lanes (around their job loop) and by exec-pool workers (around each
-/// region, inheriting the region opener's slot). Nests by restoration.
+/// lanes (around their job loop). Nests by restoration.
 class SlotBind {
  public:
   explicit SlotBind(Slot& s);
@@ -199,7 +193,7 @@ struct CancelledError : std::runtime_error {
 
 /// Poll point: throws CancelledError when cancellation is pending. Budget
 /// exhaustion never throws here — the budget stops runs only at serial
-/// decision points, keeping its behaviour jobs-invariant.
+/// decision points, keeping its behaviour deterministic.
 inline void poll_cancellation() {
   if (cancel_requested()) throw CancelledError(cancel_reason());
 }

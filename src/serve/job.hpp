@@ -41,7 +41,7 @@ Json job_error_report(const char* status, const std::string& message);
 /// Resets the global state a fresh resynth_flow process would not have:
 /// obs counters/distributions, span aggregates, histograms, extended
 /// telemetry, and this thread's exact-identification memo. Must run on the
-/// executor thread, outside any parallel region, with no job in flight.
+/// executor thread with no job in flight.
 void begin_job_isolation();
 
 /// Runs one job to completion on the calling thread. Installs the per-job

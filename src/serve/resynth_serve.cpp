@@ -40,7 +40,6 @@ int serve_main(int argc, char** argv) {
                        : config.socket_path.empty()) {
     std::cerr << "usage: resynth_serve --socket=PATH | --stdio\n"
                  "  [--lanes=N]        concurrent job lanes (default 1)\n"
-                 "  [--jobs=N]         exec workers per lane (default 1)\n"
                  "  [--cache-mb=MB]    result cache budget (default 64)\n"
                  "  [--wal=PATH]       crash-safe job journal (default off)\n"
                  "  [--queue-max=N]    admission bound, 0=unbounded "
@@ -61,13 +60,6 @@ int serve_main(int argc, char** argv) {
     return robust::kExitUsage;
   }
   config.lanes = static_cast<unsigned>(lanes);
-  const int jobs = cli.get_int("jobs", 1);
-  if (jobs < 1) {
-    std::cerr << "error: --jobs=" << cli.get("jobs")
-              << " (expected a positive integer)\n";
-    return robust::kExitUsage;
-  }
-  config.jobs_per_lane = static_cast<unsigned>(jobs);
   config.queue_max = cli.get_u64("queue-max", 256);
   config.client_max = static_cast<unsigned>(cli.get_u64("client-max", 0));
   config.watchdog_seconds = cli.get_double("watchdog", 0.0);

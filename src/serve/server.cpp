@@ -98,7 +98,6 @@ Server::Connection::~Connection() {
 Server::Server(ServerConfig config)
     : config_(std::move(config)), cache_(config_.cache_bytes) {
   if (config_.lanes < 1) config_.lanes = 1;
-  if (config_.jobs_per_lane < 1) config_.jobs_per_lane = 1;
 }
 
 Server::~Server() {
@@ -660,12 +659,11 @@ void Server::recover_wal() {
 // ---------------------------------------------------------------------------
 
 void Server::lane_loop(Lane& lane) {
-  // Everything below these binds -- job execution, exec regions, obs
-  // recording, budget/deadline/cancel checks -- resolves to this lane's
-  // private state (DESIGN.md §15.1).
+  // Everything below these binds -- job execution, obs recording,
+  // budget/deadline/cancel checks -- resolves to this lane's private state
+  // (DESIGN.md §15.1).
   robust::SlotBind slot_bind(lane.slot);
   ObsDomainBind domain_bind(lane.domain);
-  ExecPoolBind pool_bind(lane.pool);
   for (;;) {
     Pending job;
     bool have = false;
@@ -886,7 +884,7 @@ int Server::run() {
   // ---- lanes up, then monitor until they all retire ----
   lanes_.reserve(config_.lanes);
   for (unsigned i = 0; i < config_.lanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>(i, config_.jobs_per_lane));
+    lanes_.push_back(std::make_unique<Lane>(i));
   }
   lanes_running_.store(config_.lanes);
   for (auto& lane : lanes_) {

@@ -4,9 +4,9 @@
 // independent *lanes*. A listener thread accepts connections (Unix-domain
 // socket) and one reader thread per connection decodes frames and
 // enqueues jobs; `--lanes=N` lane threads drain the FIFO queue, each
-// owning a private robust slot (budget/deadline/cancel state), a private
-// obs domain (counters/spans), and a private exec pool -- so no two jobs
-// share any mutable engine state, and every artifact is byte-identical to
+// owning a private robust slot (budget/deadline/cancel state) and a
+// private obs domain (counters/spans) -- so no two jobs share any mutable
+// engine state, and every artifact is byte-identical to
 // a fresh one-shot `resynth_flow` at any lane count (DESIGN.md §15.1).
 // The thread that called run() is the *monitor*: it promotes signals to
 // an abort drain and fires the hung-lane watchdog.
@@ -48,7 +48,6 @@
 #include <thread>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "obs/domain.hpp"
 #include "robust/robust.hpp"
 #include "serve/cache.hpp"
@@ -63,7 +62,6 @@ struct ServerConfig {
   std::uint64_t cache_bytes = 64ull * 1024 * 1024;
   std::string events_path;  // compsyn-events-v1 JSONL ("" = off)
   unsigned lanes = 1;       // concurrent job lanes
-  unsigned jobs_per_lane = 1;  // exec workers inside each lane's pool
   std::string wal_path;     // job journal ("" = journaling off)
   std::size_t queue_max = 256;  // admission bound (0 = unbounded)
   unsigned client_max = 0;  // per-connection in-flight cap (0 = none)
@@ -71,8 +69,8 @@ struct ServerConfig {
 };
 
 /// Daemon counters, exposed by the {"type":"stats"} message and mirrored
-/// into serve.* keys of the bench_serve report. Tallies follow the §9
-/// jobs-invariant discipline: they count *events* (jobs shed, watchdog
+/// into serve.* keys of the bench_serve report. Tallies are deterministic
+/// by construction: they count *events* (jobs shed, watchdog
 /// fires), never timing, so a replay under identical load sees identical
 /// values at lanes=1; at lanes>1 only scheduling-dependent tallies
 /// (cache hits vs executions racing on the same key) may differ -- the
@@ -153,13 +151,12 @@ class Server {
     unsigned index = 0;
     robust::Slot slot;
     ObsDomain domain;
-    ExecPool pool;
     std::thread thread;
     std::atomic<std::uint64_t> busy_since_ms{0};  // 0 = idle
     std::atomic<std::uint64_t> current_seq{0};
     std::uint64_t watchdog_kicked_seq = ~0ull;  // monitor thread only
 
-    explicit Lane(unsigned idx, unsigned jobs) : index(idx), pool(jobs) {}
+    explicit Lane(unsigned idx) : index(idx) {}
   };
 
   enum class Drain { None, Graceful, Abort };

@@ -1,26 +1,17 @@
 // Static pattern compaction and deterministic X-fill (DESIGN.md §16).
 // The load-bearing invariant: replaying the compacted pattern set re-detects
 // byte-exactly the faults the full X-filled set detected -- checked across
-// circuits, fill seeds, RTPG seeds, X-free and X-heavy inputs, and job
-// counts. X-fill is a pure function of (seed, pattern index, input index).
+// circuits, fill seeds, RTPG seeds, and X-free and X-heavy inputs. X-fill is a pure function of (seed, pattern index, input index).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
 #include "atpg/compact.hpp"
 #include "atpg/guided.hpp"
-#include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 
 namespace compsyn {
 namespace {
-
-/// Restores the job count on scope exit.
-struct JobsGuard {
-  JobsGuard() : prev(jobs()) {}
-  ~JobsGuard() { set_jobs(prev); }
-  unsigned prev;
-};
 
 std::size_t popcount(const std::vector<char>& bm) {
   std::size_t n = 0;
@@ -127,30 +118,6 @@ TEST(Compact, ReverseElectionIsIdempotent) {
       compact_patterns(nl, g.faults, once.patterns, {gopt.fill_seed});
   EXPECT_EQ(twice.patterns, once.patterns);
   EXPECT_EQ(twice.detected, once.detected);
-}
-
-TEST(Compact, JobsInvariant) {
-  // The compactor rides on the fault simulator's jobs-invariant contract:
-  // kept subset and detected bitmap are byte-equal at jobs=1 and jobs=4.
-  JobsGuard guard;
-  Netlist nl = make_benchmark("cmp8");
-  for (std::uint64_t seed : {0x7007ull, 5ull}) {
-    GuidedAtpgOptions gopt;
-    gopt.backtrack_limit = 0;
-    gopt.rtpg.seed = seed;
-    set_jobs(1);
-    const GuidedAtpgResult g1 = guided_atpg(nl, gopt);
-    const CompactionResult c1 =
-        compact_patterns(nl, g1.faults, g1.patterns, {gopt.fill_seed});
-    set_jobs(4);
-    const GuidedAtpgResult g4 = guided_atpg(nl, gopt);
-    const CompactionResult c4 =
-        compact_patterns(nl, g4.faults, g4.patterns, {gopt.fill_seed});
-    EXPECT_EQ(g1.patterns, g4.patterns) << "seed " << seed;
-    EXPECT_EQ(c1.patterns, c4.patterns) << "seed " << seed;
-    EXPECT_EQ(c1.detected, c4.detected) << "seed " << seed;
-    EXPECT_EQ(c1.detected_count, c4.detected_count) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // Detected/Untestable status for every fault; under a finite budget the
 // only permitted difference is Aborted resolving to a real verdict.
 // The guided_atpg pipeline inherits the same invariant across strategy and
-// fault-order combinations, and is byte-identical at --jobs=1 and --jobs=4.
+// fault-order combinations.
 // PinnedSearchDigests freezes the search itself: every field of every result
 // under every strategy must match digests recorded from the full-sweep
 // implication engine, so an implication rewrite cannot move a single
@@ -19,20 +19,12 @@
 #include "atpg/guided.hpp"
 #include "atpg/podem.hpp"
 #include "atpg/scoap.hpp"
-#include "exec/exec.hpp"
 #include "faults/fault_sim.hpp"
 #include "gen/circuits.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
 namespace {
-
-/// Restores the job count on scope exit.
-struct JobsGuard {
-  JobsGuard() : prev(jobs()) {}
-  ~JobsGuard() { set_jobs(prev); }
-  unsigned prev;
-};
 
 constexpr BacktracePolicy kBacktrace[] = {
     BacktracePolicy::Legacy, BacktracePolicy::Level, BacktracePolicy::Scoap};
@@ -336,30 +328,6 @@ TEST(AtpgDifferential, GuidedPipelineVerdictInvariant) {
       }
     }
   }
-}
-
-TEST(AtpgDifferential, GuidedPipelineJobsInvariant) {
-  // The pipeline opens no parallel region (the fault simulator is serial);
-  // the whole result must be byte-equal at jobs=1 and jobs=4 all the same.
-  JobsGuard guard;
-  Netlist nl = make_benchmark("cmp8");
-  GuidedAtpgOptions opt;
-  opt.backtrack_limit = 0;
-  opt.strategy = {BacktracePolicy::Scoap, FrontierPolicy::Scoap};
-  opt.order = FaultOrderPolicy::HardFirst;
-  set_jobs(1);
-  const GuidedAtpgResult a = guided_atpg(nl, opt);
-  set_jobs(4);
-  const GuidedAtpgResult b = guided_atpg(nl, opt);
-  EXPECT_EQ(a.status, b.status);
-  EXPECT_EQ(a.patterns, b.patterns);
-  EXPECT_EQ(a.detected, b.detected);
-  EXPECT_EQ(a.untestable, b.untestable);
-  EXPECT_EQ(a.podem_calls, b.podem_calls);
-  EXPECT_EQ(a.backtracks, b.backtracks);
-  EXPECT_EQ(a.rtpg.patterns_applied, b.rtpg.patterns_applied);
-  EXPECT_EQ(a.rtpg.patterns_kept, b.rtpg.patterns_kept);
-  EXPECT_EQ(a.rtpg.detected, b.rtpg.detected);
 }
 
 }  // namespace

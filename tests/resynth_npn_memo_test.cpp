@@ -2,8 +2,7 @@
 // (core/comparison.cpp, IdentifyOptions::npn_memo) must be invisible in
 // results -- identical resynthesized netlists, stats, and path counts on
 // real Table 2 suite circuits, with the memo only changing how much search
-// runs. Also exercised at --jobs=4 so the thread-local orbit tier runs
-// under real exec-layer parallelism (this test is in the TSan CI tier).
+// runs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,7 +11,6 @@
 #include "bench_io/bench_io.hpp"
 #include "core/comparison.hpp"
 #include "core/resynth.hpp"
-#include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 #include "paths/paths.hpp"
 
@@ -27,9 +25,8 @@ struct RunOut {
   std::uint64_t replacements = 0;
 };
 
-RunOut run_one(const std::string& name, bool npn_memo, unsigned jobs,
+RunOut run_one(const std::string& name, bool npn_memo,
                ResynthObjective objective) {
-  set_jobs(jobs);
   // Fresh memo state per run so hit/miss history cannot leak between the
   // on and off arms (results must not depend on it either way).
   clear_exact_identification_memo();
@@ -54,18 +51,15 @@ TEST_P(NpnMemoDifferential, IdenticalNetlistsWithMemoOnAndOff) {
   const std::string name = GetParam();
   for (const ResynthObjective objective :
        {ResynthObjective::Gates, ResynthObjective::Paths}) {
-    const RunOut off = run_one(name, /*npn_memo=*/false, /*jobs=*/1, objective);
-    for (unsigned jobs : {1u, 4u}) {
-      const RunOut on = run_one(name, /*npn_memo=*/true, jobs, objective);
-      EXPECT_EQ(on.bench, off.bench)
-          << name << ": netlist differs with npn_memo on (jobs=" << jobs << ")";
-      EXPECT_EQ(on.gates, off.gates) << name;
-      EXPECT_EQ(on.paths, off.paths) << name;
-      EXPECT_EQ(on.passes, off.passes) << name;
-      EXPECT_EQ(on.replacements, off.replacements) << name;
-    }
+    const RunOut off = run_one(name, /*npn_memo=*/false, objective);
+    const RunOut on = run_one(name, /*npn_memo=*/true, objective);
+    EXPECT_EQ(on.bench, off.bench)
+        << name << ": netlist differs with npn_memo on";
+    EXPECT_EQ(on.gates, off.gates) << name;
+    EXPECT_EQ(on.paths, off.paths) << name;
+    EXPECT_EQ(on.passes, off.passes) << name;
+    EXPECT_EQ(on.replacements, off.replacements) << name;
   }
-  set_jobs(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table2, NpnMemoDifferential,
@@ -76,7 +70,6 @@ TEST(NpnMemoStats, OrbitTierActuallyEngages) {
   // Sanity that the differential above is not vacuous: the on-arm must
   // canonicalize and reuse. Stats are process-global monotone tallies, so
   // compare snapshots around a fresh-memo run.
-  set_jobs(1);
   clear_exact_identification_memo();
   const NpnIdentifyStats before = npn_identify_stats();
   Netlist nl = make_benchmark("cmp8");

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "bench_io/bench_io.hpp"
 #include "core/resynth.hpp"
+#include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
 #include "paths/paths.hpp"
+#include "robust/checkpoint.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -247,6 +251,71 @@ TEST(Resynth, PreservesPrimaryOutputCount) {
   procedure2(nl, 5);
   EXPECT_EQ(nl.outputs().size(), n_out);
   EXPECT_EQ(nl.inputs().size(), n_in);
+}
+
+// Pinned resynthesis digests. Each candidate of a root is folded into the
+// best one in a fixed order: cones in enumeration order, and per cone the
+// base specs, then the don't-care specs, then the multi-unit rewrite; a
+// fold replaces only on "strictly better", so ties go to the earliest
+// candidate, and sampled identification draws from one Rng in that same
+// order. The digests below pin the netlists and stats of runs that depend
+// on that order. They were recorded from the cone-parallel sweep the
+// current loop replaced, and each one changes when the cones are folded in
+// reverse or the don't-care specs are folded before the base specs.
+enum class PinnedMode {
+  Sampled,   // sampled identification and don't-cares share one Rng
+  SdcTable,  // don't-cares from the exhaustive ReachabilityTable
+  SdcSat,    // don't-cares from the SatReachability oracle
+};
+
+struct PinnedRun {
+  const char* circuit;
+  unsigned k;
+  PinnedMode mode;
+  std::uint64_t digest;
+};
+
+std::uint64_t resynth_digest(const PinnedRun& run) {
+  Netlist nl = make_benchmark(run.circuit);
+  Rng rng(0x5A3D);
+  ResynthOptions opt;
+  opt.k = run.k;
+  opt.max_units = 3;
+  opt.use_sdc = true;
+  switch (run.mode) {
+    case PinnedMode::Sampled:
+      opt.identify.exact = false;
+      opt.identify.sample_tries = 24;
+      opt.identify.rng = &rng;
+      break;
+    case PinnedMode::SdcTable:
+      opt.sdc_max_inputs = 16;
+      break;
+    case PinnedMode::SdcSat:
+      opt.sdc_max_inputs = 0;
+      break;
+  }
+  const ResynthStats st = resynthesize(nl, opt);
+  std::ostringstream os;
+  os << "passes=" << st.passes << " repl=" << st.replacements
+     << " cones=" << st.cones_considered << " cmp=" << st.comparison_cones
+     << " gates=" << st.gates_after << " paths=" << st.paths_after << "\n"
+     << write_bench_string(nl.compacted());
+  return robust::fnv1a64(os.str());
+}
+
+TEST(Resynth, PinnedFoldOrderDigests) {
+  const PinnedRun runs[] = {
+      {"syn150", 4, PinnedMode::Sampled, 10482692196145292438ull},
+      {"alu4", 5, PinnedMode::SdcTable, 6825761207543630088ull},
+      {"cmp8", 6, PinnedMode::SdcTable, 12470321009898319817ull},
+      {"alu4", 5, PinnedMode::SdcSat, 6825761207543630088ull},
+      {"syn150", 4, PinnedMode::SdcSat, 10590739628857463573ull},
+  };
+  for (const PinnedRun& r : runs) {
+    EXPECT_EQ(resynth_digest(r), r.digest)
+        << r.circuit << " k=" << r.k << " mode " << static_cast<int>(r.mode);
+  }
 }
 
 }  // namespace

@@ -158,11 +158,10 @@ TEST(FlowCli, HaltResumeReproducesUninterruptedRun) {
                out_b + " syn150");
   EXPECT_EQ(halted.exit_code, 137) << halted.err;
 
-  // ...and resuming from that checkpoint (at a different job count) must
-  // produce the byte-identical final netlist.
+  // ...and resuming from that checkpoint must produce the byte-identical
+  // final netlist.
   const RunResult resumed =
-      run_flow(flags + "--resume=" + ck_b + " --jobs=4 --out=" + out_b +
-               " syn150");
+      run_flow(flags + "--resume=" + ck_b + " --out=" + out_b + " syn150");
   EXPECT_EQ(resumed.exit_code, ref.exit_code) << resumed.err;
   EXPECT_NE(resumed.out.find("resumed from"), std::string::npos) << resumed.out;
   const std::string bench_a = slurp(out_a);
@@ -226,18 +225,18 @@ TEST(FlowCli, SigintInterruptsWithParseableReport) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: a long multi-threaded run, stdout/stderr silenced.
+    // Child: a long run, stdout/stderr silenced.
     FILE* sink = std::fopen("/dev/null", "w");
     if (sink != nullptr) {
       dup2(fileno(sink), STDOUT_FILENO);
       dup2(fileno(sink), STDERR_FILENO);
     }
     const std::string report_flag = "--report=" + report;
-    execl(RESYNTH_FLOW_PATH, RESYNTH_FLOW_PATH, "--jobs=4", report_flag.c_str(),
+    execl(RESYNTH_FLOW_PATH, RESYNTH_FLOW_PATH, report_flag.c_str(),
           "syn1000", static_cast<char*>(nullptr));
     _exit(99);  // exec failed
   }
-  // Give the run time to spin up its workers, then interrupt it.
+  // Give the run time to get going, then interrupt it.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   ASSERT_EQ(kill(pid, SIGINT), 0);
   int raw = 0;
@@ -251,7 +250,7 @@ TEST(FlowCli, SigintInterruptsWithParseableReport) {
 }
 
 TEST(FlowCli, DeadlineInterruptsExit21) {
-  const RunResult r = run_flow("--deadline=0.05 --jobs=2 syn1000");
+  const RunResult r = run_flow("--deadline=0.05 syn1000");
   EXPECT_EQ(r.exit_code, 21) << r.out << r.err;
 }
 

@@ -562,7 +562,7 @@ TEST(ServeE2e, SigtermDrainsWithExit143AndUnlinkedSocket) {
 
 TEST(ServeE2e, LanesFourProducesByteIdenticalArtifactsToLanesOne) {
   // Cache off so every job actually executes on a lane; at --lanes=4 four
-  // jobs run concurrently, each on a private slot/domain/pool, and every
+  // jobs run concurrently, each on a private slot/domain, and every
   // artifact must still match the one-shot flow byte for byte.
   const std::vector<std::string> circuits = {"c17", "s27", "add8", "mux4"};
   const unsigned k = 5;

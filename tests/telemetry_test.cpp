@@ -1,6 +1,6 @@
 // Unit tests for the profile-grade telemetry layer (DESIGN.md §12): the
 // strict Chrome-trace checker, the Chrome sink fed by spans, the fixed
-// log-scale histograms (including jobs-invariance of sample counts), phase
+// log-scale histograms (including the sample counts of a flow), phase
 // and hot-cone attribution, the bench-v2 schema normalizer, and the Json
 // double round-trip contract the schemas rely on. Which sinks each span kind
 // reaches at each level is pinned by obs_test's sink matrix.
@@ -14,12 +14,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "atpg/redundancy.hpp"
 #include "core/resynth.hpp"
-#include "exec/exec.hpp"
 #include "gen/circuits.hpp"
 #include "obs/bench_schema.hpp"
 #include "obs/chrome_trace.hpp"
@@ -157,21 +155,14 @@ TEST_F(ChromeTraceTest, WritesCheckerCleanTrace) {
     const Span slice("slice", SpanKind::Sample);
   }
 
-  // A second thread records on its own track.
-  std::thread worker([] {
-    ChromeTrace::set_thread_track(1);
-    const Span sp("worker-span");
-  });
-  worker.join();
-
   std::string err;
   ASSERT_TRUE(ChromeTrace::flush(&err)) << err;
   const TraceCheckResult r = check_chrome_trace(slurp(path));
   EXPECT_TRUE(r.ok) << (r.errors.empty() ? "" : r.errors.front());
-  EXPECT_EQ(r.span_pairs, 4u);  // outer, inner, slice, worker-span
+  EXPECT_EQ(r.span_pairs, 3u);  // outer, inner, slice
   EXPECT_EQ(r.instants, 1u);
   EXPECT_EQ(r.counter_samples, 1u);
-  EXPECT_GE(r.thread_tracks, 2u);
+  EXPECT_EQ(r.thread_tracks, 1u);
   std::remove(path.c_str());
 }
 
@@ -230,19 +221,15 @@ TEST_F(HistogramTest, SnapshotIsNameSorted) {
 
 /// Runs one resynthesis, then redundancy removal behind a PODEM backtrack
 /// limit small enough to abort (so SAT decides some faults), and returns
-/// (name, count) per histogram. Counts are a pure function of the work
-/// performed, so they must not depend on the thread count.
-std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts(
-    unsigned jobs) {
+/// (name, count) per histogram.
+std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts() {
   Histogram::reset();
   telemetry_reset();
-  set_jobs(jobs);
   Netlist nl = make_benchmark("alu4");
   (void)procedure2(nl, 5);
   RedundancyRemovalOptions rr;
   rr.atpg.backtrack_limit = 2;
   (void)remove_redundancies(nl, rr);
-  set_jobs(1);
   std::vector<std::pair<std::string, std::uint64_t>> out;
   for (const HistStat& h : Histogram::snapshot()) {
     out.emplace_back(h.name, h.count);
@@ -250,17 +237,14 @@ std::vector<std::pair<std::string, std::uint64_t>> flow_hist_counts(
   return out;
 }
 
-TEST_F(HistogramTest, SampleCountsAreJobsInvariant) {
-  const auto serial = flow_hist_counts(1);
-  const auto parallel = flow_hist_counts(8);
+TEST_F(HistogramTest, FlowFillsOneHistogramPerSampleSpan) {
   std::vector<std::string> names;
-  for (const auto& [name, count] : serial) {
+  for (const auto& [name, count] : flow_hist_counts()) {
     names.push_back(name);
     EXPECT_GT(count, 0u) << name;
   }
   EXPECT_EQ(names, (std::vector<std::string>{"atpg.fault.ns", "resynth.cone.ns",
                                              "sat.query.ns"}));
-  EXPECT_EQ(serial, parallel);
 }
 
 // ----------------------------------------------------------------- phases --
