@@ -2,8 +2,7 @@
 // table): per circuit, Procedure 2 with
 //   * exact vs sampled (paper-style, 200 permutations) identification,
 //   * gate merging on vs off (Figure 4),
-//   * single-unit (paper) vs multi-unit replacement (Section 6, issue 2),
-//   * cone expand-slack 0 (paper's enumeration) vs the default slack.
+//   * single-unit (paper) vs multi-unit replacement (Section 6, issue 2).
 //
 // Flags: --circuits=a,b,c   --verify=sim|sat|both
 //        --report=<file>.json   --trace
@@ -53,12 +52,6 @@ int run_main(int argc, char** argv) {
     Variant v{"multi-unit<=4", {}};
     v.opt.k = 6;
     v.opt.max_units = 4;
-    variants.push_back(v);
-  }
-  {
-    Variant v{"paper-enum (slack 0)", {}};
-    v.opt.k = 6;
-    v.opt.cone_slack = 0;
     variants.push_back(v);
   }
 

@@ -55,8 +55,6 @@ int run_main() {
   Netlist before = nl.compacted();
   ResynthOptions opt;
   opt.k = 5;
-  opt.cone_slack = 8;      // let cones grow through the wide SOP
-  opt.max_cones = 20000;
   ResynthStats stats = resynthesize(nl, opt);
   std::cout << "Procedure 2: " << stats.replacements << " replacement(s), "
             << stats.gates_before << " -> " << stats.gates_after << " gates, "

@@ -27,6 +27,7 @@
 
 #include "atpg/redundancy.hpp"
 #include "bench_io/bench_io.hpp"
+#include "core/cones.hpp"
 #include "core/resynth.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
@@ -259,7 +260,12 @@ int flow_main(int argc, char** argv) {
   FlowConfig cfg;
   cfg.source = cli.positional()[0];
   cfg.proc = cli.get("proc", "2");
-  cfg.k = static_cast<unsigned>(cli.get_u64("k", 6));
+  const std::uint64_t k = cli.get_u64("k", 6);
+  if (k == 0 || k > CutDatabase::kMaxLeaves) {
+    std::cerr << "error: --k=" << k << " (expected 1 to 8)\n";
+    return robust::kExitUsage;
+  }
+  cfg.k = static_cast<unsigned>(k);
   cfg.weight_gates = cli.get_double("weight-gates", 1.0);
   cfg.weight_paths = cli.get_double("weight-paths", 1.0);
   cfg.verify_str = verify_str;

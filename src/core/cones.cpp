@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <iterator>
-#include <set>
 #include <stdexcept>
 
-#include "core/signature.hpp"
 #include "netlist/equivalence.hpp"
+#include "robust/robust.hpp"
 
 namespace compsyn {
 namespace {
@@ -23,162 +21,369 @@ bool is_const(const Netlist& nl, NodeId n) {
   return t == GateType::Const0 || t == GateType::Const1;
 }
 
-/// Per-thread scratch of enumerate_cones, reused across calls so a root's
-/// enumeration allocates nothing beyond the cones it returns.
-///
-/// Every derived interior -- accepted, or rejected for having too many
-/// leaves -- is stored once in `pool` and indexed by an open-addressing hash
-/// set keyed on a commutative hash of its members (the hash of I + {g} is the
-/// hash of I plus mix(g)); an exact compare against the stored interior
-/// confirms each hit, as the signature-keyed memos of core/signature.hpp do.
-struct EnumScratch {
-  struct Known {
-    std::uint64_t hash;
-    std::uint32_t off, len;  // interior in `pool`
-  };
-  struct State {
-    std::uint64_t hash;
-    std::uint32_t int_off, int_len, leaf_off, leaf_len;
-  };
-  std::vector<NodeId> pool;
-  std::vector<Known> known;
-  std::vector<std::uint32_t> slots;  // 1 + index into `known`; 0 = empty
-  std::vector<State> states;         // accepted cones in BFS order
-  std::vector<NodeId> interior;      // interior being derived
-  std::vector<NodeId> leaves;        // its leaves
-  std::vector<NodeId> fresh;         // leaves the absorbed gate brings in
+std::uint64_t sig_bit(NodeId n) { return 1ull << (n & 63); }
 
-  void reset() {
-    pool.clear();
-    known.clear();
-    slots.assign(64, 0);
-    states.clear();
-  }
-
-  /// True if `interior` (with hash h) was derived before.
-  bool seen(std::uint64_t h) const {
-    const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = h & mask; slots[i] != 0; i = (i + 1) & mask) {
-      const Known& k = known[slots[i] - 1];
-      if (k.hash == h && k.len == interior.size() &&
-          std::equal(interior.begin(), interior.end(), pool.begin() + k.off)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Stores `interior` (hash h) in the pool and the set; returns its offset.
-  std::uint32_t remember(std::uint64_t h) {
-    const auto off = static_cast<std::uint32_t>(pool.size());
-    pool.insert(pool.end(), interior.begin(), interior.end());
-    known.push_back({h, off, static_cast<std::uint32_t>(interior.size())});
-    if (2 * known.size() > slots.size()) {
-      slots.assign(2 * slots.size(), 0);
-      for (std::size_t j = 0; j < known.size(); ++j) place(j);
-    } else {
-      place(known.size() - 1);
-    }
-    return off;
-  }
-
-  /// Accepts `interior`/`leaves` (hash h) as the next BFS state.
-  void accept(std::uint64_t h) {
-    const std::uint32_t int_off = remember(h);
-    const auto leaf_off = static_cast<std::uint32_t>(pool.size());
-    pool.insert(pool.end(), leaves.begin(), leaves.end());
-    states.push_back({h, int_off, static_cast<std::uint32_t>(interior.size()),
-                      leaf_off, static_cast<std::uint32_t>(leaves.size())});
-  }
-
- private:
-  void place(std::size_t j) {
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = known[j].hash & mask;
-    while (slots[i] != 0) i = (i + 1) & mask;
-    slots[i] = static_cast<std::uint32_t>(j + 1);
-  }
+// kVarMask[v]: the word bits whose minterm has bit v set.
+constexpr std::uint64_t kVarMask[6] = {
+    0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+    0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
 };
 
-std::uint64_t member_hash(NodeId n) { return signature_mix(0, n); }
+/// Exchanges minterm bits a < b of a 6-variable word.
+std::uint64_t swap_vars(std::uint64_t t, unsigned a, unsigned b) {
+  const std::uint64_t m = kVarMask[a] & ~kVarMask[b];
+  const unsigned s = (1u << b) - (1u << a);
+  return (t & ~(m | (m << s))) | ((t & m) << s) | ((t >> s) & m);
+}
 
-Cone make_cone(NodeId root, const EnumScratch& s) {
-  Cone c;
-  c.root = root;
-  c.leaves = s.leaves;
-  c.interior = s.interior;
-  return c;
+/// Re-expresses a function over n_old sorted leaves as one over n_new
+/// leaves, where old leaf j is new leaf pos[j]. Leaf i of n sits at minterm
+/// bit n-1-i, and pos only moves leaves up, so handling the highest bit
+/// first always swaps into a bit the function does not depend on.
+std::uint64_t stretch(std::uint64_t f, unsigned n_old, const std::uint8_t* pos,
+                      unsigned n_new) {
+  for (unsigned j = 0; j < n_old; ++j) {
+    const unsigned from = n_old - 1 - j;
+    const unsigned to = n_new - 1 - pos[j];
+    if (from != to) f = swap_vars(f, from, to);
+  }
+  return f;
+}
+
+/// Union of two sorted leaf lists into `out`, recording where each side's
+/// leaves land. False when the union has more than k leaves.
+bool merge_leaves(std::span<const NodeId> a, std::span<const NodeId> b,
+                  unsigned k, NodeId* out, unsigned* n, std::uint8_t* pos_a,
+                  std::uint8_t* pos_b) {
+  std::size_t i = 0, j = 0;
+  unsigned m = 0;
+  while (i < a.size() || j < b.size()) {
+    if (m == k) return false;
+    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+      pos_a[i] = static_cast<std::uint8_t>(m);
+      out[m++] = a[i++];
+    } else if (i == a.size() || b[j] < a[i]) {
+      pos_b[j] = static_cast<std::uint8_t>(m);
+      out[m++] = b[j++];
+    } else {
+      pos_a[i] = pos_b[j] = static_cast<std::uint8_t>(m);
+      out[m++] = a[i++];
+      ++j;
+    }
+  }
+  *n = m;
+  return true;
+}
+
+std::uint64_t leaf_hash(const NodeId* leaves, unsigned n) {
+  std::uint64_t h = 0x243f6a8885a308d3ull ^ n;
+  for (unsigned i = 0; i < n; ++i) {
+    h = (h ^ leaves[i]) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  return h;
+}
+
+/// Advances a mark epoch; on wrap-around clears the marks it stamps.
+std::uint32_t next_epoch(std::uint32_t& epoch,
+                         std::initializer_list<std::vector<std::uint32_t>*> marks) {
+  if (++epoch == 0) {
+    for (auto* m : marks) std::fill(m->begin(), m->end(), 0);
+    epoch = 1;
+  }
+  return epoch;
 }
 
 }  // namespace
 
-std::vector<Cone> enumerate_cones(const Netlist& nl, NodeId root,
-                                  const ConeOptions& opt) {
+CutDatabase::CutDatabase(const Netlist& nl, unsigned max_leaves) : k_(max_leaves) {
+  if (k_ > kMaxLeaves) throw std::invalid_argument("cone leaf limit above 8");
+  build(nl, nl.topo_order());
+}
+
+CutDatabase::CutDatabase(const Netlist& nl, unsigned max_leaves, NodeId root)
+    : k_(max_leaves) {
+  if (k_ > kMaxLeaves) throw std::invalid_argument("cone leaf limit above 8");
   assert(is_gate(nl, root) && !nl.is_dead(root));
-  std::vector<Cone> out;
-  thread_local EnumScratch s;
-  s.reset();
-  const unsigned expand_limit = opt.max_leaves + opt.expand_slack;
-
-  // The seed cone {root}; constants never count as leaves (their values are
-  // folded into the cone function).
-  s.interior.assign(1, root);
-  s.leaves.clear();
-  for (NodeId f : nl.node(root).fanins) {
-    if (!is_const(nl, f)) s.leaves.push_back(f);
-  }
-  std::sort(s.leaves.begin(), s.leaves.end());
-  s.leaves.erase(std::unique(s.leaves.begin(), s.leaves.end()), s.leaves.end());
-  if (s.leaves.size() > expand_limit) return out;
-  s.accept(member_hash(root));
-  if (s.leaves.size() <= opt.max_leaves) out.push_back(make_cone(root, s));
-  std::size_t visited = 1;
-
-  // Breadth-first growth: states are expanded in the order they were
-  // accepted, which is level order, each deriving its children in ascending
-  // leaf order. This order fixes which cones a max_cones cap keeps and the
-  // order candidates are merged in, so tie-breaks depend on it.
-  for (std::size_t i = 0; i < s.states.size() && visited < opt.max_cones; ++i) {
-    const EnumScratch::State st = s.states[i];
-    for (std::uint32_t li = 0; li < st.leaf_len; ++li) {
-      const NodeId g = s.pool[st.leaf_off + li];
-      if (!is_gate(nl, g)) continue;  // primary inputs stay leaves
-
-      // I' = I + {g}, kept sorted.
-      const auto int_begin = s.pool.begin() + st.int_off;
-      const auto int_end = int_begin + st.int_len;
-      const auto at = std::lower_bound(int_begin, int_end, g);
-      s.interior.assign(int_begin, at);
-      s.interior.push_back(g);
-      s.interior.insert(s.interior.end(), at, int_end);
-      const std::uint64_t h = st.hash + member_hash(g);
-      if (s.seen(h)) continue;
-
-      // leaves(I') = (leaves(I) - {g}) + (fanins(g) - I' - constants).
-      s.fresh.clear();
-      for (NodeId f : nl.node(g).fanins) {
-        if (!is_const(nl, f) &&
-            !std::binary_search(s.interior.begin(), s.interior.end(), f)) {
-          s.fresh.push_back(f);
-        }
-      }
-      std::sort(s.fresh.begin(), s.fresh.end());
-      s.fresh.erase(std::unique(s.fresh.begin(), s.fresh.end()), s.fresh.end());
-      s.leaves.clear();
-      const auto leaf_begin = s.pool.begin() + st.leaf_off;
-      std::set_union(leaf_begin, leaf_begin + st.leaf_len, s.fresh.begin(),
-                     s.fresh.end(), std::back_inserter(s.leaves));
-      s.leaves.erase(std::lower_bound(s.leaves.begin(), s.leaves.end(), g));
-      if (s.leaves.size() > expand_limit) {
-        s.remember(h);  // rejected: never derived again
-        continue;
-      }
-      s.accept(h);
-      ++visited;
-      if (s.leaves.size() <= opt.max_leaves) out.push_back(make_cone(root, s));
-      if (visited >= opt.max_cones) break;
+  // The transitive fanin of root in depth-first post-order.
+  std::vector<NodeId> order;
+  std::vector<char> seen(nl.size(), 0);
+  std::vector<std::pair<NodeId, std::size_t>> stack{{root, 0}};
+  seen[root] = 1;
+  while (!stack.empty()) {
+    auto& [n, i] = stack.back();
+    const auto& fanins = nl.node(n).fanins;
+    if (i == fanins.size()) {
+      order.push_back(n);
+      stack.pop_back();
+      continue;
+    }
+    const NodeId f = fanins[i++];
+    if (!seen[f]) {
+      seen[f] = 1;
+      stack.push_back({f, 0});
     }
   }
+  build(nl, order);
+}
+
+std::span<const Cut> CutDatabase::cones(NodeId root) const {
+  if (root >= begin_.size() || begin_[root] == end_[root]) return {};
+  return {cuts_.data() + begin_[root] + 1, end_[root] - begin_[root] - 1};
+}
+
+TruthTable CutDatabase::function(const Cut& c) const {
+  assert(has_functions());
+  return TruthTable::from_word(c.num_leaves, c.function);
+}
+
+void CutDatabase::build(const Netlist& nl, std::span<const NodeId> topo) {
+  begin_.assign(nl.size(), 0);
+  end_.assign(nl.size(), 0);
+  stop_mark_.assign(nl.size(), 0);
+  seen_mark_.assign(nl.size(), 0);
+  for (NodeId n : topo) {
+    robust::poll_cancellation();
+    begin_[n] = static_cast<std::uint32_t>(cuts_.size());
+    Cut c;
+    c.leaf_off = static_cast<std::uint32_t>(leaf_pool_.size());
+    if (is_const(nl, n)) {
+      c.function = nl.node(n).type == GateType::Const1 ? ~0ull : 0ull;
+      cuts_.push_back(c);
+    } else {
+      c.leaf_sig = sig_bit(n);
+      c.function = kVarMask[0];
+      c.num_leaves = 1;
+      leaf_pool_.push_back(n);
+      cuts_.push_back(c);
+      if (is_gate(nl, n)) build_gate(nl, n);
+    }
+    end_[n] = static_cast<std::uint32_t>(cuts_.size());
+  }
+}
+
+void CutDatabase::build_gate(const Netlist& nl, NodeId g) {
+  const GateType type = nl.node(g).type;
+  enum class Op { And, Or, Xor } op = Op::Or;  // Buf and Not fold with OR
+  if (type == GateType::And || type == GateType::Nand) op = Op::And;
+  if (type == GateType::Xor || type == GateType::Xnor) op = Op::Xor;
+  const bool invert = is_inverting(type);
+  const bool functions = has_functions();
+
+  // Distinct fanins in first-occurrence order; a fanin repeated an even
+  // number of times cancels out of an XOR but still feeds the cone.
+  fanins_.clear();
+  for (NodeId f : nl.node(g).fanins) {
+    auto it = std::find_if(fanins_.begin(), fanins_.end(),
+                           [f](const auto& e) { return e.first == f; });
+    if (it == fanins_.end()) fanins_.push_back({f, true});
+    else it->second = !it->second;
+  }
+
+  cur_.clear();
+  cur_pool_.clear();
+  cur_.push_back({0, 0, op == Op::And ? ~0ull : 0ull, 0, 0});
+  roots_.clear();
+  NodeId merged[kMaxLeaves];
+  std::uint8_t pos_a[kMaxLeaves], pos_b[kMaxLeaves];
+  for (const auto& [f, odd] : fanins_) {
+    const bool folds = odd || op != Op::Xor;
+    const std::span<const Cut> fcuts(cuts_.data() + begin_[f], end_[f] - begin_[f]);
+    next_.clear();
+    next_pool_.clear();
+    slots_.assign(64, 0);
+    const NodeId self[1] = {f};
+    const std::span<const NodeId> f_root =
+        is_gate(nl, f) ? std::span<const NodeId>(self) : std::span<const NodeId>();
+
+    for (const Cut& p : cur_) {
+      const std::span<const NodeId> pl(cur_pool_.data() + p.leaf_off, p.num_leaves);
+      for (const Cut& c : fcuts) {
+        if (static_cast<unsigned>(std::popcount(p.leaf_sig | c.leaf_sig)) > k_) {
+          continue;
+        }
+        const std::span<const NodeId> cl = leaves(c);
+        unsigned n = 0;
+        if (!merge_leaves(pl, cl, k_, merged, &n, pos_a, pos_b)) continue;
+
+        // Already derived from another pair of cuts?
+        const std::uint64_t h = leaf_hash(merged, n);
+        std::size_t s = find_slot(h, merged, n);
+        if (slots_[s] != 0) continue;
+
+        // Pseudo-cut: a leaf of one side inside the other side's interior.
+        if ((p.interior_sig & c.leaf_sig) != 0 &&
+            reaches(nl, roots_, pl, cl, c.leaf_sig)) {
+          continue;
+        }
+        if ((c.interior_sig & p.leaf_sig) != 0 &&
+            reaches(nl, f_root, cl, pl, p.leaf_sig)) {
+          continue;
+        }
+
+        Cut q{p.leaf_sig | c.leaf_sig, p.interior_sig | c.interior_sig,
+              p.function, static_cast<std::uint32_t>(next_pool_.size()), n};
+        if (functions) {
+          const std::uint64_t a = stretch(p.function, p.num_leaves, pos_a, n);
+          const std::uint64_t b = stretch(c.function, c.num_leaves, pos_b, n);
+          q.function = !folds          ? a
+                       : op == Op::And ? a & b
+                       : op == Op::Or  ? a | b
+                                       : a ^ b;
+        }
+        next_pool_.insert(next_pool_.end(), merged, merged + n);
+        next_.push_back(q);
+        if (next_.size() == kMaxCuts) break;
+        slots_[s] = static_cast<std::uint32_t>(next_.size());
+        if (2 * next_.size() > slots_.size()) {
+          // Keep the table at most half full.
+          slots_.assign(2 * slots_.size(), 0);
+          for (std::size_t i = 0; i < next_.size(); ++i) {
+            const NodeId* l = next_pool_.data() + next_[i].leaf_off;
+            const unsigned m = next_[i].num_leaves;
+            slots_[find_slot(leaf_hash(l, m), l, m)] = static_cast<std::uint32_t>(i + 1);
+          }
+        }
+      }
+      if (next_.size() == kMaxCuts) break;
+    }
+    std::swap(cur_, next_);
+    std::swap(cur_pool_, next_pool_);
+    if (is_gate(nl, f)) roots_.push_back(f);
+    if (cur_.empty()) return;
+  }
+
+  for (const Cut& p : cur_) {
+    Cut c;
+    c.leaf_sig = p.leaf_sig;
+    c.interior_sig = p.interior_sig | sig_bit(g);
+    c.function = invert ? ~p.function : p.function;
+    c.leaf_off = static_cast<std::uint32_t>(leaf_pool_.size());
+    c.num_leaves = p.num_leaves;
+    leaf_pool_.insert(leaf_pool_.end(), cur_pool_.begin() + p.leaf_off,
+                      cur_pool_.begin() + p.leaf_off + p.num_leaves);
+    cuts_.push_back(c);
+  }
+}
+
+/// The slot of leaf list `leaves` (hash h) in the dedupe table of next_:
+/// the slot holding it, or the empty slot where it belongs.
+std::size_t CutDatabase::find_slot(std::uint64_t h, const NodeId* leaves,
+                                   unsigned n) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = h & mask;
+  for (; slots_[s] != 0; s = (s + 1) & mask) {
+    const Cut& q = next_[slots_[s] - 1];
+    if (q.num_leaves == n &&
+        std::equal(leaves, leaves + n, next_pool_.begin() + q.leaf_off)) {
+      break;
+    }
+  }
+  return s;
+}
+
+/// True if one of `targets` (signature `targets_sig`) lies in the interior
+/// reached from `roots` without passing through `stop`.
+bool CutDatabase::reaches(const Netlist& nl, std::span<const NodeId> roots,
+                          std::span<const NodeId> stop,
+                          std::span<const NodeId> targets,
+                          std::uint64_t targets_sig) {
+  const std::uint32_t e = next_epoch(epoch_, {&stop_mark_, &seen_mark_});
+  for (NodeId s : stop) stop_mark_[s] = e;
+  stack_.clear();
+  for (NodeId r : roots) {
+    if (stop_mark_[r] != e && seen_mark_[r] != e) {
+      seen_mark_[r] = e;
+      stack_.push_back(r);
+    }
+  }
+  while (!stack_.empty()) {
+    const NodeId x = stack_.back();
+    stack_.pop_back();
+    if ((sig_bit(x) & targets_sig) != 0 &&
+        std::find(targets.begin(), targets.end(), x) != targets.end()) {
+      return true;
+    }
+    for (NodeId y : nl.node(x).fanins) {
+      if (stop_mark_[y] == e || seen_mark_[y] == e || !is_gate(nl, y)) continue;
+      seen_mark_[y] = e;
+      stack_.push_back(y);
+    }
+  }
+  return false;
+}
+
+void RootCones::collect(const Netlist& nl, const CutDatabase& db, NodeId root) {
+  nl_ = &nl;
+  db_ = &db;
+  root_ = root;
+  entries_.clear();
+  offsets_.clear();
+  pool_.clear();
+  if (stop_mark_.size() < nl.size()) {
+    stop_mark_.resize(nl.size(), 0);
+    seen_mark_.resize(nl.size(), 0);
+  }
+  // Each interior is the reach set of the root through its leaves, listed
+  // in depth-first post-order.
+  for (const Cut& c : db.cones(root)) {
+    const std::uint32_t e = next_epoch(epoch_, {&stop_mark_, &seen_mark_});
+    const std::span<const NodeId> leaves = db.leaves(c);
+    for (NodeId l : leaves) stop_mark_[l] = e;
+    offsets_.push_back(static_cast<std::uint32_t>(pool_.size()));
+    seen_mark_[root] = e;
+    stack_.assign(1, {root, 0});
+    while (!stack_.empty()) {
+      const NodeId x = stack_.back().first;
+      const auto& fanins = nl.node(x).fanins;
+      if (stack_.back().second == fanins.size()) {
+        pool_.push_back(x);
+        stack_.pop_back();
+        continue;
+      }
+      const NodeId y = fanins[stack_.back().second++];
+      if (stop_mark_[y] == e || seen_mark_[y] == e || is_const(nl, y)) continue;
+      assert(is_gate(nl, y));
+      seen_mark_[y] = e;
+      stack_.push_back({y, 0});
+    }
+    entries_.push_back({&c, leaves, {}});
+  }
+  offsets_.push_back(static_cast<std::uint32_t>(pool_.size()));
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    entries_[i].interior = {pool_.data() + offsets_[i], offsets_[i + 1] - offsets_[i]};
+  }
+  std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+    if (a.interior.size() != b.interior.size()) {
+      return a.interior.size() < b.interior.size();
+    }
+    return std::lexicographical_compare(a.leaves.begin(), a.leaves.end(),
+                                        b.leaves.begin(), b.leaves.end());
+  });
+}
+
+Cone RootCones::cone(std::size_t i) const {
+  Cone c;
+  c.root = root_;
+  c.leaves.assign(entries_[i].leaves.begin(), entries_[i].leaves.end());
+  c.interior.assign(entries_[i].interior.begin(), entries_[i].interior.end());
+  std::sort(c.interior.begin(), c.interior.end());
+  return c;
+}
+
+TruthTable RootCones::function(std::size_t i) const {
+  return db_->has_functions() ? db_->function(*entries_[i].cut)
+                              : cone_function(*nl_, cone(i));
+}
+
+std::vector<Cone> enumerate_cones(const Netlist& nl, NodeId root,
+                                  const ConeOptions& opt) {
+  const CutDatabase db(nl, opt.max_leaves, root);
+  RootCones rc;
+  rc.collect(nl, db, root);
+  std::vector<Cone> out;
+  out.reserve(rc.size());
+  for (std::size_t i = 0; i < rc.size(); ++i) out.push_back(rc.cone(i));
   return out;
 }
 
@@ -253,28 +458,33 @@ TruthTable cone_function(const Netlist& nl, const Cone& cone) {
   return t;
 }
 
-std::uint64_t removable_gate_count(const Netlist& nl, const Cone& cone,
+std::uint64_t removable_gate_count(const Netlist& nl, NodeId root,
+                                   std::span<const NodeId> interior,
                                    std::vector<NodeId>* removable_out) {
   const auto& fanouts = nl.fanouts();
-  std::set<NodeId> removable{cone.root};
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId g : cone.interior) {
-      if (removable.count(g)) continue;
-      // Primary-output gates must stay (their function is observable).
-      if (nl.node(g).is_output) continue;
-      bool all_removable = true;
-      for (NodeId y : fanouts[g]) all_removable &= removable.count(y) != 0;
-      // A gate with no fanout at all is dead logic; treat as removable.
-      if (all_removable) {
-        removable.insert(g);
-        changed = true;
-      }
+  thread_local std::vector<std::uint32_t> mark;
+  thread_local std::uint32_t epoch = 0;
+  if (mark.size() < nl.size()) mark.resize(nl.size(), 0);
+  const std::uint32_t e = next_epoch(epoch, {&mark});
+  // A gate is removable when every fanout is. Walking a fanins-first
+  // interior backwards meets every interior fanout of a gate before the
+  // gate itself, so one sweep settles every mark.
+  mark[root] = e;
+  for (auto it = interior.rbegin(); it != interior.rend(); ++it) {
+    const NodeId g = *it;
+    // Primary-output gates must stay (their function is observable).
+    if (mark[g] == e || nl.node(g).is_output) continue;
+    // A gate with no fanout at all is dead logic; treat as removable.
+    if (std::all_of(fanouts[g].begin(), fanouts[g].end(),
+                    [&](NodeId y) { return mark[y] == e; })) {
+      mark[g] = e;
     }
   }
   std::uint64_t total = 0;
-  for (NodeId g : removable) {
+  if (removable_out) removable_out->clear();
+  for (NodeId g : interior) {
+    if (mark[g] != e) continue;
+    if (removable_out) removable_out->push_back(g);
     const Node& nd = nl.node(g);
     switch (nd.type) {
       case GateType::And:
@@ -289,7 +499,7 @@ std::uint64_t removable_gate_count(const Netlist& nl, const Cone& cone,
         break;
     }
   }
-  if (removable_out) removable_out->assign(removable.begin(), removable.end());
+  if (removable_out) std::sort(removable_out->begin(), removable_out->end());
   return total;
 }
 

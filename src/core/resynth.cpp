@@ -36,9 +36,10 @@ struct Candidate {
 };
 
 /// Lexicographic comparison under the configured objective: true if a
-/// valid candidate scoring (gates, paths) is strictly better than b.
-bool beats(std::int64_t gates, std::int64_t paths, const Candidate& b,
-           const ResynthOptions& opt) {
+/// valid candidate scoring (gates, paths) on a cone of `interior` gates is
+/// strictly better than b.
+bool beats(std::int64_t gates, std::int64_t paths, std::size_t interior,
+           const Candidate& b, const ResynthOptions& opt) {
   if (!b.valid) return true;
   switch (opt.objective) {
     case ResynthObjective::Gates:
@@ -46,8 +47,12 @@ bool beats(std::int64_t gates, std::int64_t paths, const Candidate& b,
       return paths > b.delta_paths;
     case ResynthObjective::Paths:
       if (paths != b.delta_paths) return paths > b.delta_paths;
-      // Deterministic tie-break only; Procedure 3 has no gate objective.
-      return gates > b.delta_gates;
+      // Tie-breaks only; Procedure 3 has no gate objective. Of two equal
+      // candidates the larger cone wins: over the complete cone set that
+      // ends Table 5 with 4% fewer gates than taking the first-listed cone,
+      // at no cost in paths (EXPERIMENTS.md, Table 5).
+      if (gates != b.delta_gates) return gates > b.delta_gates;
+      return interior > b.cone.interior.size();
     case ResynthObjective::Combined: {
       const double sa = opt.weight_gates * static_cast<double>(gates) +
                         opt.weight_paths * static_cast<double>(paths);
@@ -78,20 +83,36 @@ bool improves(const Candidate& c, const ResynthOptions& opt) {
 }
 
 /// What every spec of one cone shares: the cone, the support-reduced
-/// function and the gates a replacement would free. A spec's candidate
-/// copies it only when the spec wins.
+/// function and, once a spec is scored, the gates a replacement would free.
+/// A spec's candidate copies it only when the spec wins.
 struct ConeProto {
-  const Cone* cone = nullptr;
+  const Netlist* nl = nullptr;
+  const RootCones* cones = nullptr;
+  std::size_t index = 0;          // the cone is (*cones)[index]
   std::vector<unsigned> kept;     // cone-leaf indices the function depends on
-  std::vector<NodeId> removable;  // interiors freed by the replacement
   TruthTable reduced;
+  bool have_removable = false;
+  std::vector<NodeId> removable;  // interiors freed by the replacement
   std::int64_t n_old = 0;         // equivalent gates freed
+
+  const RootCones::Entry& cone() const { return (*cones)[index]; }
+
+  /// Equivalent gates freed, counted on first use: most cones yield no
+  /// candidate and never need it.
+  std::int64_t freed() {
+    if (!have_removable) {
+      n_old = static_cast<std::int64_t>(removable_gate_count(
+          *nl, cones->root(), cone().interior, &removable));
+      have_removable = true;
+    }
+    return n_old;
+  }
 };
 
 /// Scores one spec (or multi-unit spec) of a cone and makes it `best` when
 /// it is strictly better. A spec that would increase gates is dropped unless
 /// that is allowed. The candidate is built only for a winner.
-void consider_spec(const ConeProto& proto, std::uint64_t np_g,
+void consider_spec(ConeProto& proto, std::uint64_t np_g,
                    const std::vector<std::uint64_t>& np,
                    const ComparisonSpec* spec, const MultiUnitSpec* multi,
                    const ResynthOptions& opt, Candidate& best) {
@@ -99,17 +120,19 @@ void consider_spec(const ConeProto& proto, std::uint64_t np_g,
       multi ? multi_unit_cost(*multi, opt.unit) : unit_cost(*spec, opt.unit);
   std::uint64_t paths_new = 0;
   for (unsigned v = 0; v < proto.reduced.num_vars(); ++v) {
-    paths_new += np[proto.cone->leaves[proto.kept[v]]] * cost.kp[v];
+    paths_new += np[proto.cone().leaves[proto.kept[v]]] * cost.kp[v];
   }
   const std::int64_t delta_gates =
-      proto.n_old - static_cast<std::int64_t>(cost.equiv_gates);
+      proto.freed() - static_cast<std::int64_t>(cost.equiv_gates);
   const std::int64_t delta_paths = static_cast<std::int64_t>(np_g) -
                                    static_cast<std::int64_t>(paths_new);
   if (!opt.allow_gate_increase && delta_gates < 0) return;
-  if (!beats(delta_gates, delta_paths, best, opt)) return;
+  if (!beats(delta_gates, delta_paths, proto.cone().interior.size(), best, opt)) {
+    return;
+  }
   Candidate c;
   c.valid = true;
-  c.cone = *proto.cone;
+  c.cone = proto.cones->cone(proto.index);
   c.kept = proto.kept;
   c.removable = proto.removable;
   if (multi) c.multi = *multi;
@@ -121,7 +144,7 @@ void consider_spec(const ConeProto& proto, std::uint64_t np_g,
 
 /// The don't-care identification step for one cone (Section 6 (1)): folds
 /// every qualifying DC spec into `best`.
-void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
+void consider_dc_specs(ConeProto& proto, const ReachabilityOracle& reach,
                        std::uint64_t np_g, const std::vector<std::uint64_t>& np,
                        const ResynthOptions& opt, Candidate& best) {
   // Chaos hook (oracle:N): a timed-out oracle query degrades to the safe
@@ -129,7 +152,7 @@ void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
   // the base candidates stand unmodified.
   if (robust::inject_oracle_timeout()) return;
   std::vector<NodeId> kept_nodes;
-  for (unsigned v : proto.kept) kept_nodes.push_back(proto.cone->leaves[v]);
+  for (unsigned v : proto.kept) kept_nodes.push_back(proto.cone().leaves[v]);
   const TruthTable care = reach.reachable_combos(kept_nodes);
   if (care.is_const_one()) return;
   for (const ComparisonSpec& spec :
@@ -141,27 +164,30 @@ void consider_dc_specs(const ConeProto& proto, const ReachabilityOracle& reach,
 /// Scores every candidate of one cone into `best`, in the order base specs,
 /// don't-care specs (when `reach` is non-null), multi-unit rewrite. Every
 /// fold replaces only on "strictly better", so the earliest candidate wins
-/// ties.
-void consider_cone(const Netlist& nl, const Cone& cone,
-                   const std::vector<std::uint64_t>& np, std::uint64_t np_g,
+/// ties that beats() leaves.
+void consider_cone(const Netlist& nl, const RootCones& cones, std::size_t index,
+                   const std::vector<std::uint64_t>& np,
                    const ReachabilityOracle* reach, const ResynthOptions& opt,
                    Candidate& best, ResynthStats& stats) {
   // Per-cone sample: `resynth.cone.ns` histogram plus a trace slice.
   const Span sp("resynth.cone", SpanKind::Sample);
   ConeProto proto;
-  proto.cone = &cone;
-  proto.reduced = cone_function(nl, cone).support_reduced(&proto.kept);
-  proto.n_old = static_cast<std::int64_t>(
-      removable_gate_count(nl, cone, &proto.removable));
+  proto.nl = &nl;
+  proto.cones = &cones;
+  proto.index = index;
+  proto.reduced = cones.function(index).support_reduced(&proto.kept);
+  const std::uint64_t np_g = np[cones.root()];
 
   if (proto.reduced.num_vars() == 0) {
     // The cone computes a constant: everything removable goes away.
     ++stats.comparison_cones;
     const auto delta_paths = static_cast<std::int64_t>(np_g);
-    if (!beats(proto.n_old, delta_paths, best, opt)) return;
+    if (!beats(proto.freed(), delta_paths, cones[index].interior.size(), best, opt)) {
+      return;
+    }
     Candidate c;
     c.valid = true;
-    c.cone = cone;
+    c.cone = cones.cone(index);
     c.kept = std::move(proto.kept);
     c.removable = std::move(proto.removable);
     c.is_constant = true;
@@ -188,26 +214,24 @@ void consider_cone(const Netlist& nl, const Cone& cone,
   }
 }
 
-/// Evaluates every cone at root g, in enumeration order, and returns the
-/// best candidate. `reach` is non-null when SDC-aware identification is
-/// enabled. Sampled identification (opt.identify.exact == false) draws from
-/// the caller-owned Rng in this same cone order.
-Candidate best_candidate(const Netlist& nl, NodeId g,
+/// Evaluates every cone at root g, in the canonical order (interior size,
+/// then leaf list), and returns the best candidate. `reach` is non-null
+/// when SDC-aware identification is enabled. Sampled identification
+/// (opt.identify.exact == false) draws from the caller-owned Rng in this
+/// same cone order.
+Candidate best_candidate(const Netlist& nl, const CutDatabase& db,
+                         RootCones& cones, NodeId g,
                          const std::vector<std::uint64_t>& np,
                          const ReachabilityOracle* reach,
                          const ResynthOptions& opt, ResynthStats& stats) {
-  ConeOptions cone_opt;
-  cone_opt.max_leaves = opt.k;
-  cone_opt.max_cones = opt.max_cones;
-  cone_opt.expand_slack = opt.cone_slack;
-  const std::vector<Cone> cones = enumerate_cones(nl, g, cone_opt);
+  cones.collect(nl, db, g);
   stats.cones_considered += cones.size();
   // One tick per root plus one per cone evaluated.
   robust::charge(1 + cones.size());
   Candidate best;
-  for (const Cone& cone : cones) {
+  for (std::size_t i = 0; i < cones.size(); ++i) {
     robust::poll_cancellation();
-    consider_cone(nl, cone, np, np[g], reach, opt, best, stats);
+    consider_cone(nl, cones, i, np, reach, opt, best, stats);
   }
   return best;
 }
@@ -239,6 +263,22 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
     }
   }
 
+  // One cut database serves the whole pass. Roots are visited in reverse
+  // topological order, and a commit at g' changes only g', nodes that die
+  // (they reached the outputs only through g') and new unit gates feeding
+  // g': none of them is in the fanin cone of a root visited later, so those
+  // roots' cuts are still exact. A cancellation during the build ends the
+  // pass before its first root.
+  std::optional<CutDatabase> db;
+  try {
+    const Span sp("resynth.cuts");
+    db.emplace(nl, opt.k);
+  } catch (const robust::CancelledError&) {
+    *stopped = true;
+    return 0;
+  }
+  RootCones cones;
+
   std::uint64_t replacements = 0;
   std::uint64_t roots_done = 0;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
@@ -262,7 +302,7 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
       Span root_span(nl.node(g).name, SpanKind::Root, g);
       const std::uint64_t cones_before = stats.cones_considered;
       try {
-        cand = best_candidate(nl, g, pc.np, reach.get(), opt, stats);
+        cand = best_candidate(nl, *db, cones, g, pc.np, reach.get(), opt, stats);
       } catch (const robust::CancelledError&) {
         *stopped = true;
         break;

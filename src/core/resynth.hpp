@@ -39,8 +39,6 @@ enum class ResynthObjective {
 struct ResynthOptions {
   ResynthObjective objective = ResynthObjective::Gates;
   unsigned k = 6;                  // max cone inputs (paper: K = 5, 6)
-  std::size_t max_cones = 2000;    // enumeration cap per root
-  unsigned cone_slack = 3;         // see ConeOptions::expand_slack
   unsigned max_passes = 16;        // fixpoint guard
   IdentifyOptions identify;        // exact by default
   UnitOptions unit;

@@ -78,6 +78,13 @@ TruthTable TruthTable::from_bits(const std::string& bits) {
   return t;
 }
 
+TruthTable TruthTable::from_word(unsigned n, std::uint64_t word) {
+  assert(n <= 6);
+  TruthTable t(n);
+  t.inline_[0] = n == 6 ? word : word & ((1ull << (1u << n)) - 1ull);
+  return t;
+}
+
 bool TruthTable::get(std::uint32_t m) const {
   assert(m < num_minterms());
   return (data()[m >> 6] >> (m & 63)) & 1ull;

@@ -38,6 +38,9 @@ class TruthTable {
                                   const std::function<bool(std::uint32_t)>& f);
   /// Parses a bit string, minterm 0 first ("0110" = f(00)=0, f(01)=1, ...).
   static TruthTable from_bits(const std::string& bits);
+  /// Table of n <= 6 variables from one word in storage order (bit m is
+  /// minterm m); bits from 2^n up are ignored.
+  static TruthTable from_word(unsigned n, std::uint64_t word);
 
   unsigned num_vars() const { return n_; }
   std::uint32_t num_minterms() const { return 1u << n_; }

@@ -99,8 +99,10 @@ Json hot_cones_json() {
 
 }  // namespace
 
-RunReport::RunReport(std::string name)
-    : name_(std::move(name)), start_ns_(now_ns()) {}
+RunReport::RunReport(std::string name) : RunReport(std::move(name), now_ns()) {}
+
+RunReport::RunReport(std::string name, std::uint64_t start_ns)
+    : name_(std::move(name)), start_ns_(start_ns) {}
 
 void RunReport::set_meta(std::string key, Json value) {
   meta_.set(std::move(key), std::move(value));

@@ -29,8 +29,10 @@ class Table;
 class RunReport {
  public:
   /// `name` identifies the producing binary ("table2_proc2", ...). Wall time
-  /// is measured from construction to to_json()/write().
+  /// is measured from `start_ns` (now_ns() clock; construction by default)
+  /// to to_json()/write().
   explicit RunReport(std::string name);
+  RunReport(std::string name, std::uint64_t start_ns);
 
   const std::string& name() const { return name_; }
 

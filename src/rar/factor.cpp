@@ -142,14 +142,14 @@ NodeId build_factored(Netlist& nl, const FactorExpr& e,
 FactorConesStats factor_cones(Netlist& nl, const FactorConesOptions& opt) {
   FactorConesStats stats;
   stats.gates_before = nl.equivalent_gate_count();
-  ConeOptions cone_opt;
-  cone_opt.max_leaves = opt.k;
-  cone_opt.max_cones = opt.max_cones;
-  cone_opt.expand_slack = opt.cone_slack;
-
+  RootCones cones;
   for (unsigned pass = 0; pass < opt.max_passes; ++pass) {
     std::uint64_t replaced = 0;
     const std::vector<NodeId> order = nl.topo_order();  // snapshot
+    // One cut database per pass: as in resynthesize, a rewrite at g only
+    // touches g, nodes that die and new gates feeding g, none of which is
+    // in the fanin cone of a root visited later.
+    const CutDatabase db(nl, opt.k);
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const NodeId g = *it;
       if (nl.is_dead(g)) continue;
@@ -162,12 +162,12 @@ FactorConesStats factor_cones(Netlist& nl, const FactorConesOptions& opt) {
       std::unique_ptr<FactorExpr> best_expr;
       std::vector<NodeId> best_leaves;
       bool best_const = false, best_const_val = false;
-      for (const Cone& cone : enumerate_cones(nl, g, cone_opt)) {
-        const TruthTable f = cone_function(nl, cone);
+      cones.collect(nl, db, g);
+      for (std::size_t i = 0; i < cones.size(); ++i) {
         std::vector<unsigned> kept;
-        const TruthTable reduced = f.support_reduced(&kept);
-        const std::int64_t removable =
-            static_cast<std::int64_t>(removable_gate_count(nl, cone, nullptr));
+        const TruthTable reduced = cones.function(i).support_reduced(&kept);
+        const std::int64_t removable = static_cast<std::int64_t>(
+            removable_gate_count(nl, g, cones[i].interior, nullptr));
         if (reduced.num_vars() == 0) {
           if (removable > best_gain) {
             best_gain = removable;
@@ -190,7 +190,7 @@ FactorConesStats factor_cones(Netlist& nl, const FactorConesOptions& opt) {
           best_expr = std::move(expr);
           best_const = false;
           best_leaves.clear();
-          for (unsigned v : kept) best_leaves.push_back(cone.leaves[v]);
+          for (unsigned v : kept) best_leaves.push_back(cones[i].leaves[v]);
         }
       }
       if (best_gain <= 0) continue;

@@ -46,9 +46,7 @@ NodeId build_factored(Netlist& nl, const FactorExpr& e,
                       const std::vector<NodeId>& vars);
 
 struct FactorConesOptions {
-  unsigned k = 6;                // cone input limit
-  std::size_t max_cones = 2000;  // enumeration cap per root
-  unsigned cone_slack = 3;
+  unsigned k = 6;           // cone input limit
   unsigned max_passes = 8;
 };
 

@@ -1,11 +1,13 @@
 #include "robust/guard.hpp"
 
+#include <cstdint>
 #include <iostream>
 #include <stdexcept>
 #include <string_view>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/events.hpp"
+#include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "robust/robust.hpp"
 #include "util/errors.hpp"
@@ -14,12 +16,14 @@ namespace compsyn::robust {
 namespace {
 
 /// Emits a minimal error report so even a run that died before producing
-/// any results leaves a parseable record behind. Best-effort: a failure to
-/// write here must not mask the original exit code.
+/// any results leaves a parseable record behind; its wall time runs from
+/// `start_ns`, the start of the run. Best-effort: a failure to write here
+/// must not mask the original exit code.
 void write_error_report(const char* name, const std::string& path,
-                        const char* status, const std::string& message) {
+                        std::uint64_t start_ns, const char* status,
+                        const std::string& message) {
   if (path.empty()) return;
-  RunReport report(name);
+  RunReport report(name, start_ns);
   report.set_meta("status", status);
   if (!message.empty()) report.set_meta("error", message);
   std::string error;
@@ -60,6 +64,7 @@ int guard_main(const char* name, int argc, char** argv,
                const std::function<int()>& body) {
   install_signal_handlers();
   const std::string report_path = report_path_from_args(argc, argv);
+  const std::uint64_t start_ns = now_ns();
   try {
     return body();
   } catch (const CancelledError& e) {
@@ -75,24 +80,24 @@ int guard_main(const char* name, int argc, char** argv,
     ChromeTrace::flush();
     std::cerr << name << ": run " << status << " (" << to_string(e.reason)
               << ")\n";
-    write_error_report(name, report_path, status, to_string(e.reason));
+    write_error_report(name, report_path, start_ns, status, to_string(e.reason));
     return exit_code_for_cancel();
   } catch (const InputError& e) {
     std::cerr << name << ": input error: " << e.what() << "\n";
-    write_error_report(name, report_path, "error", e.what());
+    write_error_report(name, report_path, start_ns, "error", e.what());
     return kExitInputError;
   } catch (const std::invalid_argument& e) {
     // Legacy input-validation throws (make_benchmark and friends).
     std::cerr << name << ": input error: " << e.what() << "\n";
-    write_error_report(name, report_path, "error", e.what());
+    write_error_report(name, report_path, start_ns, "error", e.what());
     return kExitInputError;
   } catch (const std::exception& e) {
     std::cerr << name << ": internal error: " << e.what() << "\n";
-    write_error_report(name, report_path, "error", e.what());
+    write_error_report(name, report_path, start_ns, "error", e.what());
     return kExitInternalError;
   } catch (...) {
     std::cerr << name << ": internal error: unknown exception\n";
-    write_error_report(name, report_path, "error", "unknown exception");
+    write_error_report(name, report_path, start_ns, "error", "unknown exception");
     return kExitInternalError;
   }
 }

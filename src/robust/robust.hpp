@@ -14,8 +14,9 @@
 //
 // * Cancellation — an asynchronous flag set by a signal handler, the
 //   deadline watchdog, or `request_cancel()`. It is checked at frequent
-//   poll points (every cone in resynthesis, solver iterations) and surfaces
-//   as a `CancelledError` thrown from `poll_cancellation()`. Where the flag
+//   poll points (every cone in resynthesis, every node of a cut-database
+//   build, solver iterations) and surfaces as a `CancelledError` thrown
+//   from `poll_cancellation()`. Where the flag
 //   happens to be observed depends on wall-clock timing, so cancellation is
 //   documented non-deterministic; the contract is weaker but still strong:
 //   the run winds down at the next poll point, commits nothing unverified,

@@ -6,6 +6,8 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "core/cones.hpp"
+
 namespace compsyn::serve {
 namespace {
 
@@ -176,7 +178,7 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, std::string* error) {
   }
   if ((f = j.find("k")) != nullptr) {
     const std::uint64_t k = f->as_u64();
-    if (k == 0 || k > 16) return fail("'k' must be in [1, 16]");
+    if (k == 0 || k > CutDatabase::kMaxLeaves) return fail("'k' must be in [1, 8]");
     spec.k = static_cast<unsigned>(k);
   }
   if ((f = j.find("weight_gates")) != nullptr) spec.weight_gates = f->as_double();

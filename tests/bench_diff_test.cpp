@@ -15,6 +15,7 @@
 
 #include "obs/bench_schema.hpp"
 #include "obs/json.hpp"
+#include "temp_path.hpp"
 
 #ifndef BENCH_DIFF_PATH
 #error "BENCH_DIFF_PATH must be defined by the build"
@@ -27,7 +28,7 @@ namespace compsyn {
 namespace {
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_bench_diff_" + leaf;
+  return test_temp_path("bench_diff_" + leaf);
 }
 
 std::string slurp(const std::string& path) {

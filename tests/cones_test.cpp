@@ -4,10 +4,13 @@
 #include <set>
 #include <thread>
 
+#include "cone_oracle.hpp"
 #include "core/cones.hpp"
 #include "core/resynth.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
+#include "robust/robust.hpp"
+#include "util/rng.hpp"
 
 namespace compsyn {
 namespace {
@@ -30,9 +33,29 @@ struct Fixture {
   }
 };
 
+/// One cone of `root` with its removable_gate_count and removable gates.
+struct Removable {
+  Cone cone;
+  std::uint64_t count = 0;
+  std::vector<NodeId> gates;
+};
+
+/// removable_gate_count over every cone of `root`, on RootCones' interiors.
+std::vector<Removable> removable_counts(const Netlist& nl, NodeId root, unsigned k) {
+  const CutDatabase db(nl, k);
+  RootCones rc;
+  rc.collect(nl, db, root);
+  std::vector<Removable> out(rc.size());
+  for (std::size_t i = 0; i < rc.size(); ++i) {
+    out[i].cone = rc.cone(i);
+    out[i].count = removable_gate_count(nl, root, rc[i].interior, &out[i].gates);
+  }
+  return out;
+}
+
 TEST(Cones, EnumeratesAllSubcircuits) {
   Fixture fx;
-  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4, .max_cones = 100});
+  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4});
   // Expected interiors: {g}, {g,and1}, {g,and2}, {g,and1,and2}.
   ASSERT_EQ(cones.size(), 4u);
   for (const auto& c : cones) {
@@ -53,21 +76,54 @@ TEST(Cones, EnumeratesAllSubcircuits) {
 
 TEST(Cones, LeafLimitRespected) {
   Fixture fx;
-  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 2, .max_cones = 100});
+  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 2});
   // Only the single-gate cone fits in 2 leaves.
   ASSERT_EQ(cones.size(), 1u);
   EXPECT_EQ(cones[0].interior, (std::vector<NodeId>{fx.g}));
 }
 
-TEST(Cones, MaxConesCapRespected) {
+TEST(Cones, CanonicalOrderIsInteriorSizeThenLeaves) {
   Fixture fx;
-  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4, .max_cones = 2});
-  EXPECT_EQ(cones.size(), 2u);
+  const auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4});
+  ASSERT_EQ(cones.size(), 4u);
+  for (std::size_t i = 1; i < cones.size(); ++i) {
+    const Cone& a = cones[i - 1];
+    const Cone& b = cones[i];
+    EXPECT_TRUE(a.interior.size() < b.interior.size() ||
+                (a.interior.size() == b.interior.size() && a.leaves < b.leaves))
+        << "cone " << i;
+  }
+  EXPECT_EQ(cones.front().interior, (std::vector<NodeId>{fx.g}));
+  EXPECT_EQ(cones.back().interior.size(), 3u);
+}
+
+TEST(Cones, PseudoCutRejected) {
+  // g = AND(x, y), x = AND(y, a), y = OR(b, c). Merging x's cut {a, y} with
+  // y's cut {b, c} gives {a, b, c, y}; but y as a leaf cuts y itself out of
+  // the interior, so no interior has that fanin set. The real cones have
+  // leaves {x, y}, {a, y}, {b, c, x} and {a, b, c}.
+  Netlist nl("pseudo");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId c = nl.add_input("c");
+  const NodeId y = nl.add_gate(GateType::Or, {b, c});
+  const NodeId x = nl.add_gate(GateType::And, {y, a});
+  const NodeId g = nl.add_gate(GateType::And, {x, y});
+  nl.mark_output(g);
+  std::vector<std::vector<NodeId>> got;
+  for (const Cone& cone : enumerate_cones(nl, g, {.max_leaves = 4})) {
+    got.push_back(cone.leaves);
+  }
+  std::sort(got.begin(), got.end());
+  std::vector<std::vector<NodeId>> want{{x, y}, {a, y}, {b, c, x}, {a, b, c}};
+  for (auto& l : want) std::sort(l.begin(), l.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 TEST(Cones, ConeFunctionMatchesSimulation) {
   Fixture fx;
-  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4, .max_cones = 100});
+  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4});
   for (const auto& c : cones) {
     if (c.interior.size() != 3) continue;
     TruthTable f = cone_function(fx.nl, c);
@@ -96,10 +152,7 @@ TEST(Cones, ConstantsAbsorbedIntoFunction) {
 
 TEST(Cones, RemovableCountExcludesSharedGates) {
   Fixture fx;
-  auto cones = enumerate_cones(fx.nl, fx.g, {.max_leaves = 4, .max_cones = 100});
-  for (const auto& c : cones) {
-    std::vector<NodeId> removable;
-    const std::uint64_t n = removable_gate_count(fx.nl, c, &removable);
+  for (const auto& [c, n, removable] : removable_counts(fx.nl, fx.g, 4)) {
     const bool has_and1 =
         std::binary_search(c.interior.begin(), c.interior.end(), fx.and1);
     const bool has_and2 =
@@ -123,12 +176,11 @@ TEST(Cones, RemovableCountTransitive) {
   NodeId x = nl.add_gate(GateType::And, {a, y});
   NodeId g = nl.add_gate(GateType::Not, {x});
   nl.mark_output(g);
-  auto cones = enumerate_cones(nl, g, {.max_leaves = 3, .max_cones = 100});
   bool saw_full = false;
-  for (const auto& c : cones) {
-    if (c.interior.size() == 3) {
+  for (const Removable& r : removable_counts(nl, g, 3)) {
+    if (r.cone.interior.size() == 3) {
       saw_full = true;
-      EXPECT_EQ(removable_gate_count(nl, c), 2u);
+      EXPECT_EQ(r.count, 2u);
     }
   }
   EXPECT_TRUE(saw_full);
@@ -144,10 +196,9 @@ TEST(Cones, InteriorOutputGateNotRemovable) {
   NodeId g = nl.add_gate(GateType::Not, {y});
   nl.mark_output(y);
   nl.mark_output(g);
-  auto cones = enumerate_cones(nl, g, {.max_leaves = 2, .max_cones = 100});
-  for (const auto& c : cones) {
-    if (c.interior.size() == 2) {
-      EXPECT_EQ(removable_gate_count(nl, c), 0u);
+  for (const Removable& r : removable_counts(nl, g, 2)) {
+    if (r.cone.interior.size() == 2) {
+      EXPECT_EQ(r.count, 0u);
     }
   }
 }
@@ -173,173 +224,122 @@ TEST(Cones, DuplicateFaninsCountOnceAsLeaf) {
   EXPECT_EQ(f.to_bits(), "01");  // AND(a,a) = a
 }
 
-// --- Differential reference -------------------------------------------------
+// --- The top-down oracle ---------------------------------------------------
 //
-// The original enumeration: every grown cone recomputed from scratch, with a
-// std::set of sorted interiors for deduplication and a std::set for each
-// leaf set. The library's incremental, hashed enumeration must produce the
-// same cones in the same order (and so the same truncation point under
-// max_cones).
+// cone_oracle.hpp keeps the paper's top-down grower at unlimited slack. The
+// database must give every root exactly the grower's cones, in the same
+// canonical order with the same interiors, and every cut function must
+// equal cone_function and a whole-netlist simulation of the cone.
 
-bool ref_is_gate(const Netlist& nl, NodeId n) {
-  const GateType t = nl.node(n).type;
-  return t != GateType::Input && t != GateType::Const0 && t != GateType::Const1;
-}
-
-bool ref_is_const(const Netlist& nl, NodeId n) {
-  const GateType t = nl.node(n).type;
-  return t == GateType::Const0 || t == GateType::Const1;
-}
-
-std::vector<Cone> reference_enumerate_cones(const Netlist& nl, NodeId root,
-                                            const ConeOptions& opt) {
-  std::vector<Cone> out;
-  std::set<std::vector<NodeId>> seen;
-
-  auto make_cone = [&](std::vector<NodeId> interior) {
-    std::sort(interior.begin(), interior.end());
-    Cone c;
-    c.root = root;
-    c.interior = std::move(interior);
-    std::set<NodeId> leaves;
-    for (NodeId g : c.interior) {
-      for (NodeId f : nl.node(g).fanins) {
-        if (!std::binary_search(c.interior.begin(), c.interior.end(), f) &&
-            !ref_is_const(nl, f)) {
-          leaves.insert(f);
-        }
+/// Full-database cones against the oracle at every live gate of `nl`, plus
+/// the single-root database behind enumerate_cones. Returns cones checked.
+std::size_t expect_matches_oracle(const Netlist& nl, unsigned k,
+                                  const std::string& what) {
+  const CutDatabase db(nl, k);
+  std::size_t checked = 0;
+  RootCones rc;
+  for (NodeId root : nl.topo_order()) {
+    if (!oracle::is_gate(nl, root)) continue;
+    const std::vector<Cone> want = oracle::grow_cones(nl, root, k);
+    const std::vector<Cone> got = oracle::database_cones(nl, db, root);
+    EXPECT_EQ(got.size(), want.size()) << what << " K=" << k << " root=" << root;
+    if (got.size() != want.size()) return checked;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].leaves, want[i].leaves)
+          << what << " K=" << k << " root=" << root << " cone " << i;
+      EXPECT_EQ(got[i].interior, want[i].interior)
+          << what << " K=" << k << " root=" << root << " cone " << i;
+      if (got[i].leaves != want[i].leaves) return checked;
+    }
+    rc.collect(nl, db, root);
+    for (std::size_t i = 0; i < rc.size(); ++i) {
+      const TruthTable f = cone_function(nl, got[i]);
+      if (db.has_functions()) {
+        EXPECT_EQ(db.function(*rc[i].cut), f)
+            << what << " K=" << k << " root=" << root << " cone " << i;
       }
+      EXPECT_EQ(f, oracle::simulate_cone(nl, got[i]))
+          << what << " K=" << k << " root=" << root << " cone " << i;
     }
-    c.leaves.assign(leaves.begin(), leaves.end());
-    return c;
-  };
-
-  const unsigned expand_limit = opt.max_leaves + opt.expand_slack;
-  std::size_t visited = 0;
-
-  Cone seed = make_cone({root});
-  if (seed.leaves.size() > expand_limit) return out;
-  seen.insert(seed.interior);
-  if (seed.leaves.size() <= opt.max_leaves) out.push_back(seed);
-  std::vector<Cone> frontier{std::move(seed)};
-  ++visited;
-
-  while (!frontier.empty() && visited < opt.max_cones) {
-    std::vector<Cone> next;
-    for (const Cone& c : frontier) {
-      for (NodeId leaf : c.leaves) {
-        if (!ref_is_gate(nl, leaf)) continue;
-        std::vector<NodeId> key = c.interior;
-        key.push_back(leaf);
-        std::sort(key.begin(), key.end());
-        if (seen.count(key)) continue;
-        Cone grown = make_cone(key);
-        if (grown.leaves.size() > expand_limit) continue;
-        seen.insert(std::move(key));
-        ++visited;
-        if (grown.leaves.size() <= opt.max_leaves) out.push_back(grown);
-        next.push_back(std::move(grown));
-        if (visited >= opt.max_cones) break;
-      }
-      if (visited >= opt.max_cones) break;
+    const std::vector<Cone> single = enumerate_cones(nl, root, {.max_leaves = k});
+    EXPECT_EQ(single.size(), got.size()) << what << " root=" << root;
+    for (std::size_t i = 0; i < std::min(single.size(), got.size()); ++i) {
+      EXPECT_EQ(single[i].leaves, got[i].leaves) << what << " root=" << root;
     }
-    frontier = std::move(next);
+    checked += got.size();
   }
-  return out;
+  EXPECT_GT(checked, 0u) << what;
+  return checked;
 }
 
-/// The original cone function: the netlist's global topological order
-/// restricted to the cone, over a fresh nl.size() value vector.
-TruthTable reference_cone_function(const Netlist& nl, const Cone& cone) {
-  const unsigned k = static_cast<unsigned>(cone.leaves.size());
-  std::vector<NodeId> order;
-  for (NodeId n : nl.topo_order()) {
-    if (std::binary_search(cone.interior.begin(), cone.interior.end(), n)) {
-      order.push_back(n);
+/// A seeded random circuit with every gate type, repeated and constant
+/// fanins, and reconvergence: the shapes that make pseudo-cuts and XOR
+/// parity matter.
+Netlist random_small_circuit(std::uint64_t seed) {
+  Rng rng(seed);
+  Netlist nl("rand" + std::to_string(seed));
+  std::vector<NodeId> pool;
+  const unsigned n_in = 3 + rng.below(4);
+  for (unsigned i = 0; i < n_in; ++i) pool.push_back(nl.add_input());
+  if (rng.below(2) != 0) pool.push_back(nl.add_const(rng.below(2) != 0));
+  const GateType kinds[] = {GateType::And, GateType::Nand, GateType::Or,
+                            GateType::Nor, GateType::Xor,  GateType::Xnor,
+                            GateType::Not, GateType::Buf};
+  const unsigned n_gates = 6 + rng.below(14);
+  for (unsigned i = 0; i < n_gates; ++i) {
+    const GateType t = kinds[rng.below(8)];
+    const unsigned arity =
+        t == GateType::Not || t == GateType::Buf ? 1 : 2 + rng.below(3);
+    std::vector<NodeId> fi;
+    for (unsigned j = 0; j < arity; ++j) {
+      // Bias towards recent nodes for depth and reconvergence.
+      const std::size_t span = std::min<std::size_t>(pool.size(), 6);
+      fi.push_back(rng.below(3) == 0 ? pool[rng.below(pool.size())]
+                                     : pool[pool.size() - 1 - rng.below(span)]);
     }
+    pool.push_back(nl.add_gate(t, fi));
   }
-  TruthTable t(k);
-  const std::uint32_t minterms = 1u << k;
-  std::vector<std::uint64_t> value(nl.size(), 0);
-  for (std::uint32_t base = 0; base < minterms; base += 64) {
-    for (unsigned i = 0; i < k; ++i) {
-      const unsigned shift = k - 1 - i;
-      value[cone.leaves[i]] = shift < 6 ? exhaustive_mask(shift)
-                              : ((base >> shift) & 1u) ? ~0ull
-                                                       : 0ull;
-    }
-    for (NodeId g : cone.interior) {
-      for (NodeId f : nl.node(g).fanins) {
-        if (nl.node(f).type == GateType::Const1) value[f] = ~0ull;
-        else if (nl.node(f).type == GateType::Const0) value[f] = 0;
-      }
-    }
-    for (NodeId g : order) {
-      value[g] = eval_gate(nl.node(g).type, nl.node(g).fanins, value.data());
-    }
-    const std::uint64_t w = value[cone.root];
-    const std::uint32_t limit = std::min<std::uint32_t>(64, minterms - base);
-    for (std::uint32_t b = 0; b < limit; ++b) t.set(base + b, (w >> b) & 1ull);
-  }
-  return t;
+  nl.mark_output(pool.back());
+  nl.mark_output(pool[pool.size() - 2]);
+  nl.sweep();
+  return nl;
 }
 
-/// Every live gate of `nl` under every option combination: identical cone
-/// vectors (order, interiors, leaves), and identical cone functions.
-void expect_matches_reference(const Netlist& nl, const std::string& what) {
-  std::size_t cones_checked = 0;
-  for (NodeId root = 0; root < nl.size(); ++root) {
-    if (nl.is_dead(root) || !ref_is_gate(nl, root)) continue;
-    for (unsigned k = 3; k <= 7; ++k) {
-      for (unsigned slack : {0u, 3u}) {
-        for (std::size_t cap : {std::size_t{1}, std::size_t{7}, std::size_t{2000}}) {
-          const ConeOptions opt{.max_leaves = k, .max_cones = cap,
-                                .expand_slack = slack};
-          const auto got = enumerate_cones(nl, root, opt);
-          const auto want = reference_enumerate_cones(nl, root, opt);
-          ASSERT_EQ(got.size(), want.size())
-              << what << " root=" << root << " K=" << k << " slack=" << slack
-              << " cap=" << cap;
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].root, want[i].root) << what << " cone " << i;
-            ASSERT_EQ(got[i].interior, want[i].interior)
-                << what << " root=" << root << " K=" << k << " slack=" << slack
-                << " cap=" << cap << " cone " << i;
-            ASSERT_EQ(got[i].leaves, want[i].leaves)
-                << what << " root=" << root << " K=" << k << " slack=" << slack
-                << " cap=" << cap << " cone " << i;
-          }
-          if (cap != 2000) continue;
-          for (const Cone& c : got) {
-            ASSERT_EQ(cone_function(nl, c), reference_cone_function(nl, c))
-                << what << " root=" << root << " K=" << k;
-          }
-          cones_checked += got.size();
-        }
-      }
-    }
-  }
-  EXPECT_GT(cones_checked, 0u) << what;
+TEST(ConesOracle, Syn150MatchesGrower) {
+  expect_matches_oracle(make_benchmark("syn150"), 6, "syn150");
+  expect_matches_oracle(make_benchmark("syn150"), 4, "syn150");
 }
 
-TEST(ConesDifferential, GeneratedCircuitsMatchReference) {
-  for (std::uint64_t seed : {11u, 12u, 13u}) {
-    SyntheticOptions o;
-    o.inputs = 12;
-    o.outputs = 6;
-    o.gates = 60;
-    o.seed = seed;
-    expect_matches_reference(make_synthetic(o), "syn60/" + std::to_string(seed));
-  }
-  expect_matches_reference(make_benchmark("syn150"), "syn150");
-  expect_matches_reference(make_c17(), "c17");
-  expect_matches_reference(make_alu_slice(2), "alu2");
+TEST(ConesOracle, Syn300MatchesGrower) {
+  expect_matches_oracle(make_benchmark("syn300"), 6, "syn300");
 }
 
-TEST(ConesDifferential, ResynthesizedCircuitMatchesReference) {
+TEST(ConesOracle, NamedCircuitsMatchGrower) {
+  expect_matches_oracle(make_c17(), 5, "c17");
+  expect_matches_oracle(make_alu_slice(2), 6, "alu2");
+}
+
+TEST(ConesOracle, RandomSmallCircuitsMatchGrower) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Netlist nl = random_small_circuit(seed);
+    checked += expect_matches_oracle(nl, 3 + seed % 5, "rand" + std::to_string(seed));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(checked, 2000u);
+}
+
+TEST(ConesOracle, WideCutsMatchGrower) {
+  // K above the function word: cuts carry no function, leaves still exact.
+  expect_matches_oracle(make_alu_slice(2), 8, "alu2");
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    expect_matches_oracle(random_small_circuit(seed), 8, "rand" + std::to_string(seed));
+  }
+}
+
+TEST(ConesOracle, ResynthesizedCircuitMatchesGrower) {
   // After a replacement, redefined nodes take fanins with higher ids, so
-  // node-id order is no longer a topological order: the cone-local order of
-  // cone_function has to be a real one.
+  // node-id order is no longer a topological order.
   Netlist nl = make_comparator(4);
   (void)procedure2(nl, 5);
   bool id_order_broken = false;
@@ -348,10 +348,10 @@ TEST(ConesDifferential, ResynthesizedCircuitMatchesReference) {
     for (NodeId f : nl.node(n).fanins) id_order_broken |= f > n;
   }
   EXPECT_TRUE(id_order_broken);
-  expect_matches_reference(nl, "cmp4+proc2");
+  for (unsigned k = 3; k <= 7; ++k) expect_matches_oracle(nl, k, "cmp4+proc2");
 }
 
-TEST(ConesDifferential, DuplicateAndConstantFaninsMatchReference) {
+TEST(ConesOracle, DuplicateAndConstantFaninsMatchGrower) {
   Netlist nl("dupconst");
   const NodeId a = nl.add_input("a");
   const NodeId b = nl.add_input("b");
@@ -361,26 +361,70 @@ TEST(ConesDifferential, DuplicateAndConstantFaninsMatchReference) {
   const NodeId x = nl.add_gate(GateType::And, {a, a, k1});
   const NodeId y = nl.add_gate(GateType::Or, {x, b, k0, x});
   const NodeId z = nl.add_gate(GateType::Nand, {x, y, c, c});
-  const NodeId w = nl.add_gate(GateType::Xor, {z, y, k1});
+  const NodeId w = nl.add_gate(GateType::Xor, {z, y, k1, z});
   const NodeId v = nl.add_gate(GateType::Nor, {w, w, z, a});
+  const NodeId u = nl.add_gate(GateType::Xnor, {k0, k1});
   nl.mark_output(v);
   nl.mark_output(y);
-  expect_matches_reference(nl, "dupconst");
+  nl.mark_output(u);
+  for (unsigned k = 1; k <= 7; ++k) expect_matches_oracle(nl, k, "dupconst");
 }
 
-TEST(ConesDifferential, ConcurrentThreadsMatchSerial) {
-  // Each thread enumerates and evaluates every root in its own per-thread
-  // scratch; under TSan this is the race check for those buffers.
+TEST(ConesDatabase, CutsPerNodeAreCapped) {
+  // At K = 8 some syn300 nodes have more cones than a node keeps. The kept
+  // ones are still distinct real cones: each leaf set is the fanin set of
+  // its interior.
+  const Netlist nl = make_benchmark("syn300");
+  const unsigned k = 8;
+  const CutDatabase db(nl, k);
+  RootCones rc;
+  std::size_t capped = 0;
+  for (NodeId root : nl.topo_order()) {
+    if (!oracle::is_gate(nl, root)) continue;
+    ASSERT_LE(db.cones(root).size(), CutDatabase::kMaxCuts) << root;
+    if (db.cones(root).size() < CutDatabase::kMaxCuts) continue;
+    ++capped;
+    rc.collect(nl, db, root);
+    std::set<std::vector<NodeId>> seen;
+    for (std::size_t i = 0; i < rc.size(); ++i) {
+      const Cone c = rc.cone(i);
+      EXPECT_LE(c.leaves.size(), k);
+      EXPECT_EQ(oracle::leaves_of(nl, c.interior), c.leaves) << root << " cone " << i;
+      EXPECT_TRUE(seen.insert(c.leaves).second) << root << " cone " << i;
+    }
+  }
+  EXPECT_GT(capped, 0u);
+}
+
+TEST(ConesDatabase, BuildIsACancellationPoint) {
+  const Netlist nl = make_benchmark("syn150");
+  robust::request_cancel(robust::StopReason::Deadline);
+  EXPECT_THROW(CutDatabase(nl, 6), robust::CancelledError);
+  robust::clear_cancel();
+  EXPECT_NO_THROW(CutDatabase(nl, 6));
+}
+
+TEST(ConesOracle, ConcurrentThreadsMatchSerial) {
+  // Each thread builds its own databases; cone_function and
+  // removable_gate_count share only per-thread scratch. Under TSan this is
+  // the race check for those buffers.
   const Netlist nl = make_benchmark("syn150");
   std::vector<NodeId> roots;
   for (NodeId n : nl.topo_order()) {
-    if (ref_is_gate(nl, n)) roots.push_back(n);
+    if (oracle::is_gate(nl, n)) roots.push_back(n);
   }
   auto sweep = [&] {
     std::vector<std::string> tables;
+    const CutDatabase db(nl, 6);
+    RootCones rc;
     for (NodeId r : roots) {
       for (const Cone& c : enumerate_cones(nl, r, {.max_leaves = 6})) {
         tables.push_back(cone_function(nl, c).to_bits());
+      }
+      rc.collect(nl, db, r);
+      for (std::size_t i = 0; i < rc.size(); ++i) {
+        tables.push_back(db.function(*rc[i].cut).to_bits());
+        tables.push_back(std::to_string(removable_gate_count(nl, r, rc[i].interior)));
       }
     }
     return tables;

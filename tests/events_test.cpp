@@ -20,12 +20,13 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn {
 namespace {
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_events_" + leaf;
+  return test_temp_path("events_" + leaf);
 }
 
 std::vector<Json> read_log(const std::string& path) {

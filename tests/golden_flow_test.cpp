@@ -20,6 +20,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "report_mask.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn {
 namespace {
@@ -56,7 +57,7 @@ struct RunResult {
 RunResult run_flow(const std::string& args) {
   static int serial = 0;
   const std::string out_path =
-      testing::TempDir() + "compsyn_golden_out" + std::to_string(serial++);
+      test_temp_path("golden_out" + std::to_string(serial++));
   const std::string cmd = "cd " + std::string(GOLDEN_DIR) + " && " +
                           RESYNTH_FLOW_PATH + " " + args + " >" + out_path +
                           " 2>&1";
@@ -72,7 +73,7 @@ RunResult run_flow(const std::string& args) {
 /// report compared against (or regenerated into) tests/golden/<case>.*.
 void check_case(const std::string& name, const std::string& flags,
                 const std::string& circuit) {
-  const std::string report_path = testing::TempDir() + "compsyn_" + name + ".json";
+  const std::string report_path = test_temp_path(name + ".json");
   const RunResult r =
       run_flow(flags + " --report=" + report_path + " " + circuit);
   ASSERT_EQ(r.exit_code, 0) << r.out;

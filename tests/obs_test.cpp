@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "paths/paths.hpp"
 #include "util/table.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn {
 namespace {
@@ -349,13 +350,13 @@ std::ostream& operator<<(std::ostream& os, const SinkHits& h) {
 /// `level` (then emits the markers and the counter), and reports which
 /// sinks received a record.
 SinkHits hits_for(ObsLevel level, SpanKind kind) {
-  const std::string events_path = testing::TempDir() + "compsyn_obs_sinks.jsonl";
+  const std::string events_path = test_temp_path("obs_sinks.jsonl");
   Trace::reset();
   Counters::reset();
   Histogram::reset();
   telemetry_reset();
   ChromeTrace::reset();
-  ChromeTrace::open(testing::TempDir() + "compsyn_obs_sinks.json");
+  ChromeTrace::open(test_temp_path("obs_sinks.json"));
   EXPECT_TRUE(EventLog::open(events_path, "obs_test"));
   obs_set_level(level);
   // The level is the one runtime gate; compiled out it is constant off.
@@ -437,7 +438,7 @@ TEST(ReportRoundTrip, WrittenFileParsesBackIdentically) {
   rec.set("gates", std::uint64_t{6});
   report.add_record("circuits", std::move(rec));
 
-  const std::string path = testing::TempDir() + "compsyn_obs_roundtrip.json";
+  const std::string path = test_temp_path("obs_roundtrip.json");
   std::string error;
   ASSERT_TRUE(report.write(path, &error)) << error;
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "bench_io/bench_io.hpp"
+#include "cone_oracle.hpp"
 #include "core/resynth.hpp"
 #include "gen/circuits.hpp"
 #include "netlist/equivalence.hpp"
@@ -63,8 +64,9 @@ Netlist random_circuit(Rng& rng, unsigned n_in, unsigned n_gates, unsigned n_out
 TEST(Resynth, SopOfIntervalCollapsesToUnit) {
   // Minterm-level SOP of [1,6] over 3 vars: 6 AND3 terms + one OR6 = 17
   // equivalent gates, 18 paths. The comparison unit needs 5 gates, 6 paths.
-  // Reaching the full cone requires expanding through intermediate cones
-  // wider than K (the expand_slack extension).
+  // Reaching the full cone requires passing through intermediate cones
+  // wider than K: the cut database finds it anyway, as the cut of the OR
+  // whose leaves are the three variables.
   Netlist nl = interval_sop(3, 1, 6);
   Netlist ref = nl.compacted();
   const std::uint64_t gates_before = nl.equivalent_gate_count();
@@ -73,8 +75,6 @@ TEST(Resynth, SopOfIntervalCollapsesToUnit) {
   ResynthOptions opt;
   opt.objective = ResynthObjective::Gates;
   opt.k = 5;
-  opt.cone_slack = 8;
-  opt.max_cones = 5000;
   ResynthStats st = resynthesize(nl, opt);
   EXPECT_GT(st.replacements, 0u);
   EXPECT_LT(nl.equivalent_gate_count(), gates_before);
@@ -254,14 +254,16 @@ TEST(Resynth, PreservesPrimaryOutputCount) {
 }
 
 // Pinned resynthesis digests. Each candidate of a root is folded into the
-// best one in a fixed order: cones in enumeration order, and per cone the
-// base specs, then the don't-care specs, then the multi-unit rewrite; a
-// fold replaces only on "strictly better", so ties go to the earliest
-// candidate, and sampled identification draws from one Rng in that same
-// order. The digests below pin the netlists and stats of runs that depend
-// on that order. They were recorded from the cone-parallel sweep the
-// current loop replaced, and each one changes when the cones are folded in
-// reverse or the don't-care specs are folded before the base specs.
+// best one in a fixed order: cones in the canonical order (interior size,
+// then leaf list), and per cone the base specs, then the don't-care specs,
+// then the multi-unit rewrite; a fold replaces only on "strictly better", so
+// ties go to the earliest candidate, and sampled identification draws from
+// one Rng in that same order. The digests below pin the netlists and stats
+// of runs that depend on that order; each one changes when the cones are
+// folded in reverse or the don't-care specs are folded before the base
+// specs. The syn150 digests were re-recorded when the cut database replaced
+// the top-down grower (its complete cone set and canonical order moved
+// them); the alu4 and cmp8 runs did not move.
 enum class PinnedMode {
   Sampled,   // sampled identification and don't-cares share one Rng
   SdcTable,  // don't-cares from the exhaustive ReachabilityTable
@@ -306,16 +308,84 @@ std::uint64_t resynth_digest(const PinnedRun& run) {
 
 TEST(Resynth, PinnedFoldOrderDigests) {
   const PinnedRun runs[] = {
-      {"syn150", 4, PinnedMode::Sampled, 10482692196145292438ull},
+      {"syn150", 4, PinnedMode::Sampled, 15497222256496025548ull},
       {"alu4", 5, PinnedMode::SdcTable, 6825761207543630088ull},
       {"cmp8", 6, PinnedMode::SdcTable, 12470321009898319817ull},
       {"alu4", 5, PinnedMode::SdcSat, 6825761207543630088ull},
-      {"syn150", 4, PinnedMode::SdcSat, 10590739628857463573ull},
+      {"syn150", 4, PinnedMode::SdcSat, 17920139841863610691ull},
   };
   for (const PinnedRun& r : runs) {
     EXPECT_EQ(resynth_digest(r), r.digest)
         << r.circuit << " k=" << r.k << " mode " << static_cast<int>(r.mode);
   }
+}
+
+// One cut database per pass is exact: roots are visited in reverse
+// topological order, and a commit at g only redefines g, kills nodes that
+// reached the outputs through g alone and adds unit gates feeding g, none of
+// which is in the fanin cone of a root visited later. This replays a pass
+// with the same commit mechanics as run_pass -- a comparison unit or a
+// constant in place of a cone, then a sweep -- committing wherever it can,
+// and checks every root visited after a commit: the pass-start database
+// must still list exactly the top-down oracle's cones of the live netlist.
+/// Returns the roots checked after a commit.
+std::size_t expect_pass_start_database_exact(Netlist nl, unsigned k,
+                                             const std::string& what) {
+  const Netlist ref = nl.compacted();
+  const CutDatabase db(nl, k);
+  const std::vector<NodeId> order = nl.topo_order();
+  std::size_t commits = 0, checked_after_commit = 0;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const NodeId g = *it;
+    if (nl.is_dead(g) || !oracle::is_gate(nl, g)) continue;
+    const std::vector<Cone> got = oracle::database_cones(nl, db, g);
+    if (commits > 0) {
+      const std::vector<Cone> want = oracle::grow_cones(nl, g, k);
+      EXPECT_EQ(got.size(), want.size()) << what << " root " << g;
+      if (got.size() != want.size()) return checked_after_commit;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].leaves, want[i].leaves) << what << " root " << g;
+        EXPECT_EQ(got[i].interior, want[i].interior) << what << " root " << g;
+      }
+      ++checked_after_commit;
+    }
+    // Commit the widest cone that is a constant or a comparison function.
+    for (auto c = got.rbegin(); c != got.rend(); ++c) {
+      if (c->interior.size() < 2) break;
+      std::vector<unsigned> kept;
+      const TruthTable f = cone_function(nl, *c).support_reduced(&kept);
+      if (f.num_vars() == 0) {
+        nl.redefine(g, f.get(0) ? GateType::Const1 : GateType::Const0, {});
+      } else {
+        const auto& specs = identify_comparison(f);
+        if (specs.empty()) continue;
+        std::vector<NodeId> leaves;
+        for (unsigned v : kept) leaves.push_back(c->leaves[v]);
+        const UnitBuildResult unit = build_comparison_unit(nl, specs[0], leaves);
+        nl.redefine(g, GateType::Buf, {unit.output});
+      }
+      nl.sweep();
+      ++commits;
+      break;
+    }
+  }
+  EXPECT_GT(commits, 0u) << what;
+  Rng rng(3);
+  EXPECT_TRUE(check_equivalent(ref, nl, rng).equivalent) << what;
+  return checked_after_commit;
+}
+
+TEST(Resynth, PassStartCutDatabaseStaysExactAfterCommits) {
+  EXPECT_GT(expect_pass_start_database_exact(make_benchmark("syn150"), 6, "syn150"), 50u);
+  EXPECT_GT(expect_pass_start_database_exact(make_benchmark("syn150"), 4, "syn150"), 50u);
+  expect_pass_start_database_exact(make_comparator(4), 5, "cmp4");
+  Rng rng(77);
+  std::size_t checked = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    checked += expect_pass_start_database_exact(random_circuit(rng, 6, 40, 3), 5,
+                                                "random " + std::to_string(trial));
+  }
+  EXPECT_GT(checked, 40u);
 }
 
 }  // namespace

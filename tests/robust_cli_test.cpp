@@ -7,6 +7,7 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <unistd.h>
 
 #include "obs/json.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn {
 namespace {
@@ -28,7 +30,7 @@ namespace {
 #endif
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_cli_" + leaf;
+  return test_temp_path("cli_" + leaf);
 }
 
 std::string slurp(const std::string& path) {
@@ -109,6 +111,9 @@ TEST(FlowCli, UsageErrorsExit2) {
   EXPECT_EQ(run_flow("").exit_code, 2);
   EXPECT_EQ(run_flow("--verify=maybe syn150").exit_code, 2);
   EXPECT_EQ(run_flow("--inject=frob:1 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--k=0 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--k=9 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--k=4294967302 syn150").exit_code, 2);
 }
 
 TEST(FlowCli, UnknownCircuitExit3WithErrorReport) {
@@ -225,14 +230,14 @@ TEST(FlowCli, SigintInterruptsWithParseableReport) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: a long run, stdout/stderr silenced.
+    // Child: a long run (about 2 s), stdout/stderr silenced.
     FILE* sink = std::fopen("/dev/null", "w");
     if (sink != nullptr) {
       dup2(fileno(sink), STDOUT_FILENO);
       dup2(fileno(sink), STDERR_FILENO);
     }
     const std::string report_flag = "--report=" + report;
-    execl(RESYNTH_FLOW_PATH, RESYNTH_FLOW_PATH, report_flag.c_str(),
+    execl(RESYNTH_FLOW_PATH, RESYNTH_FLOW_PATH, report_flag.c_str(), "--k=7",
           "syn1000", static_cast<char*>(nullptr));
     _exit(99);  // exec failed
   }
@@ -252,6 +257,38 @@ TEST(FlowCli, SigintInterruptsWithParseableReport) {
 TEST(FlowCli, DeadlineInterruptsExit21) {
   const RunResult r = run_flow("--deadline=0.05 syn1000");
   EXPECT_EQ(r.exit_code, 21) << r.out << r.err;
+}
+
+TEST(FlowCli, WidestKStopsPromptlyAtDeadline) {
+  // K = 8 on the largest suite circuit: about 1,000 cones per root, each
+  // simulated rather than read from a cut word. The cut database build and
+  // the per-cone scoring are both poll points, so the run ends soon after
+  // the deadline instead of finishing its pass.
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = run_flow("--deadline=0.5 --k=8 syn1500");
+  const double ran =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_EQ(r.exit_code, 21) << r.out << r.err;
+  EXPECT_LT(ran, 3.0);
+}
+
+TEST(FlowCli, InterruptedReportCoversTheWholeRun) {
+  // The error report of an interrupted run times the run, not the report:
+  // wall_seconds spans at least the deadline and at most the process.
+  const std::string report = temp_path("deadline.json");
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunResult r = run_flow("--deadline=0.3 --k=7 --report=" + report + " syn1000");
+  const double ran =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ASSERT_EQ(r.exit_code, 21) << r.out << r.err;
+  const Json j = parse_report(report);
+  ASSERT_NE(meta_of(j, "status"), nullptr);
+  EXPECT_EQ(meta_of(j, "status")->as_string(), "interrupted");
+  const Json* wall = j.find("wall_seconds");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_GE(wall->as_double(), 0.3);
+  EXPECT_LE(wall->as_double(), ran);
+  std::remove(report.c_str());
 }
 
 TEST(FlowCli, SaturatedPathCountsFormatAtBoundary) {

@@ -14,6 +14,7 @@
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "util/errors.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn::robust {
 namespace {
@@ -307,7 +308,7 @@ TEST(Checkpoint, RejectsWrongFormatAndMissingFields) {
 }
 
 TEST(Checkpoint, FileRoundTripAndTruncationDetected) {
-  const std::string path = testing::TempDir() + "compsyn_ckpt_test.json";
+  const std::string path = test_temp_path("ckpt_test.json");
   const FlowCheckpoint cp = sample_checkpoint();
   std::string err;
   ASSERT_TRUE(cp.save(path, &err)) << err;
@@ -331,7 +332,7 @@ TEST(Checkpoint, FileRoundTripAndTruncationDetected) {
 }
 
 TEST(Checkpoint, InjectedWriteFailureIsReported) {
-  const std::string path = testing::TempDir() + "compsyn_ckpt_fail.json";
+  const std::string path = test_temp_path("ckpt_fail.json");
   std::string perr;
   auto plan = FaultPlan::parse("write:1", &perr);
   ASSERT_TRUE(plan.has_value());
@@ -394,7 +395,7 @@ TEST(Guard, MapsExceptionsToDocumentedExitCodes) {
 
 TEST(Guard, WritesErrorReportOnFailure) {
   CancelGuard guard;
-  const std::string path = testing::TempDir() + "compsyn_guard_report.json";
+  const std::string path = test_temp_path("guard_report.json");
   const std::string flag = "--report=" + path;
   const char* argv[] = {"prog", flag.c_str()};
   char** av = const_cast<char**>(argv);

@@ -34,6 +34,7 @@
 #include "obs/json.hpp"
 #include "report_mask.hpp"
 #include "serve/protocol.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn::serve {
 namespace {
@@ -49,7 +50,7 @@ namespace {
 #endif
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_serve_" + leaf;
+  return test_temp_path("serve_" + leaf);
 }
 
 std::string slurp(const std::string& path) {
@@ -184,10 +185,11 @@ struct Conn {
 
 /// The "long job" of the timing-sensitive tests. It must outlast every
 /// fixed wait below -- the 0.5 s watchdog and the 300 ms settle sleeps --
-/// by at least 2x: syn1500 at k=6 runs about 2.4 s (Release build, 4-core
-/// x86 host; syn600 dropped to 1.1 s once redundancy removal let SAT decide
-/// PODEM's aborts). Re-measure it when the flow gets faster.
-constexpr const char* kLongCircuit = "syn1500";
+/// by at least 2x: syn1000 at k=7 runs about 2.1 s (Release build, 4-core
+/// x86 host; syn1500 at k=6 dropped to 0.6 s once the cut database replaced
+/// per-root cone growth). Re-measure it when the flow gets faster.
+constexpr const char* kLongCircuit = "syn1000";
+constexpr unsigned kLongK = 7;
 
 Json job_message(const std::string& id, const std::string& circuit,
                  unsigned k = 5, const std::string& proc = "2") {
@@ -531,7 +533,7 @@ TEST(ServeE2e, SigtermDrainsWithExit143AndUnlinkedSocket) {
   Conn c;
   ASSERT_TRUE(c.connect(d.socket_path));
   // One long job in flight plus queued work behind it.
-  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, kLongK)));
   ASSERT_TRUE(c.send(job_message("q1", "add8")));
   ASSERT_TRUE(c.send(job_message("q2", "mux4")));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -626,7 +628,7 @@ TEST(ServeE2e, SigkillRestartServesByteIdenticalAnswersFromTheWal) {
   {
     Conn c;
     ASSERT_TRUE(c.connect(d1.socket_path));
-    ASSERT_TRUE(c.send(job_message("inflight", kLongCircuit, /*k=*/6)));
+    ASSERT_TRUE(c.send(job_message("inflight", kLongCircuit, kLongK)));
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
   }
   ASSERT_EQ(::kill(d1.pid, SIGKILL), 0);
@@ -671,7 +673,7 @@ TEST(ServeE2e, SigkillRestartServesByteIdenticalAnswersFromTheWal) {
     unsigned k;
   };
   for (const Probe& p :
-       {Probe{"c17", k}, Probe{"add8", k}, Probe{kLongCircuit, 6}}) {
+       {Probe{"c17", k}, Probe{"add8", k}, Probe{kLongCircuit, kLongK}}) {
     const std::string bench_path = temp_path("rec_" + p.circuit + ".bench");
     const std::string report_path = temp_path("rec_" + p.circuit + ".json");
     // --retry also covers a daemon still replaying: the client re-submits
@@ -740,7 +742,7 @@ TEST(ServeE2e, FullQueueShedsDeterministicallyWithRetryHint) {
   Conn c;
   ASSERT_TRUE(c.connect(d.socket_path));
   // Occupy the lane, then fill the queue, then overflow it.
-  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("long", kLongCircuit, kLongK)));
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   ASSERT_TRUE(c.send(job_message("queued", "c17")));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -789,7 +791,7 @@ TEST(ServeE2e, WatchdogInterruptsAHungJobAndTheLaneKeepsServing) {
   ASSERT_TRUE(c.connect(d.socket_path));
   // The long job runs well past 0.5 s; the watchdog cancels it at a poll
   // point and the job answers "interrupted".
-  ASSERT_TRUE(c.send(job_message("hung", kLongCircuit, /*k=*/6)));
+  ASSERT_TRUE(c.send(job_message("hung", kLongCircuit, kLongK)));
   std::optional<Json> reply = c.recv();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(field(*reply, "id"), "hung");

@@ -216,8 +216,12 @@ TEST(ServeJobSpec, ValidationRejectsBadFields) {
   j.set("k", std::uint64_t{0});
   EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());
   j = base();
-  j.set("k", std::uint64_t{17});
+  j.set("k", std::uint64_t{9});
   EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());
+  EXPECT_NE(err.find("'k'"), std::string::npos);
+  j = base();
+  j.set("k", std::uint64_t{8});
+  EXPECT_TRUE(JobSpec::from_json(j, &err).has_value()) << err;
   j = base();
   j.set("verify", "always");
   EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());

@@ -12,12 +12,13 @@
 
 #include "robust/inject.hpp"
 #include "serve/wal.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn::serve {
 namespace {
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_wal_" + leaf;
+  return test_temp_path("wal_" + leaf);
 }
 
 std::string slurp(const std::string& path) {

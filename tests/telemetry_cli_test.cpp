@@ -20,6 +20,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace_check.hpp"
+#include "temp_path.hpp"
 
 #ifndef RESYNTH_FLOW_PATH
 #error "RESYNTH_FLOW_PATH must be defined by the build"
@@ -29,7 +30,7 @@ namespace compsyn {
 namespace {
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_telemetry_cli_" + leaf;
+  return test_temp_path("telemetry_cli_" + leaf);
 }
 
 std::string slurp(const std::string& path) {

@@ -27,12 +27,13 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
+#include "temp_path.hpp"
 
 namespace compsyn {
 namespace {
 
 std::string temp_path(const std::string& leaf) {
-  return testing::TempDir() + "compsyn_telemetry_" + leaf;
+  return test_temp_path("telemetry_" + leaf);
 }
 
 std::string slurp(const std::string& path) {
