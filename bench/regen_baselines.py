@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerates the committed Table 2 bench baselines.
+"""Regenerates the committed bench baselines.
 
     python3 bench/regen_baselines.py [--build=build]
 
@@ -22,6 +22,7 @@ import tempfile
 BASELINES = [
     ("table2_proc2", "BENCH_table2.json", True),
     ("table2_npn", "BENCH_table2_npn.json", False),
+    ("table_atpg", "BENCH_atpg.json", False),
 ]
 
 

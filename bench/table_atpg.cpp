@@ -4,7 +4,6 @@
 // pattern counts, fault coverage, PODEM calls, and backtracks.
 //
 //   base  -- legacy backtrace/frontier, index fault order (the seed engine)
-//   level -- level-guided backtrace/frontier, fanout-cone fault order
 //   scoap -- SCOAP-guided backtrace/frontier, hard-first fault order
 //
 // Invariants asserted FATAL (DESIGN.md §16):
@@ -43,8 +42,6 @@ struct VariantSpec {
 constexpr VariantSpec kVariants[] = {
     {"base", {BacktracePolicy::Legacy, FrontierPolicy::Legacy},
      FaultOrderPolicy::Index},
-    {"level", {BacktracePolicy::Level, FrontierPolicy::Level},
-     FaultOrderPolicy::Cone},
     {"scoap", {BacktracePolicy::Scoap, FrontierPolicy::Scoap},
      FaultOrderPolicy::HardFirst},
 };

@@ -41,7 +41,8 @@ int run_main(int argc, char** argv) {
 
   Rng rng(2);
   auto eq = check_equivalent(before, block, rng);
-  std::cout << "function preserved: " << (eq.equivalent ? "yes" : "NO") << "\n";
+  std::cout << "equivalent to the original block: "
+            << (eq.equivalent ? "yes" : "NO") << "\n";
 
   // Technology view (Table 4 style).
   const TechmapResult m0 = technology_map(before);

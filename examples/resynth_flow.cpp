@@ -1,6 +1,9 @@
 // The full paper flow on a benchmark circuit (or a user-supplied .bench
 // file): make it irredundant, run Procedure 2 or 3, re-remove redundancies,
 // and report gates/paths/testability -- what Section 5 does per circuit.
+// The stages and their output come from flow/flow.hpp (the serve daemon
+// runs the same ones); this binary adds the command line and the
+// checkpoint/resume pass loop.
 //
 //   $ ./resynth_flow syn300
 //   $ ./resynth_flow --proc=3 --k=6 path/to/circuit.bench
@@ -25,12 +28,9 @@
 #include <iostream>
 #include <optional>
 
-#include "atpg/redundancy.hpp"
 #include "bench_io/bench_io.hpp"
-#include "core/cones.hpp"
-#include "core/resynth.hpp"
+#include "flow/flow.hpp"
 #include "gen/circuits.hpp"
-#include "netlist/equivalence.hpp"
 #include "obs/counters.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -39,7 +39,6 @@
 #include "robust/guard.hpp"
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
-#include "sat/cec.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
 
@@ -47,41 +46,13 @@ using namespace compsyn;
 
 namespace {
 
-/// Path total for JSON: plain number normally, ">=2^63" once saturated.
-Json path_total_json(std::uint64_t total) {
-  if (total >= kPathCountSaturated) return Json(format_path_total(total));
-  return Json(total);
-}
-
 struct FlowConfig {
   std::string source;
-  std::string proc;
-  unsigned k = 6;
-  double weight_gates = 1.0;
-  double weight_paths = 1.0;
-  std::string verify_str;
-  VerifyMode verify = VerifyMode::Sim;
-  std::uint64_t budget_limit = 0;     // --budget flag value (0 = none)
+  FlowSpec spec;
   std::string checkpoint_path;        // "" = no checkpoint writing
   std::string resume_path;            // "" = fresh run
   bool robust_active = false;         // any robust flag present
 };
-
-ResynthOptions resynth_options(const FlowConfig& cfg) {
-  ResynthOptions opt;
-  if (cfg.proc == "combined") {
-    opt.objective = ResynthObjective::Combined;
-    opt.weight_gates = cfg.weight_gates;
-    opt.weight_paths = cfg.weight_paths;
-  } else if (cfg.proc == "3") {
-    opt.objective = ResynthObjective::Paths;
-    opt.allow_gate_increase = true;
-  } else {
-    opt.objective = ResynthObjective::Gates;
-  }
-  opt.k = cfg.k;
-  return opt;
-}
 
 /// The slice of ResynthStats a checkpoint carries (the rest is recomputed
 /// from the restored netlist when the run finishes).
@@ -164,12 +135,12 @@ void save_flow_checkpoint(const FlowConfig& cfg, const ResynthStats& st,
                           const std::string& original_bench) {
   robust::FlowCheckpoint cp;
   cp.circuit = cfg.source;
-  cp.proc = cfg.proc;
-  cp.k = cfg.k;
-  cp.weight_gates = cfg.weight_gates;
-  cp.weight_paths = cfg.weight_paths;
-  cp.verify = cfg.verify_str;
-  cp.budget_limit = cfg.budget_limit;
+  cp.proc = cfg.spec.proc;
+  cp.k = static_cast<unsigned>(cfg.spec.k);
+  cp.weight_gates = cfg.spec.weight_gates;
+  cp.weight_paths = cfg.spec.weight_paths;
+  cp.verify = cfg.spec.verify;
+  cp.budget_limit = cfg.spec.budget;
   cp.stage = "resynth";
   cp.passes_done = st.passes;
   cp.ticks = robust::ticks_consumed();
@@ -194,7 +165,8 @@ void save_flow_checkpoint(const FlowConfig& cfg, const ResynthStats& st,
 ResynthStats run_passes_checkpointed(Netlist& nl, const FlowConfig& cfg,
                                      const std::string& original_bench,
                                      ResynthStats total) {
-  ResynthOptions opt = resynth_options(cfg);
+  const Span phase_resynth("resynth", SpanKind::Phase);
+  ResynthOptions opt = resynth_options(cfg.spec);
   const unsigned max_passes = opt.max_passes;
   opt.max_passes = 1;
   bool fixpoint =
@@ -249,28 +221,15 @@ int flow_main(int argc, char** argv) {
     return robust::kExitUsage;
   }
   if (!obs_cli_start(cli, "resynth_flow")) return robust::kExitUsage;
-  const std::string verify_str = cli.get("verify", "sim");
-  const auto verify = parse_verify_mode(verify_str);
-  if (!verify) {
-    std::cerr << "error: --verify=" << verify_str
-              << " (expected sim, sat, or both)\n";
-    return robust::kExitUsage;
-  }
 
   FlowConfig cfg;
   cfg.source = cli.positional()[0];
-  cfg.proc = cli.get("proc", "2");
-  const std::uint64_t k = cli.get_u64("k", 6);
-  if (k == 0 || k > CutDatabase::kMaxLeaves) {
-    std::cerr << "error: --k=" << k << " (expected 1 to 8)\n";
+  cfg.spec = FlowSpec::from_cli(cli);
+  std::string invalid;
+  if (!cfg.spec.validate(&invalid)) {
+    std::cerr << "error: " << invalid << "\n";
     return robust::kExitUsage;
   }
-  cfg.k = static_cast<unsigned>(k);
-  cfg.weight_gates = cli.get_double("weight-gates", 1.0);
-  cfg.weight_paths = cli.get_double("weight-paths", 1.0);
-  cfg.verify_str = verify_str;
-  cfg.verify = *verify;
-  cfg.budget_limit = cli.get_u64("budget", 0);
   cfg.checkpoint_path = cli.get("checkpoint", "");
   cfg.resume_path = cli.get("resume", "");
   const double deadline = cli.get_double("deadline", 0.0);
@@ -297,10 +256,10 @@ int flow_main(int argc, char** argv) {
     if (!ck.load(cfg.resume_path, &err)) {
       throw InputError("--resume=" + cfg.resume_path + ": " + err);
     }
-    if (ck.circuit != cfg.source || ck.proc != cfg.proc || ck.k != cfg.k ||
-        ck.weight_gates != cfg.weight_gates ||
-        ck.weight_paths != cfg.weight_paths || ck.verify != cfg.verify_str ||
-        ck.budget_limit != cfg.budget_limit) {
+    if (ck.circuit != cfg.source || ck.proc != cfg.spec.proc ||
+        ck.k != cfg.spec.k || ck.weight_gates != cfg.spec.weight_gates ||
+        ck.weight_paths != cfg.spec.weight_paths ||
+        ck.verify != cfg.spec.verify || ck.budget_limit != cfg.spec.budget) {
       throw InputError(
           "--resume=" + cfg.resume_path +
           ": checkpoint was written under different flags (circuit/proc/k/"
@@ -312,7 +271,7 @@ int flow_main(int argc, char** argv) {
   // Budget: the user's --budget, tightened by any scripted budget trip from
   // the fault plan. Installed whenever a robust flag is present so ticks are
   // counted (limit 0 = count only); on resume the consumed ticks carry over.
-  std::uint64_t effective_limit = cfg.budget_limit;
+  std::uint64_t effective_limit = cfg.spec.budget;
   if (plan && plan->budget_trip != 0) {
     effective_limit = effective_limit == 0
                           ? plan->budget_trip
@@ -338,18 +297,8 @@ int flow_main(int argc, char** argv) {
     throw InputError(e.what());
   }
 
-  std::cout << "circuit " << nl.name() << ": " << nl.inputs().size()
-            << " inputs, " << nl.outputs().size() << " outputs, "
-            << nl.equivalent_gate_count() << " equivalent 2-input gates\n";
-
-  // First degraded stage wins the reported stop reason.
-  robust::StopReason degraded_reason = robust::StopReason::None;
-  auto note_stage = [&](robust::RunStatus s, robust::StopReason r) {
-    if (s == robust::RunStatus::Degraded &&
-        degraded_reason == robust::StopReason::None) {
-      degraded_reason = r;
-    }
-  };
+  Flow flow(cfg.spec, cfg.source, std::cout);
+  flow.announce(nl);
 
   const bool ckpt_driver = resumed || !cfg.checkpoint_path.empty();
   Netlist original;
@@ -366,19 +315,7 @@ int flow_main(int argc, char** argv) {
     st = stats_from_json(ck.stats);
     restore_counters(ck.counters);
   } else {
-    const Span phase_rr0("redundancy_removal", SpanKind::Phase);
-    auto rr0 = remove_redundancies(nl);
-    if (rr0.status == robust::RunStatus::Interrupted) {
-      throw robust::CancelledError(rr0.stop_reason);
-    }
-    note_stage(rr0.status, rr0.stop_reason);
-    std::cout << "redundancy removal: " << rr0.removed
-              << " substitutions (irredundant start, as in the paper)\n";
-    original = nl.compacted();
-    std::cout << "irredundant: " << original.equivalent_gate_count()
-              << " gates, "
-              << format_path_total(count_paths_clamped(original).total)
-              << " paths, depth " << original.depth() << "\n";
+    original = flow.irredundant_start(nl);
     if (ckpt_driver) {
       // Canonicalise through the .bench round-trip a resume performs, and
       // cut the pass-0 boundary checkpoint so a kill during the first pass
@@ -395,87 +332,10 @@ int flow_main(int argc, char** argv) {
     }
   }
 
-  {
-    const Span phase_resynth("resynth", SpanKind::Phase);
-    if (ckpt_driver) {
-      st = run_passes_checkpointed(nl, cfg, original_bench, st);
-    } else if (cfg.proc == "combined") {
-      // Section 4.3: weighted gate/path objective. Weights default to (1,1);
-      // (1,0) recovers Procedure 2's primary criterion, (0,1) Procedure 3's.
-      st = resynthesize(nl, resynth_options(cfg));
-    } else {
-      st = cfg.proc == "3" ? procedure3(nl, cfg.k) : procedure2(nl, cfg.k);
-    }
-  }
-  if (st.status == robust::RunStatus::Interrupted) {
-    throw robust::CancelledError(st.stop_reason);
-  }
-  note_stage(st.status, st.stop_reason);
-  if (cfg.proc == "combined") {
-    std::cout << "Combined objective (K=" << cfg.k
-              << ", wg=" << cfg.weight_gates << ", wp=" << cfg.weight_paths
-              << "): " << st.replacements << " replacements over " << st.passes
-              << " pass(es)\n";
-  } else {
-    std::cout << "Procedure " << cfg.proc << " (K=" << cfg.k
-              << "): " << st.replacements << " replacements over " << st.passes
-              << " pass(es)\n";
-  }
-  std::cout << "  gates " << st.gates_before << " -> " << st.gates_after
-            << "\n  paths " << format_path_total(st.paths_before) << " -> "
-            << format_path_total(st.paths_after) << "\n";
-  for (const ResynthPassRecord& pr : st.history) {
-    std::cout << "  pass " << pr.pass << ": " << pr.replacements
-              << " replacement(s) -> " << pr.gates << " gates, "
-              << format_path_total(pr.paths) << " paths\n";
-  }
-  if (st.status == robust::RunStatus::Degraded) {
-    std::cout << "resynthesis degraded ("
-              << robust::to_string(st.stop_reason) << " after "
-              << robust::ticks_consumed()
-              << " ticks): best-so-far result, every committed replacement "
-                 "verified\n";
-  }
-
-  std::optional<Span> phase_rr1;
-  phase_rr1.emplace("redundancy_removal_post", SpanKind::Phase);
-  auto rr1 = remove_redundancies(nl);
-  phase_rr1.reset();
-  if (rr1.status == robust::RunStatus::Interrupted) {
-    throw robust::CancelledError(rr1.stop_reason);
-  }
-  note_stage(rr1.status, rr1.stop_reason);
-  if (rr1.removed) {
-    std::cout << "post-resynthesis redundancy removal: " << rr1.removed
-              << " substitutions -> " << nl.equivalent_gate_count()
-              << " gates, " << format_path_total(count_paths_clamped(nl).total)
-              << " paths\n";
-  } else {
-    std::cout << "no redundant stuck-at faults after resynthesis\n";
-  }
-  std::cout << "depth: " << original.depth() << " -> " << nl.depth() << "\n";
-
-  Rng rng(1);
-  EquivalenceResult eq;
-  {
-    const Span phase_verify("verify", SpanKind::Phase);
-    const Span sp("verify");
-    eq = cfg.verify == VerifyMode::Sim
-             ? check_equivalent(original, nl, rng, 128)
-             : check_equivalent_mode(original, nl, rng, cfg.verify, 128);
-  }
-  // A cancel that landed during verification leaves eq unreliable (the SAT
-  // side may have wound down Unknown); report "interrupted", not a verdict.
-  if (robust::cancel_requested()) {
-    throw robust::CancelledError(robust::cancel_reason());
-  }
-  // Default (sim) wording is unchanged; the SAT modes say what was proved.
-  std::string how = eq.exhaustive ? " (proved exhaustively)" : " (random vectors)";
-  if (cfg.verify != VerifyMode::Sim && !eq.exhaustive && eq.proven) {
-    how = eq.equivalent ? " (proved by SAT)" : " (SAT counterexample)";
-  }
-  std::cout << "function preserved: " << (eq.equivalent ? "yes" : "NO") << how
-            << "\n";
+  st = ckpt_driver ? run_passes_checkpointed(nl, cfg, original_bench, st)
+                   : flow.resynthesize(nl);
+  const FlowOutcome outcome =
+      flow.finish(original, nl, st, cfg.robust_active, report);
 
   if (cli.has("out")) {
     std::ofstream os(cli.get("out"));
@@ -483,38 +343,8 @@ int flow_main(int argc, char** argv) {
     std::cout << "wrote " << cli.get("out") << "\n";
   }
 
-  const bool degraded = degraded_reason != robust::StopReason::None;
-  int rc = eq.equivalent ? robust::kExitOk : robust::kExitVerifyFailed;
-  if (cli.has("report")) {
-    report.set_meta("circuit", cfg.source);
-    report.set_meta("proc", cfg.proc);
-    report.set_meta("k", static_cast<std::uint64_t>(cfg.k));
-    report.set_meta("gates_before", st.gates_before);
-    report.set_meta("gates_after", st.gates_after);
-    report.set_meta("paths_before", path_total_json(st.paths_before));
-    report.set_meta("paths_after", path_total_json(st.paths_after));
-    report.set_meta("function_preserved", eq.equivalent);
-    report.set_meta("verify", verify_str);
-    report.set_meta("verify_proven", eq.proven);
-    // Emitted only when a robust flag is in play (or the run actually
-    // degraded), so default-flag reports stay byte-identical across releases.
-    if (cfg.robust_active || degraded) {
-      report.set_meta("status", degraded ? "degraded" : "ok");
-      if (degraded) {
-        report.set_meta("stop_reason", robust::to_string(degraded_reason));
-      }
-      report.set_meta("ticks", robust::ticks_consumed());
-      if (cfg.budget_limit != 0) report.set_meta("budget", cfg.budget_limit);
-    }
-    for (const ResynthPassRecord& pr : st.history) {
-      Json rec = Json::object();
-      rec.set("pass", static_cast<std::uint64_t>(pr.pass));
-      rec.set("replacements", pr.replacements);
-      rec.set("gates", pr.gates);
-      rec.set("paths", path_total_json(pr.paths));
-      report.add_record("passes", std::move(rec));
-    }
-  }
+  int rc = outcome.equivalent ? robust::kExitOk : robust::kExitVerifyFailed;
+  const bool degraded = outcome.degraded();
   if (!obs_cli_finish(cli, report, degraded ? "degraded" : "ok", std::cout)) {
     rc = rc ? rc : robust::kExitVerifyFailed;
   }

@@ -110,7 +110,7 @@ int run_main(int argc, char** argv) {
       const auto p = parse_backtrace_policy(cli.get("atpg-backtrace"));
       if (!p) {
         std::cerr << "error: --atpg-backtrace=" << cli.get("atpg-backtrace")
-                  << " (expected legacy, level, or scoap)\n";
+                  << " (expected legacy or scoap)\n";
         return robust::kExitUsage;
       }
       gopt.strategy.backtrace = *p;
@@ -119,7 +119,7 @@ int run_main(int argc, char** argv) {
       const auto p = parse_frontier_policy(cli.get("atpg-frontier"));
       if (!p) {
         std::cerr << "error: --atpg-frontier=" << cli.get("atpg-frontier")
-                  << " (expected legacy, level, or scoap)\n";
+                  << " (expected legacy or scoap)\n";
         return robust::kExitUsage;
       }
       gopt.strategy.frontier = *p;

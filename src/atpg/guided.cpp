@@ -212,14 +212,12 @@ GuidedAtpgResult guided_atpg(const Netlist& nl, const GuidedAtpgOptions& opt) {
 
 std::optional<BacktracePolicy> parse_backtrace_policy(std::string_view s) {
   if (s == "legacy") return BacktracePolicy::Legacy;
-  if (s == "level") return BacktracePolicy::Level;
   if (s == "scoap") return BacktracePolicy::Scoap;
   return std::nullopt;
 }
 
 std::optional<FrontierPolicy> parse_frontier_policy(std::string_view s) {
   if (s == "legacy") return FrontierPolicy::Legacy;
-  if (s == "level") return FrontierPolicy::Level;
   if (s == "scoap") return FrontierPolicy::Scoap;
   return std::nullopt;
 }
@@ -241,7 +239,6 @@ std::optional<RtpgVariant> parse_rtpg_variant(std::string_view s) {
 const char* to_string(BacktracePolicy p) {
   switch (p) {
     case BacktracePolicy::Legacy: return "legacy";
-    case BacktracePolicy::Level: return "level";
     case BacktracePolicy::Scoap: return "scoap";
   }
   return "?";
@@ -250,7 +247,6 @@ const char* to_string(BacktracePolicy p) {
 const char* to_string(FrontierPolicy p) {
   switch (p) {
     case FrontierPolicy::Legacy: return "legacy";
-    case FrontierPolicy::Level: return "level";
     case FrontierPolicy::Scoap: return "scoap";
   }
   return "?";

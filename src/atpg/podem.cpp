@@ -348,12 +348,9 @@ class Podem {
               : V0;
       const Rank side = pick_side_input(r, want);
       if (side == kNoRank) continue;
-      std::uint64_t key = i;
-      switch (frontier_policy_) {
-        case FrontierPolicy::Legacy: break;
-        case FrontierPolicy::Level: key = guide_->out_dist[node_[r]]; break;
-        case FrontierPolicy::Scoap: key = guide_->scoap.co[node_[r]]; break;
-      }
+      const std::uint64_t key = frontier_policy_ == FrontierPolicy::Legacy
+                                    ? i
+                                    : guide_->scoap.co[node_[r]];
       if (!found || key < best_key) {
         found = true;
         best_key = key;
@@ -367,17 +364,15 @@ class Podem {
   }
 
   /// The gate's side input to target, among good-machine X fanins: the
-  /// first (Legacy), the shallowest (Level), or the cheapest to drive to
-  /// `want` (Scoap). kNoRank when no good-machine X fanin exists.
+  /// first (Legacy) or the cheapest to drive to `want` (Scoap). kNoRank
+  /// when no good-machine X fanin exists.
   Rank pick_side_input(Rank gate, std::uint8_t want) const {
     Rank best = kNoRank;
     std::uint64_t best_key = 0;
     for (Rank f : fanins(gate)) {
       if (gv_[f] != VX) continue;
       if (frontier_policy_ == FrontierPolicy::Legacy) return f;
-      const std::uint64_t key = frontier_policy_ == FrontierPolicy::Level
-                                    ? guide_->level[node_[f]]
-                                    : guide_->scoap.cc(node_[f], want == V1);
+      const std::uint64_t key = guide_->scoap.cc(node_[f], want == V1);
       if (best == kNoRank || key < best_key) {
         best = f;
         best_key = key;
@@ -442,9 +437,7 @@ class Podem {
     for (Rank f : fanins(gate)) {
       if (gv_[f] != VX) continue;
       if (backtrace_policy_ == BacktracePolicy::Legacy) return f;
-      std::uint64_t key = backtrace_policy_ == BacktracePolicy::Level
-                              ? guide_->level[node_[f]]
-                              : guide_->scoap.cc(node_[f], value == V1);
+      std::uint64_t key = guide_->scoap.cc(node_[f], value == V1);
       if (hardest) key = ~key;  // max-cost wins, ties still first-fanin
       if (best == kNoRank || key < best_key) {
         best = f;

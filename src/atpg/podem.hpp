@@ -40,14 +40,12 @@ enum class AtpgStatus {
 /// D-frontier gate selection order.
 enum class FrontierPolicy : std::uint8_t {
   Legacy,  // first frontier gate in topological order (seed behavior)
-  Level,   // gate nearest a primary output (min AtpgGuidance::out_dist)
   Scoap,   // most observable gate (min SCOAP CO)
 };
 
 /// Backtrace fanin selection order.
 enum class BacktracePolicy : std::uint8_t {
   Legacy,  // first X-valued fanin (seed behavior)
-  Level,   // shallowest X-valued fanin (min structural level)
   Scoap,   // classic SCOAP rule: easiest input when one controlling value
            // suffices, hardest when every input must be non-controlling
 };

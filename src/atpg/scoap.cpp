@@ -150,17 +150,6 @@ std::uint32_t scoap_fault_hardness(const Netlist& nl, const ScoapMetrics& m,
 AtpgGuidance AtpgGuidance::build(const Netlist& nl) {
   AtpgGuidance g;
   g.scoap = compute_scoap(nl);
-  g.level = nl.levels();
-  g.out_dist.assign(nl.size(), kScoapInf);
-  const auto& topo = nl.topo_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId n = *it;
-    const Node& nd = nl.node(n);
-    if (nd.is_output) g.out_dist[n] = 0;
-    for (NodeId f : nd.fanins) {
-      g.out_dist[f] = std::min(g.out_dist[f], scoap_add(g.out_dist[n], 1));
-    }
-  }
   return g;
 }
 

@@ -64,9 +64,6 @@ std::uint32_t scoap_fault_hardness(const Netlist& nl, const ScoapMetrics& m,
 /// mutation (NodeId-indexed vectors go stale the moment sizes change).
 struct AtpgGuidance {
   ScoapMetrics scoap;
-  std::vector<std::uint32_t> level;     // structural level (inputs at 0)
-  std::vector<std::uint32_t> out_dist;  // gate-distance to the nearest PO
-                                        // (0 for POs, kScoapInf when dead)
 
   static AtpgGuidance build(const Netlist& nl);
 };

@@ -12,8 +12,8 @@
 // written by earlier releases are accepted everywhere a v2 report is and are
 // normalized by prepending the tag; unknown schema strings are rejected.
 //
-// Like trace_check, this is a pure function layer: always compiled, never
-// gated by COMPSYN_TRACE.
+// This is a pure function layer: always compiled, never gated by
+// COMPSYN_TRACE.
 #pragma once
 
 #include <string>

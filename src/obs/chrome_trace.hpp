@@ -12,8 +12,7 @@
 //
 // Timestamps are nanoseconds from open() (written as fractional-microsecond
 // `ts` values, the unit the trace-event format specifies). Events are
-// buffered under a mutex and sorted by time on write; the in-repo checker
-// (trace_check.hpp) validates the result.
+// buffered under a mutex and sorted by time on write.
 #pragma once
 
 #include <cstddef>

@@ -56,7 +56,7 @@ struct FactorConesStats {
   std::uint64_t gates_after = 0;
 };
 
-/// Factored-form cone rewriting to a fixpoint (function preserved exactly).
+/// Factored-form cone rewriting to a fixpoint; the function is kept exactly.
 FactorConesStats factor_cones(Netlist& nl, const FactorConesOptions& opt = {});
 
 }  // namespace compsyn

@@ -1,16 +1,17 @@
-// In-process execution of one serve job: the exact one-shot `resynth_flow`
-// pipeline (redundancy removal -> Procedure 2/3/combined -> redundancy
-// removal -> equivalence check), producing the same three artifacts a
-// one-shot run would leave behind -- the resynthesized .bench text, the run
-// report JSON, and the stdout text -- byte-identical to
+// In-process execution of one serve job: the paper flow of
+// `flow/flow.hpp` (redundancy removal -> Procedure 2/3/combined ->
+// redundancy removal -> equivalence check), producing the same three
+// artifacts a one-shot run would leave behind -- the resynthesized .bench
+// text, the run report JSON, and the stdout text -- byte-identical to
 // `resynth_flow <flags> <circuit>` after masking the report's wall-clock
 // fields (DESIGN.md §13.2).
 //
-// Byte-identity holds because (a) run_resynth_job mirrors the flow binary's
-// default (non-checkpoint) code path statement for statement, and (b) the
-// executor calls begin_job_isolation() first, which resets every piece of
-// mutable global observability state a fresh process would start without
-// (counters, spans, distributions, telemetry, and the calling thread's
+// Byte-identity holds because (a) the executor and `resynth_flow` run the
+// same stages of the one flow module, which owns every line of the flow's
+// stdout and every field of its report meta, and (b) the executor calls
+// begin_job_isolation() first, which resets every piece of mutable global
+// observability state a fresh process would start without (counters,
+// spans, distributions, telemetry, and the calling thread's
 // exact-identification memo). Engine *results* never depend on that state
 // -- every cache in the repo exact-confirms its hits -- but the counter
 // streams embedded in reports do, and reports are part of the contract.

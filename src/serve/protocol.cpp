@@ -6,8 +6,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include "core/cones.hpp"
-
 namespace compsyn::serve {
 namespace {
 
@@ -142,7 +140,7 @@ Json JobSpec::to_json() const {
   j.set("circuit", circuit);
   if (!bench.empty()) j.set("bench", bench);
   j.set("proc", proc);
-  j.set("k", static_cast<std::uint64_t>(k));
+  j.set("k", k);
   j.set("weight_gates", weight_gates);
   j.set("weight_paths", weight_paths);
   j.set("verify", verify);
@@ -173,22 +171,14 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, std::string* error) {
     spec.bench = f->as_string();
   }
   if ((f = j.find("proc")) != nullptr) spec.proc = f->as_string();
-  if (spec.proc != "2" && spec.proc != "3" && spec.proc != "combined") {
-    return fail("'proc' must be \"2\", \"3\", or \"combined\"");
-  }
-  if ((f = j.find("k")) != nullptr) {
-    const std::uint64_t k = f->as_u64();
-    if (k == 0 || k > CutDatabase::kMaxLeaves) return fail("'k' must be in [1, 8]");
-    spec.k = static_cast<unsigned>(k);
-  }
+  if ((f = j.find("k")) != nullptr) spec.k = f->as_u64();
   if ((f = j.find("weight_gates")) != nullptr) spec.weight_gates = f->as_double();
   if ((f = j.find("weight_paths")) != nullptr) spec.weight_paths = f->as_double();
   if ((f = j.find("verify")) != nullptr) spec.verify = f->as_string();
-  if (spec.verify != "sim" && spec.verify != "sat" && spec.verify != "both") {
-    return fail("'verify' must be \"sim\", \"sat\", or \"both\"");
-  }
   if ((f = j.find("budget")) != nullptr) spec.budget = f->as_u64();
   if ((f = j.find("deadline")) != nullptr) spec.deadline = f->as_double();
+  std::string invalid;
+  if (!spec.validate(&invalid)) return fail(invalid);
   return spec;
 }
 

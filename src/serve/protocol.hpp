@@ -36,6 +36,7 @@
 #include <optional>
 #include <string>
 
+#include "flow/flow.hpp"
 #include "obs/json.hpp"
 
 namespace compsyn::serve {
@@ -75,23 +76,18 @@ bool write_frame(int fd, std::string_view payload, std::string* error,
 /// Serializes a message and writes it as one frame (compact JSON).
 bool write_message(int fd, const Json& message, std::string* error);
 
-/// One resynthesis job as it travels on the wire: the same knob set as the
-/// one-shot `resynth_flow` binary, so a job's result can be byte-compared
-/// against a one-shot run (DESIGN.md §13.2).
-struct JobSpec {
+/// One resynthesis job as it travels on the wire: the flow's own options
+/// (FlowSpec, the knob set of the one-shot `resynth_flow` binary) plus what
+/// only a job carries, so a job's result can be byte-compared against a
+/// one-shot run (DESIGN.md §13.2).
+struct JobSpec : FlowSpec {
   std::string id;            // client-chosen correlation id
   std::string circuit;       // suite name, or the path string of a .bench
   std::string bench;         // .bench text ("" = build `circuit` via the suite)
-  std::string proc = "2";    // "2" | "3" | "combined"
-  unsigned k = 6;
-  double weight_gates = 1.0;
-  double weight_paths = 1.0;
-  std::string verify = "sim";     // "sim" | "sat" | "both"
-  std::uint64_t budget = 0;       // deterministic tick budget (0 = none)
-  double deadline = 0.0;          // per-job wall-clock watchdog (0 = none)
+  double deadline = 0.0;     // per-job wall-clock watchdog (0 = none)
 
-  /// True when any robust flag is in play (mirrors resynth_flow's
-  /// cfg.robust_active, which gates the report's status/ticks meta).
+  /// True when any robust flag is in play: the gate of the report's
+  /// status/ticks meta, as resynth_flow gates it on --budget/--deadline.
   bool robust_active() const { return budget != 0 || deadline > 0.0; }
 
   /// The flag-set part of the cache key: every field that changes the

@@ -237,21 +237,20 @@ bool slurp(const std::string& path, std::string* out, std::string* error) {
 }
 
 /// Fills the job-defining fields from the command line (same flag names as
-/// resynth_flow). Inlines the .bench file when the source is a path.
-bool spec_from_cli(const Cli& cli, const std::string& source, JobSpec* spec,
-                   std::string* error) {
+/// resynth_flow). Inlines the .bench file when the source is a path. A flag
+/// value out of range is a usage error (exit 2), reported before any file
+/// is read or any connection is made.
+int spec_from_cli(const Cli& cli, const std::string& source, JobSpec* spec,
+                  std::string* error) {
+  FlowSpec& flow = *spec;
+  flow = FlowSpec::from_cli(cli);
+  if (!spec->validate(error)) return robust::kExitUsage;
+  spec->deadline = cli.get_double("deadline", 0.0);
   spec->circuit = source;
   if (source.size() > 6 && source.substr(source.size() - 6) == ".bench") {
-    if (!slurp(source, &spec->bench, error)) return false;
+    if (!slurp(source, &spec->bench, error)) return robust::kExitInputError;
   }
-  spec->proc = cli.get("proc", "2");
-  spec->k = static_cast<unsigned>(cli.get_u64("k", 6));
-  spec->weight_gates = cli.get_double("weight-gates", 1.0);
-  spec->weight_paths = cli.get_double("weight-paths", 1.0);
-  spec->verify = cli.get("verify", "sim");
-  spec->budget = cli.get_u64("budget", 0);
-  spec->deadline = cli.get_double("deadline", 0.0);
-  return true;
+  return robust::kExitOk;
 }
 
 int exit_code_for_status(const std::string& status) {
@@ -504,9 +503,9 @@ int client_main(int argc, char** argv) {
   }
   JobSpec spec;
   spec.id = cli.get("id", "cli");
-  if (!spec_from_cli(cli, cli.positional()[0], &spec, &err)) {
+  if (const int rc = spec_from_cli(cli, cli.positional()[0], &spec, &err)) {
     std::cerr << "error: " << err << "\n";
-    return robust::kExitInputError;
+    return rc;
   }
   JobSubmitter submitter(socket_path, policy_from_cli(cli));
   std::optional<JobResult> result = submitter.submit(spec, &err);

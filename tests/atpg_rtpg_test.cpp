@@ -185,13 +185,15 @@ TEST(Rtpg, ParserRoundTrips) {
     EXPECT_STREQ(to_string(*v), s);
   }
   EXPECT_FALSE(parse_fault_order("").has_value());
-  for (const char* s : {"legacy", "level", "scoap"}) {
+  for (const char* s : {"legacy", "scoap"}) {
     const auto b = parse_backtrace_policy(s);
     const auto f = parse_frontier_policy(s);
     ASSERT_TRUE(b.has_value() && f.has_value()) << s;
     EXPECT_STREQ(to_string(*b), s);
     EXPECT_STREQ(to_string(*f), s);
   }
+  EXPECT_FALSE(parse_backtrace_policy("level").has_value());
+  EXPECT_FALSE(parse_frontier_policy("level").has_value());
 }
 
 }  // namespace

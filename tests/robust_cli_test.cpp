@@ -114,6 +114,8 @@ TEST(FlowCli, UsageErrorsExit2) {
   EXPECT_EQ(run_flow("--k=0 syn150").exit_code, 2);
   EXPECT_EQ(run_flow("--k=9 syn150").exit_code, 2);
   EXPECT_EQ(run_flow("--k=4294967302 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--proc=7 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--proc= syn150").exit_code, 2);
 }
 
 TEST(FlowCli, UnknownCircuitExit3WithErrorReport) {

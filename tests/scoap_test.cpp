@@ -279,21 +279,10 @@ TEST(Scoap, BranchCoExceedsGateCo) {
 TEST(Scoap, GuidanceBundle) {
   C17 c;
   const AtpgGuidance g = AtpgGuidance::build(c.nl);
-  EXPECT_EQ(g.level, c.nl.levels());
-  // Gate-distance to the nearest PO.
-  EXPECT_EQ(g.out_dist[c.n22], 0u);
-  EXPECT_EQ(g.out_dist[c.n23], 0u);
-  EXPECT_EQ(g.out_dist[c.n16], 1u);
-  EXPECT_EQ(g.out_dist[c.n10], 1u);
-  EXPECT_EQ(g.out_dist[c.n11], 2u);
-  EXPECT_EQ(g.out_dist[c.i1], 2u);
-  EXPECT_EQ(g.out_dist[c.i6], 3u);
-  // out_dist satisfies the one-step triangle rule everywhere.
-  for (NodeId n : c.nl.topo_order()) {
-    for (NodeId f : c.nl.node(n).fanins) {
-      EXPECT_LE(g.out_dist[f], g.out_dist[n] + 1);
-    }
-  }
+  const ScoapMetrics m = compute_scoap(c.nl);
+  EXPECT_EQ(g.scoap.cc0, m.cc0);
+  EXPECT_EQ(g.scoap.cc1, m.cc1);
+  EXPECT_EQ(g.scoap.co, m.co);
 }
 
 }  // namespace

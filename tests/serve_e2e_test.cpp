@@ -216,36 +216,47 @@ struct OneShot {
   std::string stdout_text;
 };
 
-OneShot one_shot(const std::string& circuit, unsigned k,
-                 const std::string& proc = "2") {
+/// `text` without the "wrote <path>" lines --out appends.
+std::string without_wrote_lines(const std::string& text) {
+  std::istringstream is(text);
+  std::ostringstream kept;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("wrote ", 0) != 0) kept << line << "\n";
+  }
+  return kept.str();
+}
+
+/// One-shot artifacts of `resynth_flow <flags> <circuit>`, which must exit
+/// with `exit_code`.
+OneShot one_shot_flags(const std::string& flags, const std::string& circuit,
+                       int exit_code = 0) {
   static int serial = 0;
   const std::string bench_path = temp_path("os" + std::to_string(serial) +
                                            ".bench");
   const std::string report_path = temp_path("os" + std::to_string(serial) +
                                             ".json");
   ++serial;
-  const RunResult r = run_cmd(std::string(RESYNTH_FLOW_PATH) + " --proc=" +
-                              proc + " --k=" + std::to_string(k) + " --out=" +
-                              bench_path + " --report=" + report_path + " " +
-                              circuit);
-  EXPECT_EQ(r.exit_code, 0) << r.err;
+  const RunResult r = run_cmd(std::string(RESYNTH_FLOW_PATH) + " " + flags +
+                              " --out=" + bench_path + " --report=" +
+                              report_path + " " + circuit);
+  EXPECT_EQ(r.exit_code, exit_code) << flags << ": " << r.err;
   OneShot os;
   os.bench = slurp(bench_path);
   std::string err;
   const std::optional<Json> rep = Json::parse(slurp(report_path), &err);
   EXPECT_TRUE(rep.has_value()) << err;
   if (rep.has_value()) os.report = *rep;
-  // Drop the "wrote <path>" line --out appends.
-  std::istringstream is(r.out);
-  std::ostringstream kept;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.rfind("wrote ", 0) != 0) kept << line << "\n";
-  }
-  os.stdout_text = kept.str();
+  os.stdout_text = without_wrote_lines(r.out);
   std::remove(bench_path.c_str());
   std::remove(report_path.c_str());
   return os;
+}
+
+OneShot one_shot(const std::string& circuit, unsigned k,
+                 const std::string& proc = "2") {
+  return one_shot_flags("--proc=" + proc + " --k=" + std::to_string(k),
+                        circuit);
 }
 
 /// Asserts a daemon-produced (bench, report, stdout) triple is
@@ -399,6 +410,58 @@ TEST(ServeE2e, SingleJobClientMatchesOneShot) {
   run_cmd(std::string(RESYNTH_CLIENT_PATH) + " --socket=" + d.socket_path +
           " --shutdown");
   EXPECT_EQ(d.wait_exit(), 0);
+}
+
+TEST(ServeE2e, FlowOptionsMatchOneShot) {
+  // Jobs beyond (circuit, proc, k), each submitted through the client's own
+  // flag parsing: the combined objective with non-default weights, a budget
+  // that trips and one that does not (the status/ticks/budget meta), and a
+  // SAT-proven verdict.
+  struct Case {
+    const char* flags;
+    int exit_code;
+  };
+  const Case cases[] = {
+      {"--proc=combined --weight-gates=0.5 --weight-paths=2 --k=5", 0},
+      {"--budget=2000 --k=5", 20},
+      {"--budget=1000000 --k=5", 0},
+      {"--verify=sat --k=5", 0},
+  };
+  Daemon d("options");
+  d.start();
+  for (const Case& c : cases) {
+    const std::string bench_path = temp_path("options.bench");
+    const std::string report_path = temp_path("options.json");
+    const RunResult r = run_cmd(std::string(RESYNTH_CLIENT_PATH) +
+                                " --socket=" + d.socket_path + " " + c.flags +
+                                " --out=" + bench_path + " --report=" +
+                                report_path + " syn150");
+    EXPECT_EQ(r.exit_code, c.exit_code) << c.flags << ": " << r.err;
+    const OneShot expect = one_shot_flags(c.flags, "syn150", c.exit_code);
+    std::string err;
+    const std::optional<Json> rep = Json::parse(slurp(report_path), &err);
+    ASSERT_TRUE(rep.has_value()) << c.flags << ": " << err;
+    expect_matches_one_shot(expect, slurp(bench_path), *rep,
+                            without_wrote_lines(r.out), c.flags);
+  }
+  run_cmd(std::string(RESYNTH_CLIENT_PATH) + " --socket=" + d.socket_path +
+          " --shutdown");
+  EXPECT_EQ(d.wait_exit(), 0);
+}
+
+TEST(ServeE2e, ClientRejectsBadFlowFlagsBeforeConnecting) {
+  // Nothing listens on this socket: a flag error must exit 2 before any
+  // connection is tried, where a well-formed job fails to connect (exit 3).
+  const std::string socket_path = temp_path("nobody.sock");
+  std::remove(socket_path.c_str());
+  const std::string client =
+      std::string(RESYNTH_CLIENT_PATH) + " --socket=" + socket_path + " ";
+  for (const char* flags :
+       {"--k=4294967302", "--k=0", "--k=9", "--proc=7", "--verify=maybe"}) {
+    const RunResult r = run_cmd(client + flags + " c17");
+    EXPECT_EQ(r.exit_code, 2) << flags << ": " << r.err;
+  }
+  EXPECT_EQ(run_cmd(client + "c17").exit_code, 3);
 }
 
 TEST(ServeE2e, MalformedBenchYieldsPerJobErrorAndDaemonSurvives) {

@@ -19,8 +19,8 @@
 
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/trace_check.hpp"
 #include "temp_path.hpp"
+#include "trace_check.hpp"
 
 #ifndef RESYNTH_FLOW_PATH
 #error "RESYNTH_FLOW_PATH must be defined by the build"

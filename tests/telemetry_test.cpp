@@ -26,8 +26,8 @@
 #include "obs/obs.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/trace_check.hpp"
 #include "temp_path.hpp"
+#include "trace_check.hpp"
 
 namespace compsyn {
 namespace {
