@@ -185,7 +185,6 @@ inline BestOfK best_of_k(const Netlist& base, ResynthObjective objective,
     ResynthOptions opt;
     opt.objective = objective;
     opt.k = k;
-    opt.allow_gate_increase = objective != ResynthObjective::Gates;
     ResynthStats st = resynthesize(nl, opt);
     const bool better =
         objective == ResynthObjective::Gates

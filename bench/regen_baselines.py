@@ -5,9 +5,9 @@
 
 Run from the repository root with a configured Release build. For each
 baseline it runs the bench binary with --report (a relative path, so the
-recorded flag value stays stable), tags the report compsyn-bench-v2 with
-bench_convert, and stamps a host block into its meta: nproc, compiler, build
-type and git sha ("-dirty" when the tree has uncommitted changes). The
+recorded flag value stays stable), tags the report compsyn-bench-v2, and
+stamps a host block into its meta: nproc, compiler, build type and git sha
+("-dirty" when the tree has uncommitted changes). The
 table2_proc2 run is then appended to BENCH_trajectory.jsonl through
 bench_diff --trajectory, diffed against the baseline it replaces.
 """
@@ -18,6 +18,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+SCHEMA = "compsyn-bench-v2"  # obs/bench_schema.hpp kBenchSchemaV2
 
 BASELINES = [
     ("table2_proc2", "BENCH_table2.json", True),
@@ -62,10 +64,8 @@ def main():
             subprocess.run([os.path.join(args.build, "bench", binary),
                             "--report=" + out], check=True,
                            stdout=subprocess.DEVNULL)
-            subprocess.run([os.path.join(tools, "bench_convert"), out],
-                           check=True)
             with open(out) as f:
-                doc = json.load(f)
+                doc = {"schema": SCHEMA, **json.load(f)}
             doc.setdefault("meta", {})["host"] = host
             with open(out, "w") as f:
                 json.dump(doc, f, indent=2)

@@ -34,6 +34,7 @@
 #include "obs/json.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"
+#include "util/errors.hpp"
 #include "util/strings.hpp"
 
 #ifndef RESYNTH_SERVE_PATH
@@ -377,4 +378,11 @@ int run_main(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return run_main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return run_main(argc, argv);
+  } catch (const compsyn::UsageError& e) {
+    std::cerr << "serve_replay: usage error: " << e.what() << "\n";
+    return 2;
+  }
+}

@@ -110,8 +110,8 @@ struct ConeProto {
 };
 
 /// Scores one spec (or multi-unit spec) of a cone and makes it `best` when
-/// it is strictly better. A spec that would increase gates is dropped unless
-/// that is allowed. The candidate is built only for a winner.
+/// it is strictly better. Procedure 2 drops a spec that would increase
+/// gates. The candidate is built only for a winner.
 void consider_spec(ConeProto& proto, std::uint64_t np_g,
                    const std::vector<std::uint64_t>& np,
                    const ComparisonSpec* spec, const MultiUnitSpec* multi,
@@ -126,7 +126,7 @@ void consider_spec(ConeProto& proto, std::uint64_t np_g,
       proto.freed() - static_cast<std::int64_t>(cost.equiv_gates);
   const std::int64_t delta_paths = static_cast<std::int64_t>(np_g) -
                                    static_cast<std::int64_t>(paths_new);
-  if (!opt.allow_gate_increase && delta_gates < 0) return;
+  if (opt.objective == ResynthObjective::Gates && delta_gates < 0) return;
   if (!beats(delta_gates, delta_paths, proto.cone().interior.size(), best, opt)) {
     return;
   }
@@ -349,12 +349,21 @@ std::uint64_t run_pass(Netlist& nl, const ResynthOptions& opt,
 
 }  // namespace
 
-ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt) {
+ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt,
+                          const PassBoundary& on_boundary,
+                          const ResynthStats* resume_from) {
   const Span whole("resynth");
   ResynthStats stats;
-  stats.gates_before = nl.equivalent_gate_count();
-  stats.paths_before = count_paths_clamped(nl).total;
-  for (unsigned pass = 0; pass < opt.max_passes; ++pass) {
+  if (resume_from != nullptr) {
+    stats = *resume_from;
+  } else {
+    stats.gates_before = nl.equivalent_gate_count();
+    stats.paths_before = count_paths_clamped(nl).total;
+    if (on_boundary) on_boundary(nl, stats);
+  }
+  // Passes repeat until one replaces nothing (the fixpoint) or max_passes.
+  while (stats.passes < opt.max_passes &&
+         (stats.history.empty() || stats.history.back().replacements != 0)) {
     // Pass-boundary decision point: a budget that tripped during an
     // earlier stage (or the previous pass) stops here before any work.
     if (robust::should_stop()) {
@@ -382,7 +391,7 @@ ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt) {
       stats.status = robust::run_status_for(stats.stop_reason);
       break;
     }
-    if (replaced == 0) break;
+    if (on_boundary) on_boundary(nl, stats);
   }
   stats.gates_after = nl.equivalent_gate_count();
   stats.paths_after = count_paths_clamped(nl).total;
@@ -413,7 +422,6 @@ ResynthStats procedure3(Netlist& nl, unsigned k) {
   ResynthOptions opt;
   opt.objective = ResynthObjective::Paths;
   opt.k = k;
-  opt.allow_gate_increase = true;
   return resynthesize(nl, opt);
 }
 

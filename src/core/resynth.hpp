@@ -56,13 +56,11 @@ struct ResynthOptions {
   unsigned sdc_max_inputs = 14;
   bool sdc_sat = true;
   // Combined-objective weights: score = wg * (gates saved) + wp * (paths
-  // saved on g); only used when objective == Combined.
+  // saved on g); only used when objective == Combined. Only Procedure 2
+  // refuses a replacement that increases the gate count; Procedure 3 (as
+  // Table 5 shows) and the combined trade-off may take one.
   double weight_gates = 1.0;
   double weight_paths = 1.0;
-  // Never allow a replacement that increases the gate count (Procedure 2
-  // guarantees this by construction; Procedure 3 allows gate increases, as
-  // seen in Table 5).
-  bool allow_gate_increase = false;
 };
 
 /// Snapshot taken after one full pass (post-simplify), so fixpoint
@@ -93,10 +91,21 @@ struct ResynthStats {
   robust::StopReason stop_reason = robust::StopReason::None;
 };
 
+/// Called at every pass boundary with the netlist and the stats so far:
+/// once before the first pass, then after each pass that ran to its end.
+/// The two together are the whole state the next pass starts from.
+using PassBoundary =
+    std::function<void(const Netlist& nl, const ResynthStats& so_far)>;
+
 /// Runs the selected procedure in place until a fixpoint (or max_passes).
 /// The circuit function is preserved exactly; the result is swept and
-/// simplified. Returns the statistics of the whole run.
-ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt = {});
+/// simplified. Returns the statistics of the whole run. `resume_from`, when
+/// given, is the `so_far` of an earlier run's pass boundary with `nl` as it
+/// was there: the run continues from that boundary exactly as the earlier
+/// run did, and its stats cover both.
+ResynthStats resynthesize(Netlist& nl, const ResynthOptions& opt = {},
+                          const PassBoundary& on_boundary = {},
+                          const ResynthStats* resume_from = nullptr);
 
 /// Convenience wrappers matching the paper's procedure names.
 ResynthStats procedure2(Netlist& nl, unsigned k = 6);

@@ -46,6 +46,51 @@ bool FlowSpec::validate(std::string* error) const {
   return why == nullptr;
 }
 
+void FlowSpec::write_json(Json& j) const {
+  j.set("proc", proc);
+  j.set("k", k);
+  j.set("weight_gates", weight_gates);
+  j.set("weight_paths", weight_paths);
+  j.set("verify", verify);
+  if (budget != 0) j.set("budget", budget);
+}
+
+bool FlowSpec::read_json(const Json& j, std::string* error) {
+  auto fail = [&](const char* key, const char* what) {
+    if (error != nullptr) *error = std::string("'") + key + "' must be " + what;
+    return false;
+  };
+  for (auto [key, field] : {std::pair{"proc", &proc}, {"verify", &verify}}) {
+    if (const Json* v = j.find(key)) {
+      if (v->type() != Json::Type::String) return fail(key, "a string");
+      *field = v->as_string();
+    }
+  }
+  for (auto [key, field] : {std::pair{"k", &k}, {"budget", &budget}}) {
+    if (const Json* v = j.find(key)) {
+      if (v->type() != Json::Type::Uint) return fail(key, "an unsigned integer");
+      *field = v->as_u64();
+    }
+  }
+  for (auto [key, field] : {std::pair{"weight_gates", &weight_gates},
+                            {"weight_paths", &weight_paths}}) {
+    if (const Json* v = j.find(key)) {
+      if (!v->is_number()) return fail(key, "a number");
+      *field = v->as_double();
+    }
+  }
+  return validate(error);
+}
+
+Json pass_record_json(const ResynthPassRecord& pr) {
+  Json rec = Json::object();
+  rec.set("pass", static_cast<std::uint64_t>(pr.pass));
+  rec.set("replacements", pr.replacements);
+  rec.set("gates", pr.gates);
+  rec.set("paths", path_total_json(pr.paths));
+  return rec;
+}
+
 ResynthOptions resynth_options(const FlowSpec& spec) {
   ResynthOptions opt;
   if (spec.proc == "combined") {
@@ -56,7 +101,6 @@ ResynthOptions resynth_options(const FlowSpec& spec) {
     opt.weight_paths = spec.weight_paths;
   } else if (spec.proc == "3") {
     opt.objective = ResynthObjective::Paths;
-    opt.allow_gate_increase = true;
   } else {
     opt.objective = ResynthObjective::Gates;
   }
@@ -96,9 +140,11 @@ Netlist Flow::irredundant_start(Netlist& nl) {
   return original;
 }
 
-ResynthStats Flow::resynthesize(Netlist& nl) const {
+ResynthStats Flow::resynthesize(Netlist& nl, const PassBoundary& on_boundary,
+                                const ResynthStats* resume_from) const {
   const Span phase("resynth", SpanKind::Phase);
-  return compsyn::resynthesize(nl, resynth_options(spec_));
+  return compsyn::resynthesize(nl, resynth_options(spec_), on_boundary,
+                               resume_from);
 }
 
 FlowOutcome Flow::finish(const Netlist& original, Netlist& nl,
@@ -191,12 +237,7 @@ FlowOutcome Flow::finish(const Netlist& original, Netlist& nl,
     if (spec_.budget != 0) report.set_meta("budget", spec_.budget);
   }
   for (const ResynthPassRecord& pr : st.history) {
-    Json rec = Json::object();
-    rec.set("pass", static_cast<std::uint64_t>(pr.pass));
-    rec.set("replacements", pr.replacements);
-    rec.set("gates", pr.gates);
-    rec.set("paths", path_total_json(pr.paths));
-    report.add_record("passes", std::move(rec));
+    report.add_record("passes", pass_record_json(pr));
   }
   return outcome;
 }

@@ -2,8 +2,8 @@
 // Procedure 2, Procedure 3 or the combined objective, redundancy removal
 // again, then the comparison -- gates, paths, depth and an equivalence
 // verdict. This module is the one statement of that flow and of its
-// options. `resynth_flow` runs the stages below around its own
-// checkpoint/resume pass loop; the serve daemon's job executor runs
+// options. `resynth_flow` runs the stages below, with a checkpoint written
+// at each pass boundary when asked; the serve daemon's job executor runs
 // run_flow(). Both print the same lines and fill the same report meta
 // because both get them from here.
 #pragma once
@@ -14,6 +14,7 @@
 
 #include "core/resynth.hpp"
 #include "netlist/netlist.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "robust/robust.hpp"
 #include "util/cli.hpp"
@@ -38,7 +39,22 @@ struct FlowSpec {
   /// The one check of a spec, for the CLIs and the wire alike: false, with
   /// *error naming the field, when proc, k or verify is out of range.
   bool validate(std::string* error) const;
+
+  /// Sets the spec's fields on the object `j` under their wire names
+  /// ("budget" only when there is one).
+  void write_json(Json& j) const;
+
+  /// Reads the fields the object `j` carries (an absent one keeps its
+  /// default), each as the JSON type write_json() gives it, then validates:
+  /// false, with *error naming the field, for a wrong type or a bad value.
+  /// The one reader of a spec, for the wire and checkpoints alike.
+  bool read_json(const Json& j, std::string* error);
+
+  bool operator==(const FlowSpec&) const = default;
 };
+
+/// A pass record as the report's "passes" section and a checkpoint write it.
+Json pass_record_json(const ResynthPassRecord& pr);
 
 /// The resynthesis options of a validated spec: Procedure 2 (gates),
 /// Procedure 3 (paths, gate increase allowed) or the weighted objective.
@@ -56,10 +72,10 @@ struct FlowOutcome {
 };
 
 /// The flow's stages, called in this order: announce, irredundant_start,
-/// resynthesize (or a caller's own pass loop over resynth_options(spec)),
-/// finish. Each stage writes its lines to `out`. A stage that a signal or
-/// deadline interrupts throws robust::CancelledError; a stage that the tick
-/// budget stops early is remembered, and finish() reports the first one.
+/// resynthesize, finish. Each stage writes its lines to `out`. A stage that
+/// a signal or deadline interrupts throws robust::CancelledError; a stage
+/// that the tick budget stops early is remembered, and finish() reports the
+/// first one.
 class Flow {
  public:
   /// `circuit` is the name the report records (a suite name or the path of
@@ -74,8 +90,10 @@ class Flow {
   /// verified against.
   Netlist irredundant_start(Netlist& nl);
 
-  /// Resynthesizes `nl` in place to a fixpoint with one resynthesize() call.
-  ResynthStats resynthesize(Netlist& nl) const;
+  /// Resynthesizes `nl` in place to a fixpoint with one resynthesize() call,
+  /// which passes `on_boundary` and `resume_from` through.
+  ResynthStats resynthesize(Netlist& nl, const PassBoundary& on_boundary = {},
+                            const ResynthStats* resume_from = nullptr) const;
 
   /// Everything after resynthesis: the summary and per-pass lines,
   /// redundancy removal on the result, the depth line, the verification
@@ -95,7 +113,7 @@ class Flow {
 };
 
 /// The whole flow on `nl` (left as the result, not yet compacted), as
-/// `resynth_flow` runs it without --checkpoint or --resume.
+/// `resynth_flow` runs it without --resume.
 FlowOutcome run_flow(const FlowSpec& spec, const std::string& circuit,
                      Netlist& nl, bool robust_active, std::ostream& out,
                      RunReport& report);

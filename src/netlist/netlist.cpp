@@ -121,10 +121,17 @@ const std::vector<std::vector<NodeId>>& Netlist::fanouts() const {
 
 const std::vector<NodeId>& Netlist::topo_order() const {
   if (topo_valid_) return topo_;
+  [[maybe_unused]] const bool acyclic = topo_sort(topo_, nullptr);
+  assert(acyclic && "cycle in netlist");
+  topo_valid_ = true;
+  return topo_;
+}
+
+bool Netlist::topo_sort(std::vector<NodeId>& order, NodeId* cycle_at) const {
   // Iterative DFS from all live nodes; redefine() can move a node before its
   // fanins in id order, so id order is not a valid topological order.
-  topo_.clear();
-  topo_.reserve(nodes_.size());
+  order.clear();
+  order.reserve(nodes_.size());
   enum : std::uint8_t { White, Grey, Black };
   std::vector<std::uint8_t> color(nodes_.size(), White);
   std::vector<std::pair<NodeId, std::size_t>> stack;
@@ -140,18 +147,18 @@ const std::vector<NodeId>& Netlist::topo_order() const {
         if (color[f] == White) {
           color[f] = Grey;
           stack.emplace_back(f, 0);
-        } else {
-          assert(color[f] == Black && "cycle in netlist");
+        } else if (color[f] == Grey) {  // still on the stack: a cycle
+          if (cycle_at != nullptr) *cycle_at = f;
+          return false;
         }
       } else {
         color[n] = Black;
-        topo_.push_back(n);
+        order.push_back(n);
         stack.pop_back();
       }
     }
   }
-  topo_valid_ = true;
-  return topo_;
+  return true;
 }
 
 std::vector<std::uint32_t> Netlist::levels() const {
@@ -438,6 +445,32 @@ Netlist Netlist::compacted(std::vector<NodeId>* out_map) const {
   return out;
 }
 
+bool Netlist::assign_nodes(std::vector<Node> nodes,
+                           const std::vector<NodeId>& outputs,
+                           std::string* error) {
+  Netlist nl(name_);
+  nl.nodes_ = std::move(nodes);
+  for (NodeId id = 0; id < nl.size(); ++id) {
+    nl.nodes_[id].is_output = false;
+    if (nl.nodes_[id].type == GateType::Input) nl.inputs_.push_back(id);
+  }
+  std::string why;
+  for (NodeId o : outputs) {
+    if (o >= nl.size() || nl.nodes_[o].is_output) {
+      why = "output " + std::to_string(o) + " is out of range or repeated\n";
+      break;
+    }
+    nl.mark_output(o);
+  }
+  if (why.empty()) why = nl.check();
+  if (!why.empty()) {
+    if (error != nullptr) *error = why;
+    return false;
+  }
+  *this = std::move(nl);
+  return true;
+}
+
 std::string Netlist::check() const {
   std::ostringstream err;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
@@ -465,10 +498,15 @@ std::string Netlist::check() const {
         break;
     }
   }
-  // topo_order() asserts on cycles in debug builds; recompute defensively.
-  (void)topo_order();
   for (NodeId o : outputs_) {
     if (nodes_[o].dead) err << "output node " << o << " is dead\n";
+  }
+  // topo_order() only asserts on a cycle; look for one once the fanins are
+  // known to be in range.
+  std::vector<NodeId> order;
+  NodeId at = kNoNode;
+  if (err.str().empty() && !topo_sort(order, &at)) {
+    err << "cycle through node " << at << '\n';
   }
   return err.str();
 }

@@ -149,12 +149,24 @@ class Netlist {
   /// old-id -> new-id (kNoNode for removed nodes).
   Netlist compacted(std::vector<NodeId>* out_map = nullptr) const;
 
+  /// Rebuilds a netlist from the parts a snapshot records: every node by id,
+  /// dead ones and their fanins included, and the outputs in mark order (the
+  /// inputs are the Input nodes in id order, as add_input makes them), so
+  /// fanouts() and topo_order() come out as they were. Returns false and
+  /// fills *error, leaving *this alone, when the parts are no netlist: an
+  /// output out of range, or anything check() finds.
+  bool assign_nodes(std::vector<Node> nodes, const std::vector<NodeId>& outputs,
+                    std::string* error);
+
   /// Deep structural checks (fanin arity, DAG-ness, live invariants);
   /// returns an empty string when healthy, else a description.
   std::string check() const;
 
  private:
   void invalidate_caches() const;
+  /// Live nodes in topological order into `order`; false, with *cycle_at (if
+  /// non-null) a node on the cycle, when there is one.
+  bool topo_sort(std::vector<NodeId>& order, NodeId* cycle_at) const;
   /// Evaluates every live gate over words [0, W) of each row.
   template <std::size_t W>
   void sweep_words(std::uint64_t* values, std::size_t stride) const;

@@ -10,28 +10,6 @@ bool bench_normalize_v2(Json doc, Json* out, std::string* error) {
     return false;
   };
   if (!doc.is_object()) return fail("bench report is not a JSON object");
-  // Legacy hand-authored summary shape ({"bench": ..., "runs": [...]}, used
-  // by earlier sweep files): lift it into v2 with the sweep rows as a
-  // "runs" section and everything else as meta.
-  const Json* bench = doc.find("bench");
-  const Json* runs = doc.find("runs");
-  if (doc.find("name") == nullptr && bench != nullptr &&
-      bench->type() == Json::Type::String && runs != nullptr &&
-      runs->is_array()) {
-    Json v2 = Json::object();
-    v2.set("schema", Json(std::string(kBenchSchemaV2)));
-    v2.set("name", *bench);
-    Json meta = Json::object();
-    for (const auto& [key, value] : doc.items()) {
-      if (key != "bench" && key != "runs") meta.set(key, value);
-    }
-    v2.set("meta", std::move(meta));
-    v2.set("spans", Json::array());
-    v2.set("counters", Json::object());
-    v2.set("runs", *runs);
-    *out = std::move(v2);
-    return true;
-  }
   const Json* name = doc.find("name");
   if (name == nullptr || name->type() != Json::Type::String) {
     return fail("bench report has no string 'name'");
@@ -55,7 +33,7 @@ bool bench_normalize_v2(Json doc, Json* out, std::string* error) {
     *out = std::move(doc);
     return true;
   }
-  // Legacy (untagged) report: prepend the tag, keep everything else in order.
+  // Untagged report: prepend the tag, keep everything else in order.
   Json tagged = Json::object();
   tagged.set("schema", Json(std::string(kBenchSchemaV2)));
   for (auto& [key, value] : doc.items()) {

@@ -8,9 +8,9 @@
 //      "peak_rss_bytes": N,]  "tables": {...}, ...sections }
 //
 // The bracketed members are the extended-telemetry sections and appear only
-// when the producing run passed a telemetry flag. Untagged (legacy) reports
-// written by earlier releases are accepted everywhere a v2 report is and are
-// normalized by prepending the tag; unknown schema strings are rejected.
+// when the producing run passed a telemetry flag. An untagged report (what
+// --report writes) is accepted everywhere a v2 report is and is normalized
+// by prepending the tag; unknown schema strings are rejected.
 //
 // This is a pure function layer: always compiled, never gated by
 // COMPSYN_TRACE.
@@ -25,7 +25,7 @@ namespace compsyn {
 
 inline constexpr std::string_view kBenchSchemaV2 = "compsyn-bench-v2";
 
-/// Normalizes a parsed bench report to v2: tags a legacy document, passes a
+/// Normalizes a parsed bench report to v2: tags an untagged report, passes a
 /// v2 document through untouched, rejects anything else (wrong schema string,
 /// non-object, missing the name/spans/counters core). Returns false and
 /// fills *error on rejection.

@@ -94,6 +94,20 @@ std::vector<DistStat> Counters::distributions() {
   return out;
 }
 
+void Counters::merge(const std::vector<CounterStat>& counters,
+                     const std::vector<DistStat>& dists) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  for (const CounterStat& c : counters) r.counters[c.name] += c.value;
+  for (const DistStat& d : dists) {
+    Dist& mine = r.dists[d.name];
+    mine.min = mine.count == 0 ? d.min : std::min(mine.min, d.min);
+    mine.max = mine.count == 0 ? d.max : std::max(mine.max, d.max);
+    mine.count += d.count;
+    mine.sum += d.sum;
+  }
+}
+
 void Counters::reset() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

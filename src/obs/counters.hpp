@@ -54,6 +54,11 @@ class Counters {
   /// All distributions, sorted by name.
   static std::vector<DistStat> distributions();
 
+  /// Adds recorded totals to the current ones: a resumed run takes over the
+  /// counters and distributions of the run its checkpoint came from.
+  static void merge(const std::vector<CounterStat>& counters,
+                    const std::vector<DistStat>& dists);
+
   /// Drops every counter and distribution. Test helper.
   static void reset();
 
@@ -70,6 +75,8 @@ class Counters {
   static std::uint64_t value(std::string_view) { return 0; }
   static std::vector<CounterStat> counters() { return {}; }
   static std::vector<DistStat> distributions() { return {}; }
+  static void merge(const std::vector<CounterStat>&,
+                    const std::vector<DistStat>&) {}
   static void reset() {}
   static void print_summary(std::ostream&) {}
 };

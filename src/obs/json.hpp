@@ -43,9 +43,11 @@ class Json {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::Null; }
   bool is_object() const { return type_ == Type::Object; }
   bool is_array() const { return type_ == Type::Array; }
+  bool is_number() const {
+    return type_ == Type::Int || type_ == Type::Uint || type_ == Type::Double;
+  }
 
   /// Object member assignment (replaces an existing key, keeps order).
   Json& set(std::string key, Json value);

@@ -104,6 +104,45 @@ RunReport::RunReport(std::string name) : RunReport(std::move(name), now_ns()) {}
 RunReport::RunReport(std::string name, std::uint64_t start_ns)
     : name_(std::move(name)), start_ns_(start_ns) {}
 
+Json obs_snapshot_json() {
+  Json j = Json::object();
+  j.set("spans", spans_json());
+  j.set("counters", counters_json());
+  j.set("distributions", distributions_json());
+  return j;
+}
+
+void obs_merge_json(const Json& snapshot) {
+  // A missing member reads as null: 0, 0.0 or "".
+  auto get = [](const Json& o, const char* key) {
+    const Json* v = o.find(key);
+    return v != nullptr ? *v : Json();
+  };
+  const Json spans = get(snapshot, "spans");
+  const Json counters = get(snapshot, "counters");
+  const Json dists = get(snapshot, "distributions");
+  std::vector<SpanStats> span_stats;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const Json& s = spans.at(i);
+    span_stats.push_back({get(s, "label").as_string(), get(s, "count").as_u64(),
+                          get(s, "total_ns").as_u64(), get(s, "self_ns").as_u64(),
+                          get(s, "min_ns").as_u64(), get(s, "max_ns").as_u64()});
+  }
+  std::vector<CounterStat> counter_stats;
+  for (const auto& [name, value] : counters.items()) {
+    counter_stats.push_back({name, value.as_u64()});
+  }
+  std::vector<DistStat> dist_stats;
+  for (std::size_t i = 0; i < dists.size(); ++i) {
+    const Json& d = dists.at(i);
+    dist_stats.push_back({get(d, "name").as_string(), get(d, "count").as_u64(),
+                          get(d, "sum").as_double(), get(d, "min").as_double(),
+                          get(d, "max").as_double()});
+  }
+  Trace::merge(span_stats);
+  Counters::merge(counter_stats, dist_stats);
+}
+
 void RunReport::set_meta(std::string key, Json value) {
   meta_.set(std::move(key), std::move(value));
 }
@@ -143,9 +182,8 @@ Json RunReport::to_json() const {
   doc.set("name", name_);
   doc.set("meta", meta_);
   doc.set("wall_seconds", wall);
-  doc.set("spans", spans_json());
-  doc.set("counters", counters_json());
-  doc.set("distributions", distributions_json());
+  const Json obs = obs_snapshot_json();
+  for (const auto& [key, section] : obs.items()) doc.set(key, section);
   // Extended sections appear ONLY at the extended level: reports from plain
   // --report runs stay byte-identical (the golden-reference tests depend on
   // it).

@@ -68,6 +68,16 @@ class RunReport {
   std::vector<std::pair<std::string, Json>> sections_;  // section -> array
 };
 
+/// The sections every run report embeds -- "spans", "counters" and
+/// "distributions" -- written by the report's own code, for a checkpoint to
+/// carry.
+Json obs_snapshot_json();
+
+/// Adds a snapshot taken by obs_snapshot_json() to the current spans,
+/// counters and distributions, so a resumed run reports the work done
+/// before its checkpoint too. A missing entry adds nothing.
+void obs_merge_json(const Json& snapshot);
+
 /// Reads the observability flags of a one-shot binary:
 ///   --report=F, --trace                            -> ObsLevel::report
 ///   --trace-out=F, --events=F, --progress[=SECS]   -> ObsLevel::extended,

@@ -166,6 +166,20 @@ std::vector<SpanStats> Trace::snapshot() {
   return out;
 }
 
+void Trace::merge(const std::vector<SpanStats>& spans) {
+  Registry& r = registry();
+  for (const SpanStats& s : spans) {
+    const std::uint32_t slot = r.slot_for(s.label);
+    std::lock_guard<std::mutex> lock(r.mu);
+    Agg& a = r.aggs[slot];
+    a.count += s.count;
+    a.total_ns += s.total_ns;
+    a.self_ns += s.self_ns;
+    a.min_ns = std::min(a.min_ns, s.min_ns);
+    a.max_ns = std::max(a.max_ns, s.max_ns);
+  }
+}
+
 void Trace::reset() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);

@@ -86,6 +86,10 @@ class Trace {
   /// Snapshot of every label seen so far, sorted by descending total time.
   static std::vector<SpanStats> snapshot();
 
+  /// Adds recorded aggregates to the table: a resumed run takes over the
+  /// spans of the run its checkpoint came from.
+  static void merge(const std::vector<SpanStats>& spans);
+
   /// Drops all aggregates (labels are forgotten too). Test helper.
   static void reset();
 
@@ -110,6 +114,7 @@ class Span {
 class Trace {
  public:
   static std::vector<SpanStats> snapshot() { return {}; }
+  static void merge(const std::vector<SpanStats>&) {}
   static void reset() {}
   static void print_summary(std::ostream&) {}
 };

@@ -82,6 +82,9 @@ int guard_main(const char* name, int argc, char** argv,
               << ")\n";
     write_error_report(name, report_path, start_ns, status, to_string(e.reason));
     return exit_code_for_cancel();
+  } catch (const UsageError& e) {
+    std::cerr << name << ": usage error: " << e.what() << "\n";
+    return kExitUsage;
   } catch (const InputError& e) {
     std::cerr << name << ": input error: " << e.what() << "\n";
     write_error_report(name, report_path, start_ns, "error", e.what());

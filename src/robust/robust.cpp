@@ -88,6 +88,15 @@ bool budget_exhausted() {
   return b != nullptr && b->exhausted();
 }
 
+std::uint64_t fnv1a64(std::string_view data) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 bool budget_installed() {
   return current_slot().budget.load(std::memory_order_relaxed) != nullptr;
 }

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace compsyn::robust {
 
@@ -147,6 +148,10 @@ void charge(std::uint64_t n = 1);
 std::uint64_t ticks_consumed();
 /// True when a budget is installed and its limit is reached.
 bool budget_exhausted();
+
+/// FNV-1a 64-bit hash: the integrity guard of checkpoints and the serve
+/// WAL, and a cheap key hash (not cryptographic).
+std::uint64_t fnv1a64(std::string_view data);
 /// True when a BudgetScope is active.
 bool budget_installed();
 

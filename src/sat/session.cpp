@@ -5,7 +5,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "robust/checkpoint.hpp"  // fnv1a64
+#include "robust/robust.hpp"
 
 namespace compsyn {
 

@@ -1,7 +1,7 @@
 #include "serve/cache.hpp"
 
 #include "core/signature.hpp"
-#include "robust/checkpoint.hpp"
+#include "robust/robust.hpp"
 
 namespace compsyn::serve {
 

@@ -34,11 +34,6 @@ void begin_job_isolation() {
 
 JobExecution run_resynth_job(const JobSpec& spec) {
   JobExecution out;
-  if (!spec.validate(&out.error)) {  // from_json validated already
-    out.status = "error";
-    out.report = job_error_report("error", out.error);
-    return out;
-  }
 
   // Per-job robustness scopes, as resynth_flow installs them: the budget
   // whenever a robust flag is present (limit 0 still counts ticks), the

@@ -139,12 +139,7 @@ Json JobSpec::to_json() const {
   j.set("id", id);
   j.set("circuit", circuit);
   if (!bench.empty()) j.set("bench", bench);
-  j.set("proc", proc);
-  j.set("k", k);
-  j.set("weight_gates", weight_gates);
-  j.set("weight_paths", weight_paths);
-  j.set("verify", verify);
-  if (budget != 0) j.set("budget", budget);
+  write_json(j);
   if (deadline > 0.0) j.set("deadline", deadline);
   return j;
 }
@@ -170,15 +165,12 @@ std::optional<JobSpec> JobSpec::from_json(const Json& j, std::string* error) {
     if (f->type() != Json::Type::String) return fail("'bench' must be a string");
     spec.bench = f->as_string();
   }
-  if ((f = j.find("proc")) != nullptr) spec.proc = f->as_string();
-  if ((f = j.find("k")) != nullptr) spec.k = f->as_u64();
-  if ((f = j.find("weight_gates")) != nullptr) spec.weight_gates = f->as_double();
-  if ((f = j.find("weight_paths")) != nullptr) spec.weight_paths = f->as_double();
-  if ((f = j.find("verify")) != nullptr) spec.verify = f->as_string();
-  if ((f = j.find("budget")) != nullptr) spec.budget = f->as_u64();
-  if ((f = j.find("deadline")) != nullptr) spec.deadline = f->as_double();
+  if ((f = j.find("deadline")) != nullptr) {
+    if (!f->is_number()) return fail("'deadline' must be a number");
+    spec.deadline = f->as_double();
+  }
   std::string invalid;
-  if (!spec.validate(&invalid)) return fail(invalid);
+  if (!spec.read_json(j, &invalid)) return fail(invalid);
   return spec;
 }
 

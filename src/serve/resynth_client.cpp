@@ -49,7 +49,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "robust/checkpoint.hpp"
+#include "robust/robust.hpp"
 #include "robust/guard.hpp"
 #include "serve/protocol.hpp"
 #include "util/cli.hpp"

@@ -4,7 +4,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "robust/checkpoint.hpp"  // fnv1a64
+#include "robust/robust.hpp"
 #include "robust/inject.hpp"
 
 namespace compsyn::serve {

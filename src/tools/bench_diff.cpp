@@ -30,6 +30,7 @@
 
 #include "obs/bench_schema.hpp"
 #include "obs/json.hpp"
+#include "robust/guard.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -339,4 +340,7 @@ int diff_main(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) { return diff_main(argc, argv); }
+int main(int argc, char** argv) {
+  return robust::guard_main("bench_diff", argc, argv,
+                            [&] { return diff_main(argc, argv); });
+}

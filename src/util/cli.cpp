@@ -1,8 +1,13 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <string_view>
+
+#include "util/errors.hpp"
 
 namespace compsyn {
 
@@ -33,25 +38,57 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
   return it == flags_.end() ? def : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` with `parse` (a strto* call) and checks the result
+/// with `ok`, or throws UsageError naming the flag and what it expected.
+template <typename Parse, typename Ok>
+auto parse_flag(const std::string& name, const std::string& text,
+                const char* what, Parse parse, Ok ok) {
+  errno = 0;
+  char* end = nullptr;
+  const auto v = parse(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE || !ok(v)) {
+    throw UsageError("--" + name + "=" + text + ": expected " + what);
+  }
+  return v;
+}
+
+}  // namespace
+
 std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t def) const {
   queried_.insert(name);
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return def;
+  // strtoull would wrap a sign around; an unsigned flag takes none.
+  const bool signed_text = it->second.find_first_of("+-") == 0;
+  return parse_flag(
+      name, it->second, "an unsigned integer",
+      [](const char* s, char** end) { return std::strtoull(s, end, 0); },
+      [&](unsigned long long) { return !signed_text; });
 }
 
 int Cli::get_int(const std::string& name, int def) const {
   queried_.insert(name);
-  auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::atoi(it->second.c_str());
+  const auto it = flags_.find(name);
+  if (it == flags_.end()) return def;
+  return static_cast<int>(parse_flag(
+      name, it->second, "an integer",
+      [](const char* s, char** end) { return std::strtol(s, end, 10); },
+      [](long v) {
+        return v >= std::numeric_limits<int>::min() &&
+               v <= std::numeric_limits<int>::max();
+      }));
 }
 
 double Cli::get_double(const std::string& name, double def) const {
   queried_.insert(name);
-  auto it = flags_.find(name);
+  const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return end == it->second.c_str() ? def : v;
+  return parse_flag(
+      name, it->second, "a number",
+      [](const char* s, char** end) { return std::strtod(s, end); },
+      [](double v) { return std::isfinite(v); });
 }
 
 std::vector<std::string> Cli::unrecognized() const {

@@ -24,6 +24,9 @@ class Cli {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def = "") const;
+  /// Numeric flags: `def` when the flag is absent. A value that is not
+  /// wholly a number of the type (empty, trailing text, out of range, a
+  /// sign on an unsigned flag, a non-finite double) throws UsageError.
   std::uint64_t get_u64(const std::string& name, std::uint64_t def) const;
   int get_int(const std::string& name, int def) const;
   double get_double(const std::string& name, double def) const;

@@ -1,7 +1,7 @@
-// Drives the bench_diff and bench_convert tools as subprocesses (paths
-// injected by CMake): the perf-regression gate must stay silent on identical
-// reports, fire on a synthetic 2x span slowdown, and enforce counter
-// determinism under --strict-counters. This is the in-repo proof that the CI
+// Drives the bench_diff tool as a subprocess (path injected by CMake): the
+// perf-regression gate must stay silent on identical reports, fire on a
+// synthetic 2x span slowdown, and enforce counter determinism under
+// --strict-counters. This is the in-repo proof that the CI
 // perf-smoke job's gate actually trips.
 #include <gtest/gtest.h>
 
@@ -19,9 +19,6 @@
 
 #ifndef BENCH_DIFF_PATH
 #error "BENCH_DIFF_PATH must be defined by the build"
-#endif
-#ifndef BENCH_CONVERT_PATH
-#error "BENCH_CONVERT_PATH must be defined by the build"
 #endif
 
 namespace compsyn {
@@ -49,20 +46,17 @@ struct RunResult {
   std::string out;
 };
 
-RunResult run_tool(const std::string& tool, const std::string& args) {
+RunResult run_diff(const std::string& args) {
   static int serial = 0;
   const std::string out_path = temp_path("out" + std::to_string(serial++));
-  const std::string cmd = tool + " " + args + " >" + out_path + " 2>&1";
+  const std::string cmd =
+      std::string(BENCH_DIFF_PATH) + " " + args + " >" + out_path + " 2>&1";
   const int raw = std::system(cmd.c_str());
   RunResult r;
   r.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
   r.out = slurp(out_path);
   std::remove(out_path.c_str());
   return r;
-}
-
-RunResult run_diff(const std::string& args) {
-  return run_tool(BENCH_DIFF_PATH, args);
 }
 
 /// A small v2-shaped report. `resynth_ns` scales the hot span; `extra`
@@ -198,17 +192,6 @@ TEST(BenchDiff, RejectsGarbageInputs) {
   EXPECT_EQ(run_diff(ok).exit_code, 2);  // usage: needs two positionals
   std::remove(a.c_str());
   std::remove(ok.c_str());
-}
-
-TEST(BenchConvert, TagsInPlaceAndIsIdempotent) {
-  const std::string p = temp_path("convert.json");
-  spit(p, report_json(1'000'000'000, 7, /*tagged=*/false));
-  EXPECT_EQ(run_tool(BENCH_CONVERT_PATH, p).exit_code, 0);
-  const std::string once = slurp(p);
-  EXPECT_NE(once.find("\"schema\": \"compsyn-bench-v2\""), std::string::npos);
-  EXPECT_EQ(run_tool(BENCH_CONVERT_PATH, p).exit_code, 0);
-  EXPECT_EQ(slurp(p), once);
-  std::remove(p.c_str());
 }
 
 TEST(BenchDiff, TrajectoryAppendsOneRecordPerRun) {

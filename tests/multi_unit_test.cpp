@@ -120,7 +120,6 @@ TEST(MultiUnit, ResynthesisExtensionPreservesFunction) {
   Netlist ref = nl.compacted();
   ResynthOptions opt;
   opt.objective = ResynthObjective::Paths;
-  opt.allow_gate_increase = true;
   opt.max_units = 4;
   resynthesize(nl, opt);
   Rng rng(3);

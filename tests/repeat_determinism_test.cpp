@@ -54,7 +54,6 @@ std::string resynth_fingerprint(const std::string& circuit, ResynthObjective obj
   ResynthOptions opt;
   opt.objective = obj;
   opt.k = 5;
-  opt.allow_gate_increase = obj != ResynthObjective::Gates;
   opt.use_sdc = use_sdc;
   const ResynthStats st = resynthesize(nl, opt);
   std::ostringstream os;

@@ -20,6 +20,8 @@
 #include <unistd.h>
 
 #include "obs/json.hpp"
+#include "report_mask.hpp"
+#include "robust/robust.hpp"
 #include "temp_path.hpp"
 
 namespace compsyn {
@@ -116,6 +118,13 @@ TEST(FlowCli, UsageErrorsExit2) {
   EXPECT_EQ(run_flow("--k=4294967302 syn150").exit_code, 2);
   EXPECT_EQ(run_flow("--proc=7 syn150").exit_code, 2);
   EXPECT_EQ(run_flow("--proc= syn150").exit_code, 2);
+  // Numeric flags parse whole values or not at all.
+  EXPECT_EQ(run_flow("--budget=abc syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--budget=-1 syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--budget= syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--k=5x syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--weight-gates=x --proc=combined syn150").exit_code, 2);
+  EXPECT_EQ(run_flow("--deadline=soon syn150").exit_code, 2);
 }
 
 TEST(FlowCli, UnknownCircuitExit3WithErrorReport) {
@@ -146,39 +155,87 @@ TEST(FlowCli, TinyBudgetDegradesWithVerifiedResult) {
   std::remove(report.c_str());
 }
 
-TEST(FlowCli, HaltResumeReproducesUninterruptedRun) {
-  const std::string ck_a = temp_path("resume_a.ck.json");
-  const std::string ck_b = temp_path("resume_b.ck.json");
-  const std::string out_a = temp_path("resume_a.bench");
-  const std::string out_b = temp_path("resume_b.bench");
-  const std::string flags = "--budget=2000 --k=5 ";
-
-  // Reference: checkpointed but uninterrupted.
-  const RunResult ref = run_flow(flags + "--checkpoint=" + ck_a + " --out=" +
-                                 out_a + " syn150");
-  EXPECT_TRUE(ref.exit_code == 0 || ref.exit_code == 20) << ref.err;
-
-  // Chaos run: the scripted halt kills the process (exit 137) right after
-  // the first checkpoint write...
-  const RunResult halted =
-      run_flow(flags + "--checkpoint=" + ck_b + " --inject=halt:1 --out=" +
-               out_b + " syn150");
-  EXPECT_EQ(halted.exit_code, 137) << halted.err;
-
-  // ...and resuming from that checkpoint must produce the byte-identical
-  // final netlist.
-  const RunResult resumed =
-      run_flow(flags + "--resume=" + ck_b + " --out=" + out_b + " syn150");
-  EXPECT_EQ(resumed.exit_code, ref.exit_code) << resumed.err;
-  EXPECT_NE(resumed.out.find("resumed from"), std::string::npos) << resumed.out;
-  const std::string bench_a = slurp(out_a);
-  const std::string bench_b = slurp(out_b);
-  ASSERT_FALSE(bench_a.empty());
-  EXPECT_EQ(bench_a, bench_b);
-
-  for (const std::string& p : {ck_a, ck_b, out_a, out_b}) {
-    std::remove(p.c_str());
+/// A run's masked report with the spans in label order (their order is by
+/// measured time) and, when `drop_memo`, without the identification memo's
+/// counters: the memo is a cache of the process, which a resumed process
+/// starts cold.
+std::string comparable_report(const std::string& path, bool drop_memo) {
+  Json j = parse_report(path);
+  if (drop_memo && j.find("counters") != nullptr) {
+    Json kept = Json::object();
+    for (const auto& [name, value] : j.find("counters")->items()) {
+      if (name.rfind("identify.memo.", 0) != 0 &&
+          name.rfind("identify.npn.", 0) != 0) {
+        kept.set(name, value);
+      }
+    }
+    j.set("counters", std::move(kept));
   }
+  return label_ordered_spans(masked_report_dump(j));
+}
+
+TEST(FlowCli, HaltResumeReproducesUninterruptedRun) {
+  const std::string ck = temp_path("resume.ck.json");
+  const std::string out = temp_path("resume.bench");
+  const std::string report = temp_path("resume.json");
+  // halt:1 fires at the boundary before the first pass (and the budget then
+  // trips in pass 1); halt:2 after pass 1, with a budget that never trips.
+  for (const auto& [halt, budget] :
+       {std::pair{1, "--budget=2000"}, std::pair{2, "--budget=1000000"}}) {
+    const std::string flags = std::string(budget) + " --k=5 --out=" + out +
+                              " --report=" + report + " ";
+    // Reference: the uninterrupted run, with no checkpoint.
+    const RunResult ref = run_flow(flags + "syn150");
+    EXPECT_TRUE(ref.exit_code == 0 || ref.exit_code == 20) << ref.err;
+    const std::string bench_ref = slurp(out);
+    const std::string report_ref = comparable_report(report, halt > 1);
+    ASSERT_FALSE(bench_ref.empty());
+    std::remove(out.c_str());
+
+    // The scripted halt kills the run (exit 137) right after its halt-th
+    // checkpoint write...
+    const RunResult halted = run_flow(flags + "--checkpoint=" + ck +
+                                      " --inject=halt:" + std::to_string(halt) +
+                                      " syn150");
+    EXPECT_EQ(halted.exit_code, 137) << halted.err;
+
+    // ...and the resume ends where the uninterrupted run did.
+    const RunResult resumed = run_flow(flags + "--resume=" + ck + " syn150");
+    EXPECT_EQ(resumed.exit_code, ref.exit_code) << resumed.err;
+    EXPECT_NE(resumed.out.find("resumed from"), std::string::npos) << resumed.out;
+    EXPECT_EQ(slurp(out), bench_ref) << "halt:" << halt;
+    EXPECT_EQ(comparable_report(report, halt > 1), report_ref) << "halt:" << halt;
+  }
+  for (const std::string& p : {ck, out, report}) std::remove(p.c_str());
+}
+
+TEST(FlowCli, CheckpointedRunIsTheDefaultRun) {
+  const std::string ck = temp_path("same.ck.json");
+  const std::string out = temp_path("same.bench");
+  const std::string report = temp_path("same.json");
+  for (const char* proc : {"2", "3", "combined"}) {
+    const std::string flags = std::string("--proc=") + proc + " --out=" + out +
+                              " --report=" + report + " ";
+    const RunResult plain = run_flow(flags + "syn150");
+    ASSERT_EQ(plain.exit_code, 0) << plain.err;
+    const std::string bench_plain = slurp(out);
+    Json report_plain = parse_report(report);
+    const RunResult ckpt = run_flow(flags + "--checkpoint=" + ck + " syn150");
+    ASSERT_EQ(ckpt.exit_code, 0) << ckpt.err;
+    EXPECT_EQ(ckpt.out, plain.out) << proc;
+    EXPECT_EQ(slurp(out), bench_plain) << proc;
+    // The reports differ only in the robust meta a robust flag adds.
+    Json report_ckpt = parse_report(report);
+    Json meta = Json::object();
+    for (const auto& [key, value] : report_ckpt.find("meta")->items()) {
+      if (key != "status" && key != "ticks") meta.set(key, value);
+    }
+    report_ckpt.set("meta", std::move(meta));
+    EXPECT_EQ(label_ordered_spans(masked_report_dump(report_ckpt)),
+              label_ordered_spans(masked_report_dump(report_plain)))
+        << proc;
+  }
+  for (const std::string& p : {ck, out, report}) std::remove(p.c_str());
 }
 
 TEST(FlowCli, ResumeFlagMismatchExit3) {
@@ -193,27 +250,75 @@ TEST(FlowCli, ResumeFlagMismatchExit3) {
   std::remove(ck.c_str());
 }
 
+/// The checkpoint `text` with the first fanin of its netlist's first live
+/// gate replaced by `fanin` (0xffffffff: the gate itself), re-hashed so that
+/// only the snapshot checks can object.
+std::string rewired_checkpoint(const std::string& text, std::uint64_t fanin) {
+  Json root = *Json::parse(text);
+  Json state = *root.find("state");
+  Json netlist = *state.find("netlist");
+  const Json& nodes = *netlist.find("nodes");  // [type, fanins, name, dead]
+  Json rewired = Json::array();
+  bool done = false;
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const Json& rec = nodes.at(id);
+    if (done || rec.at(3).as_bool() || rec.at(1).size() == 0) {
+      rewired.push(rec);
+      continue;
+    }
+    Json fanins = Json::array();
+    fanins.push(fanin == 0xffffffffu ? std::uint64_t{id} : fanin);
+    for (std::size_t i = 1; i < rec.at(1).size(); ++i) fanins.push(rec.at(1).at(i));
+    Json node = Json::array();
+    node.push(rec.at(0));
+    node.push(std::move(fanins));
+    node.push(rec.at(2));
+    node.push(rec.at(3));
+    rewired.push(std::move(node));
+    done = true;
+  }
+  netlist.set("nodes", std::move(rewired));
+  state.set("netlist", std::move(netlist));
+  root.set("hash", robust::fnv1a64(state.dump()));
+  root.set("state", std::move(state));
+  return root.dump();
+}
+
 TEST(FlowCli, CorruptCheckpointExit3) {
   const std::string ck = temp_path("corrupt.ck.json");
+  const std::string flags = "--budget=2000 --k=5 --resume=" + ck + " syn150";
   const RunResult ref =
       run_flow("--budget=2000 --k=5 --checkpoint=" + ck + " syn150");
   EXPECT_TRUE(ref.exit_code == 0 || ref.exit_code == 20) << ref.err;
   const std::string text = slurp(ck);
   ASSERT_FALSE(text.empty());
+  // The untouched checkpoint resumes.
+  EXPECT_EQ(run_flow(flags).exit_code, ref.exit_code);
 
   // Truncated file: the strict JSON parser rejects it.
   spit(ck, text.substr(0, text.size() / 2));
-  EXPECT_EQ(run_flow("--budget=2000 --k=5 --resume=" + ck + " syn150").exit_code,
-            3);
+  EXPECT_EQ(run_flow(flags).exit_code, 3);
 
-  // Valid JSON, tampered netlist: the integrity hash rejects it.
+  // Valid JSON, edited state: the integrity hash rejects it.
   std::string tampered = text;
-  const auto pos = tampered.find("INPUT(");
+  const auto pos = tampered.find("\"ticks\":");
   ASSERT_NE(pos, std::string::npos);
-  tampered.replace(pos, 6, "INPUT[");
+  tampered.insert(pos + 8, "1");
   spit(ck, tampered);
-  EXPECT_EQ(run_flow("--budget=2000 --k=5 --resume=" + ck + " syn150").exit_code,
-            3);
+  RunResult r = run_flow(flags);
+  EXPECT_EQ(r.exit_code, 3);
+  EXPECT_NE(r.err.find("hash"), std::string::npos) << r.err;
+
+  // A matching hash over a node graph that is no netlist: a fanin out of
+  // range, or a gate reading itself.
+  spit(ck, rewired_checkpoint(text, 1u << 30));
+  r = run_flow(flags);
+  EXPECT_EQ(r.exit_code, 3);
+  EXPECT_NE(r.err.find("out-of-range"), std::string::npos) << r.err;
+  spit(ck, rewired_checkpoint(text, 0xffffffffu));
+  r = run_flow(flags);
+  EXPECT_EQ(r.exit_code, 3);
+  EXPECT_NE(r.err.find("cycle"), std::string::npos) << r.err;
   std::remove(ck.c_str());
 }
 

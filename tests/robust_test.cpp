@@ -1,15 +1,18 @@
 // Unit tests for the robustness layer: budgets, cancellation, fault plans,
-// checkpoint serialization, and the guard's exit-code mapping.
+// flow checkpoint serialization, and the guard's exit-code mapping.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "flow/checkpoint.hpp"
+#include "netlist/netlist.hpp"
 #include "obs/json.hpp"
-#include "robust/checkpoint.hpp"
+#include "paths/paths.hpp"
 #include "robust/guard.hpp"
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
@@ -242,65 +245,132 @@ TEST(Checkpoint, Fnv1a64KnownValues) {
   EXPECT_NE(fnv1a64("INPUT(a)"), fnv1a64("INPUT(b)"));
 }
 
+/// A checkpoint whose netlist has what only a lossless snapshot keeps: a
+/// gate redefined to read a node with a higher id, a dead node, and outputs
+/// marked out of id order.
 FlowCheckpoint sample_checkpoint() {
   FlowCheckpoint cp;
   cp.circuit = "syn150";
-  cp.proc = "2";
-  cp.k = 5;
-  cp.weight_gates = 1.0;
-  cp.weight_paths = 0.25;
-  cp.verify = "both";
-  cp.budget_limit = 4000;
-  cp.stage = "resynth";
-  cp.passes_done = 2;
+  cp.spec.proc = "combined";
+  cp.spec.k = 5;
+  cp.spec.weight_paths = 0.25;
+  cp.spec.verify = "both";
+  cp.spec.budget = 4000;
   cp.ticks = 1234;
-  cp.stopped_degraded = false;
-  cp.netlist_bench = "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n";
-  cp.original_bench = "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n";
-  cp.stats = Json::object();
-  cp.stats.set("passes", std::uint64_t{2});
-  cp.counters = Json::object();
-  cp.counters.set("resynth.runs", std::uint64_t{2});
+  Netlist nl("sample");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId g = nl.add_gate(GateType::And, {a, b}, "g");
+  const NodeId h = nl.add_gate(GateType::Not, {g}, "h");
+  const NodeId x = nl.add_gate(GateType::Xor, {a, b});
+  nl.mark_output(h);
+  nl.mark_output(x);
+  const NodeId y = nl.add_gate(GateType::Or, {a, b}, "y");
+  nl.redefine(h, GateType::Nor, {y, b});  // h now reads a later id
+  nl.sweep();                             // g dies
+  cp.original = nl.compacted();
+  cp.netlist = nl;
+  cp.stats.gates_before = 4;
+  cp.stats.paths_before = 6;
+  cp.stats.passes = 2;
+  cp.stats.replacements = 1;
+  cp.stats.cones_considered = 17;
+  cp.stats.comparison_cones = 5;
+  cp.stats.history = {{1, 1, 3, 5}, {2, 0, 3, kPathCountSaturated}};
+  cp.obs = Json::object();
+  cp.obs.set("spans", Json::array());
+  cp.obs.set("counters", Json::object());
+  cp.obs.set("distributions", Json::array());
   return cp;
 }
 
-TEST(Checkpoint, JsonRoundTrip) {
-  const FlowCheckpoint cp = sample_checkpoint();
-  const Json j = cp.to_json();
-  FlowCheckpoint back;
-  std::string err;
-  ASSERT_TRUE(back.from_json(j, &err)) << err;
-  EXPECT_EQ(back.circuit, cp.circuit);
-  EXPECT_EQ(back.proc, cp.proc);
-  EXPECT_EQ(back.k, cp.k);
-  EXPECT_EQ(back.weight_gates, cp.weight_gates);
-  EXPECT_EQ(back.weight_paths, cp.weight_paths);
-  EXPECT_EQ(back.verify, cp.verify);
-  EXPECT_EQ(back.budget_limit, cp.budget_limit);
-  EXPECT_EQ(back.stage, cp.stage);
-  EXPECT_EQ(back.passes_done, cp.passes_done);
-  EXPECT_EQ(back.ticks, cp.ticks);
-  EXPECT_EQ(back.stopped_degraded, cp.stopped_degraded);
-  EXPECT_EQ(back.netlist_bench, cp.netlist_bench);
-  EXPECT_EQ(back.original_bench, cp.original_bench);
-  EXPECT_EQ(back.stats.dump(), cp.stats.dump());
-  EXPECT_EQ(back.counters.dump(), cp.counters.dump());
+void expect_same_netlist(const Netlist& a, const Netlist& b) {
+  EXPECT_EQ(a.name(), b.name());
+  ASSERT_EQ(a.size(), b.size());
+  for (NodeId id = 0; id < a.size(); ++id) {
+    EXPECT_EQ(a.node(id).type, b.node(id).type) << id;
+    EXPECT_EQ(a.node(id).fanins, b.node(id).fanins) << id;
+    EXPECT_EQ(a.node(id).name, b.node(id).name) << id;
+    EXPECT_EQ(a.node(id).dead, b.node(id).dead) << id;
+    EXPECT_EQ(a.node(id).is_output, b.node(id).is_output) << id;
+  }
+  EXPECT_EQ(a.inputs(), b.inputs());
+  EXPECT_EQ(a.outputs(), b.outputs());
+  EXPECT_EQ(a.fanouts(), b.fanouts());
+  EXPECT_EQ(a.topo_order(), b.topo_order());
 }
 
-TEST(Checkpoint, RejectsTamperedNetlist) {
-  Json j = sample_checkpoint().to_json();
-  j.set("netlist_bench", "INPUT(a)\nOUTPUT(a)\n");  // hash no longer matches
+/// The checkpoint's JSON with `from` replaced by `to` in its state text, the
+/// hash recomputed when `rehash` (so only the snapshot checks can object).
+Json tampered(const FlowCheckpoint& cp, const std::string& from,
+              const std::string& to, bool rehash) {
+  const Json j = cp.to_json();
+  std::string text = j.find("state")->dump();
+  const std::size_t pos = text.find(from);
+  EXPECT_NE(pos, std::string::npos) << from;
+  if (pos != std::string::npos) text.replace(pos, from.size(), to);
+  const std::optional<Json> state = Json::parse(text);
+  EXPECT_TRUE(state.has_value()) << text;
+  Json out = Json::object();
+  out.set("format", *j.find("format"));
+  out.set("hash", rehash ? fnv1a64(text) : j.find("hash")->as_u64());
+  out.set("state", state.value_or(Json()));
+  return out;
+}
+
+TEST(Checkpoint, JsonRoundTripIsLossless) {
+  const FlowCheckpoint cp = sample_checkpoint();
   FlowCheckpoint back;
   std::string err;
-  EXPECT_FALSE(back.from_json(j, &err));
+  ASSERT_TRUE(back.from_json(cp.to_json(), &err)) << err;
+  EXPECT_EQ(back.circuit, cp.circuit);
+  EXPECT_TRUE(back.spec == cp.spec);
+  EXPECT_EQ(back.ticks, cp.ticks);
+  expect_same_netlist(back.original, cp.original);
+  expect_same_netlist(back.netlist, cp.netlist);
+  EXPECT_EQ(back.stats.gates_before, cp.stats.gates_before);
+  EXPECT_EQ(back.stats.paths_before, cp.stats.paths_before);
+  EXPECT_EQ(back.stats.passes, cp.stats.passes);
+  EXPECT_EQ(back.stats.replacements, cp.stats.replacements);
+  EXPECT_EQ(back.stats.cones_considered, cp.stats.cones_considered);
+  EXPECT_EQ(back.stats.comparison_cones, cp.stats.comparison_cones);
+  ASSERT_EQ(back.stats.history.size(), 2u);
+  EXPECT_EQ(back.stats.history[1].paths, kPathCountSaturated);
+  EXPECT_EQ(back.obs.dump(), cp.obs.dump());
+}
+
+TEST(Checkpoint, RejectsTamperedState) {
+  FlowCheckpoint back;
+  std::string err;
+  EXPECT_FALSE(back.from_json(
+      tampered(sample_checkpoint(), "\"y\"", "\"z\"", false), &err));
   EXPECT_NE(err.find("hash"), std::string::npos) << err;
+}
+
+TEST(Checkpoint, RejectsSnapshotsThatAreNoNetlist) {
+  // Node 5 (y = OR(a, b)) is live; a fanin past the end, or one that closes
+  // a cycle through h (node 3, which reads y), is refused even when the
+  // hash matches.
+  const FlowCheckpoint cp = sample_checkpoint();
+  FlowCheckpoint back;
+  std::string err;
+  EXPECT_FALSE(back.from_json(tampered(cp, "[7,[0,1],\"y\",",
+                                       "[7,[0,99],\"y\",", true),
+                              &err));
+  EXPECT_NE(err.find("out-of-range"), std::string::npos) << err;
+  EXPECT_FALSE(back.from_json(tampered(cp, "[7,[0,1],\"y\",",
+                                       "[7,[0,3],\"y\",", true),
+                              &err));
+  EXPECT_NE(err.find("cycle"), std::string::npos) << err;
+  // The checkpoint is not loaded: `back` keeps what it had.
+  EXPECT_EQ(back.netlist.size(), 0u);
 }
 
 TEST(Checkpoint, RejectsWrongFormatAndMissingFields) {
   FlowCheckpoint back;
   std::string err;
   Json j = sample_checkpoint().to_json();
-  j.set("format", "compsyn-checkpoint-v999");
+  j.set("format", "compsyn-checkpoint-v1");
   EXPECT_FALSE(back.from_json(j, &err));
 
   Json empty = Json::object();
@@ -315,7 +385,7 @@ TEST(Checkpoint, FileRoundTripAndTruncationDetected) {
 
   FlowCheckpoint back;
   ASSERT_TRUE(back.load(path, &err)) << err;
-  EXPECT_EQ(back.netlist_bench, cp.netlist_bench);
+  expect_same_netlist(back.netlist, cp.netlist);
 
   // Truncate the file: the strict JSON parser must reject it.
   std::ifstream is(path);

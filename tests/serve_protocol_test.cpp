@@ -237,6 +237,37 @@ TEST(ServeJobSpec, ValidationRejectsBadFields) {
   EXPECT_FALSE(JobSpec::from_json(j, &err).has_value());
 }
 
+TEST(ServeJobSpec, IllTypedFieldsAreErrorsNotTruncations) {
+  auto with = [](const char* key, Json value) {
+    Json j = Json::object();
+    j.set("type", "job");
+    j.set("id", "x");
+    j.set("circuit", "c17");
+    j.set(key, std::move(value));
+    return j;
+  };
+  std::string err;
+  // A fractional K or a string weight is refused, not truncated to 5 or 0.
+  EXPECT_FALSE(JobSpec::from_json(with("k", 5.7), &err).has_value());
+  EXPECT_NE(err.find("'k'"), std::string::npos) << err;
+  EXPECT_FALSE(JobSpec::from_json(with("weight_gates", "x"), &err).has_value());
+  EXPECT_NE(err.find("'weight_gates'"), std::string::npos) << err;
+  EXPECT_FALSE(JobSpec::from_json(with("k", std::int64_t{-1}), &err).has_value());
+  EXPECT_FALSE(JobSpec::from_json(with("budget", 1.5), &err).has_value());
+  EXPECT_NE(err.find("'budget'"), std::string::npos) << err;
+  EXPECT_FALSE(JobSpec::from_json(with("proc", std::uint64_t{3}), &err).has_value());
+  EXPECT_FALSE(JobSpec::from_json(with("verify", true), &err).has_value());
+  EXPECT_FALSE(JobSpec::from_json(with("deadline", "soon"), &err).has_value());
+  EXPECT_NE(err.find("'deadline'"), std::string::npos) << err;
+  // Integral weights and deadlines are numbers too.
+  EXPECT_TRUE(JobSpec::from_json(with("weight_paths", std::uint64_t{2}), &err)
+                  .has_value())
+      << err;
+  EXPECT_TRUE(JobSpec::from_json(with("deadline", std::uint64_t{3}), &err)
+                  .has_value())
+      << err;
+}
+
 TEST(ServeJobSpec, OptionKeySeparatesEveryKnob) {
   JobSpec a;
   a.id = "a";

@@ -337,20 +337,6 @@ TEST(BenchSchema, PassesV2Through) {
   EXPECT_EQ(v2.dump(), doc.dump());
 }
 
-TEST(BenchSchema, LiftsSummaryShape) {
-  Json doc = Json::object();
-  doc.set("bench", "table2_proc2");
-  doc.set("date", "2026-08-06");
-  doc.set("runs", Json::array());
-  Json v2;
-  std::string err;
-  ASSERT_TRUE(bench_normalize_v2(std::move(doc), &v2, &err)) << err;
-  EXPECT_EQ(v2.find("name")->as_string(), "table2_proc2");
-  ASSERT_NE(v2.find("meta"), nullptr);
-  EXPECT_NE(v2.find("meta")->find("date"), nullptr);
-  EXPECT_NE(v2.find("runs"), nullptr);
-}
-
 TEST(BenchSchema, RejectsUnknownSchemaAndGarbage) {
   Json doc = Json::object();
   doc.set("schema", "compsyn-bench-v9");

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/truth_table.hpp"
-#include "core/truth_table_ref.hpp"
+#include "truth_table_ref.hpp"
 #include "util/rng.hpp"
 
 namespace compsyn {
@@ -158,7 +158,7 @@ TEST(TruthTable, OnSetSortedAscending) {
 // --- Differentials: bit-parallel kernels vs the scalar references ----------
 //
 // truth_table.cpp implements the primitives with delta-swap masks, word
-// copies and popcount spans; core/truth_table_ref.hpp retains the per-bit
+// copies and popcount spans; truth_table_ref.hpp retains the per-bit
 // loops they replaced. Every kernel is byte-compared (to_bits) against its
 // reference over random tables at every arity 1..16.
 

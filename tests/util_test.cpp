@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/cli.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -124,8 +125,26 @@ TEST(Cli, GetDouble) {
   EXPECT_DOUBLE_EQ(cli.get_double("weight-gates", 0.0), 1.5);
   EXPECT_DOUBLE_EQ(cli.get_double("weight-paths", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(cli.get_double("missing", 2.75), 2.75);
-  // Non-numeric values fall back to the default rather than throwing.
-  EXPECT_DOUBLE_EQ(cli.get_double("bad", 9.0), 9.0);
+  // A value that is not a number is a usage error, not the default.
+  EXPECT_THROW(cli.get_double("bad", 9.0), UsageError);
+}
+
+TEST(Cli, NumericFlagsRejectMalformedValues) {
+  const char* argv[] = {"prog",      "--budget=abc", "--neg=-1",  "--plus=+3",
+                        "--k=5x",    "--empty=",     "--big=99999999999999999999",
+                        "--int=-7",  "--wide=4294967296", "--d=1.5e",
+                        "--inf=inf", "--hex=0x10",   "--sp=4 "};
+  Cli cli(13, const_cast<char**>(argv));
+  for (const char* flag : {"budget", "neg", "plus", "k", "empty", "big", "sp"}) {
+    EXPECT_THROW(cli.get_u64(flag, 0), UsageError) << flag;
+  }
+  EXPECT_EQ(cli.get_u64("hex", 0), 16u);
+  EXPECT_EQ(cli.get_int("int", 0), -7);
+  EXPECT_THROW(cli.get_int("wide", 0), UsageError);
+  EXPECT_THROW(cli.get_int("k", 0), UsageError);
+  EXPECT_THROW(cli.get_double("d", 0.0), UsageError);
+  EXPECT_THROW(cli.get_double("inf", 0.0), UsageError);
+  EXPECT_THROW(cli.get_double("empty", 0.0), UsageError);
 }
 
 TEST(Cli, WarnsOnUnrecognizedFlags) {
