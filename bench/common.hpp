@@ -3,10 +3,8 @@
 // irredundant, hence the irs prefix), and best-of-K resynthesis runs.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +20,6 @@
 #include "obs/trace.hpp"
 #include "paths/paths.hpp"
 #include "robust/guard.hpp"
-#include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -31,7 +28,7 @@
 namespace compsyn::bench {
 
 /// Shared observability + robustness wiring for every table harness:
-///   --report=<file>     write a machine-readable JSON (or .jsonl) run report
+///   --report=<file>     write a machine-readable JSON run report
 ///   --trace             print the span/counter summary after the tables
 ///   --trace-out=<file>  write a Chrome trace-event profile (chrome://tracing
 ///                       or https://ui.perfetto.dev; DESIGN.md §12)
@@ -46,33 +43,16 @@ namespace compsyn::bench {
 /// uninstrumented build; the profile-grade flags (--trace-out/--events/
 /// --progress) select the extended level, which adds the histograms/phases/
 /// hot_cones report sections -- plain --report output stays byte-identical
-/// either way. The flow runs on one thread (DESIGN.md §9). A budget trip
-/// winds the tables down to their verified best-so-far state and finish()
-/// returns exit code 20.
+/// either way. The flow runs on one thread (DESIGN.md §9). The stop flags
+/// are the run's robust::RunControls; a budget trip winds the tables down
+/// to their verified best-so-far state and finish() returns exit code 20.
 class BenchRun {
  public:
-  BenchRun(std::string name, const Cli& cli) : cli_(cli), report_(std::move(name)) {
+  BenchRun(std::string name, const Cli& cli)
+      : cli_(cli),
+        report_(std::move(name)),
+        controls_(robust::RunControls::from_cli(cli)) {
     if (!obs_cli_start(cli_, report_.name())) std::exit(2);
-    robust_active_ = cli_.has("budget") || cli_.has("deadline") || cli_.has("inject");
-    if (cli_.has("inject")) {
-      std::string err;
-      auto plan = robust::FaultPlan::parse(cli_.get("inject"), &err);
-      if (!plan) {
-        std::cerr << "error: --inject=" << cli_.get("inject") << ": " << err
-                  << "\n";
-        std::exit(2);
-      }
-      plan_ = *plan;
-      inject_scope_.emplace(plan_);
-    }
-    std::uint64_t limit = cli_.get_u64("budget", 0);
-    if (plan_.budget_trip != 0) {
-      limit = limit == 0 ? plan_.budget_trip
-                         : std::min(limit, plan_.budget_trip);
-    }
-    budget_.emplace(limit);
-    if (robust_active_) budget_scope_.emplace(*budget_);
-    watchdog_.emplace(cli_.get_double("deadline", 0.0));
     Json flags = Json::object();
     for (const auto& [flag, value] : cli_.flags()) flags.set(flag, value);
     report_.set_meta("flags", std::move(flags));
@@ -95,48 +75,24 @@ class BenchRun {
     report_.add_record("circuits", std::move(rec));
   }
 
-  /// Flag-gated artifacts + unknown-flag warnings; returns a process exit code
-  /// (nonzero when a requested report could not be written, kExitDegraded
-  /// when the tick budget stopped the tables early).
+  /// Flag-gated artifacts + unknown-flag warnings; returns the process exit
+  /// code of the run's status (1 when a requested report could not be
+  /// written, 20 when the tick budget stopped the tables early).
   int finish() {
-    int rc = 0;
     const robust::StopReason reason = robust::stop_reason();
-    // Status block only under a robust flag, so default-flag reports stay
-    // byte-identical across releases.
-    if (robust_active_) {
-      report_.set_meta("status",
-                       robust::to_string(robust::run_status_for(reason)));
-      if (reason != robust::StopReason::None) {
-        report_.set_meta("stop_reason", robust::to_string(reason));
-      }
-      report_.set_meta("ticks", robust::ticks_consumed());
-    }
-    if (!obs_cli_finish(cli_, report_,
-                        reason == robust::StopReason::None
-                            ? "ok"
-                            : robust::to_string(robust::run_status_for(reason)),
-                        std::cout)) {
-      rc = 1;
+    robust::RunStatus status = robust::run_status_for(reason);
+    controls_.write_meta(report_, status, reason, /*with_budget=*/false);
+    if (!obs_cli_finish(cli_, report_, robust::to_string(status), std::cout)) {
+      status = robust::RunStatus::Error;
     }
     cli_.warn_unrecognized(std::cerr);
-    if (rc == 0 && (reason == robust::StopReason::Budget ||
-                    reason == robust::StopReason::Injected)) {
-      rc = robust::kExitDegraded;
-    }
-    return rc;
+    return robust::exit_code(status, reason, robust::cancel_signal());
   }
 
  private:
   const Cli& cli_;
   RunReport report_;
-  robust::FaultPlan plan_;
-  bool robust_active_ = false;
-  // Scope order matters: the budget/inject scopes must outlive any engine
-  // call the harness makes and unwind before the members they reference.
-  std::optional<robust::InjectScope> inject_scope_;
-  std::optional<robust::Budget> budget_;
-  std::optional<robust::BudgetScope> budget_scope_;
-  std::optional<robust::DeadlineWatchdog> watchdog_;
+  const robust::RunControls controls_;
 };
 
 /// Suite selection: --circuits=a,b,c overrides; --full includes the largest

@@ -21,10 +21,12 @@ import tempfile
 
 SCHEMA = "compsyn-bench-v2"  # obs/bench_schema.hpp kBenchSchemaV2
 
+# (bench binary, baseline file, extra flags, append to the trajectory)
 BASELINES = [
-    ("table2_proc2", "BENCH_table2.json", True),
-    ("table2_npn", "BENCH_table2_npn.json", False),
-    ("table_atpg", "BENCH_atpg.json", False),
+    ("table2_proc2", "BENCH_table2.json", [], True),
+    ("table2_npn", "BENCH_table2_npn.json", [], False),
+    ("table_atpg", "BENCH_atpg.json", [], False),
+    ("serve_replay", "BENCH_serve.json", ["--lanes=1,2,4"], False),
 ]
 
 
@@ -56,13 +58,13 @@ def main():
     args = ap.parse_args()
     host = host_block(args.build)
     tools = os.path.join(args.build, "src", "tools")
-    for binary, out, trajectory in BASELINES:
+    for binary, out, flags, trajectory in BASELINES:
         with tempfile.TemporaryDirectory() as tmp:
             before = os.path.join(tmp, "before.json")
             if os.path.exists(out):
                 shutil.copy(out, before)
             subprocess.run([os.path.join(args.build, "bench", binary),
-                            "--report=" + out], check=True,
+                            "--report=" + out] + flags, check=True,
                            stdout=subprocess.DEVNULL)
             with open(out) as f:
                 doc = {"schema": SCHEMA, **json.load(f)}

@@ -199,7 +199,8 @@ bool replay_config(const std::vector<std::string>& circuits, unsigned rounds,
         std::string err;
         const std::optional<JobResult> result =
             JobResult::from_json(reply, &err);
-        if (!result.has_value() || result->status != "ok") {
+        if (!result.has_value() ||
+            result->status != robust::RunStatus::Complete) {
           std::cerr << "error: job " << spec.id << " -> " << reply.dump()
                     << "\n";
           failed.store(true);

@@ -1,9 +1,9 @@
 // The full paper flow on a benchmark circuit (or a user-supplied .bench
 // file): make it irredundant, run Procedure 2 or 3, re-remove redundancies,
 // and report gates/paths/testability -- what Section 5 does per circuit.
-// The stages and their output come from flow/flow.hpp (the serve daemon
-// runs the same ones); this binary adds the command line, checkpoints and
-// resume.
+// The flow and its output come from flow/flow.hpp (the serve daemon runs
+// the same run_flow()); this binary adds the command line, loading the
+// circuit and the checkpoint to resume from, and --out.
 //
 //   $ ./resynth_flow syn300
 //   $ ./resynth_flow --proc=3 --k=6 path/to/circuit.bench
@@ -24,10 +24,8 @@
 // checkpoint is a snapshot of the default run at a pass boundary, so a run
 // killed after one resumes to the uninterrupted run's final netlist and
 // (masked) report.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "bench_io/bench_io.hpp"
 #include "flow/checkpoint.hpp"
@@ -35,7 +33,6 @@
 #include "gen/circuits.hpp"
 #include "obs/report.hpp"
 #include "robust/guard.hpp"
-#include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "util/cli.hpp"
 #include "util/errors.hpp"
@@ -69,25 +66,8 @@ int flow_main(int argc, char** argv) {
     std::cerr << "error: " << invalid << "\n";
     return robust::kExitUsage;
   }
-  const std::string checkpoint_path = cli.get("checkpoint", "");
-  const std::string resume_path = cli.get("resume", "");
-  const double deadline = cli.get_double("deadline", 0.0);
-  const bool robust_active = cli.has("budget") || cli.has("deadline") ||
-                             cli.has("checkpoint") || cli.has("resume") ||
-                             cli.has("inject");
-
-  std::optional<robust::FaultPlan> plan;
-  if (cli.has("inject")) {
-    std::string perr;
-    plan = robust::FaultPlan::parse(cli.get("inject"), &perr);
-    if (!plan) {
-      std::cerr << "error: --inject=" << cli.get("inject") << ": " << perr
-                << "\n";
-      return robust::kExitUsage;
-    }
-  }
-
   // Resume: load and validate before any work, so flag mismatches fail fast.
+  const std::string resume_path = cli.get("resume", "");
   FlowCheckpoint ck;
   const bool resumed = !resume_path.empty();
   if (resumed) {
@@ -103,67 +83,15 @@ int flow_main(int argc, char** argv) {
           "reproducible)");
     }
   }
-
-  // Budget: the user's --budget, tightened by any scripted budget trip from
-  // the fault plan. Installed whenever a robust flag is present so ticks are
-  // counted (limit 0 = count only); on resume the consumed ticks carry over.
-  std::uint64_t effective_limit = spec.budget;
-  if (plan && plan->budget_trip != 0) {
-    effective_limit = effective_limit == 0
-                          ? plan->budget_trip
-                          : std::min(effective_limit, plan->budget_trip);
-  }
-  robust::Budget budget(effective_limit, resumed ? ck.ticks : 0);
-  std::optional<robust::BudgetScope> budget_scope;
-  if (robust_active) budget_scope.emplace(budget);
-  std::optional<robust::InjectScope> inject_scope;
-  if (plan) inject_scope.emplace(*plan);
-  robust::DeadlineWatchdog watchdog(deadline);
+  const robust::RunControls controls = robust::RunControls::from_cli(
+      cli, resumed ? ck.ticks : 0, cli.has("checkpoint") || cli.has("resume"));
 
   RunReport report("resynth_flow");
-  Netlist nl;
-  try {
-    nl = source.ends_with(".bench") ? read_bench_file(source)
-                                    : make_benchmark(source);
-  } catch (const InputError&) {
-    throw;
-  } catch (const std::exception& e) {
-    throw InputError(e.what());
-  }
-
-  Flow flow(spec, source, std::cout);
-  flow.announce(nl);
-
-  Netlist original;
-  if (resumed) {
-    // Skip the stages the checkpoint already holds: the irredundant start,
-    // the passes done, and their spans and counters.
-    std::cout << "resumed from " << resume_path << ": " << ck.stats.passes
-              << " pass(es) done, " << ck.ticks << " ticks consumed\n";
-    obs_merge_json(ck.obs);
-    original = std::move(ck.original);
-    nl = std::move(ck.netlist);
-  } else {
-    original = flow.irredundant_start(nl);
-  }
-
-  // A checkpoint at every pass boundary: a snapshot of this very run.
-  PassBoundary on_boundary;
-  if (!checkpoint_path.empty()) {
-    on_boundary = [&](const Netlist& at, const ResynthStats& so_far) {
-      FlowCheckpoint cp{source, spec, robust::ticks_consumed(),
-                        original,   at,       so_far, obs_snapshot_json()};
-      std::string err;
-      if (!cp.save(checkpoint_path, &err)) {
-        // A lost checkpoint costs resumability, not correctness.
-        std::cerr << "warning: checkpoint write failed: " << err << "\n";
-      }
-    };
-  }
-  const ResynthStats st =
-      flow.resynthesize(nl, on_boundary, resumed ? &ck.stats : nullptr);
-  const FlowOutcome outcome =
-      flow.finish(original, nl, st, robust_active, report);
+  Netlist nl = source.ends_with(".bench") ? read_bench_file(source)
+                                          : make_benchmark(source);
+  const FlowOutcome outcome = run_flow(
+      spec, source, nl, controls, std::cout, report,
+      {resumed ? &ck : nullptr, resume_path, cli.get("checkpoint", "")});
 
   if (cli.has("out")) {
     std::ofstream os(cli.get("out"));
@@ -171,15 +99,14 @@ int flow_main(int argc, char** argv) {
     std::cout << "wrote " << cli.get("out") << "\n";
   }
 
-  int rc = outcome.equivalent ? robust::kExitOk : robust::kExitVerifyFailed;
-  const bool degraded = outcome.degraded();
-  if (!obs_cli_finish(cli, report, degraded ? "degraded" : "ok", std::cout)) {
-    rc = rc ? rc : robust::kExitVerifyFailed;
+  robust::RunStatus status = outcome.status;
+  if (!obs_cli_finish(cli, report, robust::to_string(status), std::cout)) {
+    status = robust::RunStatus::Error;
   }
   cli.warn_unrecognized(std::cerr);
-  if (rc == robust::kExitOk && degraded) rc = robust::kExitDegraded;
-  return rc;
+  return robust::exit_code(status);
 }
+
 
 }  // namespace
 

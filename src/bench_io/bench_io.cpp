@@ -294,7 +294,7 @@ Netlist read_bench_string(const std::string& text, std::string circuit_name) {
 
 Netlist read_bench_file(const std::string& path) {
   std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open bench file: " + path);
+  if (!is) throw InputError("cannot open bench file: " + path);
   return read_bench(is, bench_name_from_path(path));
 }
 

@@ -1,10 +1,11 @@
 #include "flow/flow.hpp"
 
-#include <ostream>
+#include <iostream>
 #include <utility>
 
 #include "atpg/redundancy.hpp"
 #include "core/cones.hpp"
+#include "flow/checkpoint.hpp"
 #include "netlist/equivalence.hpp"
 #include "obs/trace.hpp"
 #include "paths/paths.hpp"
@@ -108,71 +109,93 @@ ResynthOptions resynth_options(const FlowSpec& spec) {
   return opt;
 }
 
-Flow::Flow(const FlowSpec& spec, std::string circuit, std::ostream& out)
-    : spec_(spec), circuit_(std::move(circuit)), out_(out) {}
+FlowOutcome run_flow(const FlowSpec& spec, const std::string& circuit,
+                     Netlist& nl, const robust::RunControls& controls,
+                     std::ostream& out, RunReport& report,
+                     const FlowCheckpoints& checkpoints) {
+  FlowOutcome outcome;
+  // A stage that a signal or deadline interrupted ends the run; the first
+  // one the budget stopped early degrades it.
+  auto note_stage = [&](robust::RunStatus status, robust::StopReason reason) {
+    if (status == robust::RunStatus::Interrupted) {
+      throw robust::CancelledError(reason);
+    }
+    if (status == robust::RunStatus::Degraded &&
+        outcome.status == robust::RunStatus::Complete) {
+      outcome = {status, reason};
+    }
+  };
 
-void Flow::note_stage(robust::RunStatus status, robust::StopReason reason) {
-  if (status == robust::RunStatus::Interrupted) {
-    throw robust::CancelledError(reason);
-  }
-  if (status == robust::RunStatus::Degraded &&
-      degraded_reason_ == robust::StopReason::None) {
-    degraded_reason_ = reason;
-  }
-}
+  out << "circuit " << nl.name() << ": " << nl.inputs().size() << " inputs, "
+      << nl.outputs().size() << " outputs, " << nl.equivalent_gate_count()
+      << " equivalent 2-input gates\n";
 
-void Flow::announce(const Netlist& nl) {
-  out_ << "circuit " << nl.name() << ": " << nl.inputs().size()
-       << " inputs, " << nl.outputs().size() << " outputs, "
-       << nl.equivalent_gate_count() << " equivalent 2-input gates\n";
-}
-
-Netlist Flow::irredundant_start(Netlist& nl) {
-  const Span phase("redundancy_removal", SpanKind::Phase);
-  const RedundancyRemovalStats rr = remove_redundancies(nl);
-  note_stage(rr.status, rr.stop_reason);
-  out_ << "redundancy removal: " << rr.removed
-       << " substitutions (irredundant start, as in the paper)\n";
-  Netlist original = nl.compacted();
-  out_ << "irredundant: " << original.equivalent_gate_count() << " gates, "
-       << format_path_total(count_paths_clamped(original).total)
-       << " paths, depth " << original.depth() << "\n";
-  return original;
-}
-
-ResynthStats Flow::resynthesize(Netlist& nl, const PassBoundary& on_boundary,
-                                const ResynthStats* resume_from) const {
-  const Span phase("resynth", SpanKind::Phase);
-  return compsyn::resynthesize(nl, resynth_options(spec_), on_boundary,
-                               resume_from);
-}
-
-FlowOutcome Flow::finish(const Netlist& original, Netlist& nl,
-                         const ResynthStats& st, bool robust_active,
-                         RunReport& report) {
-  note_stage(st.status, st.stop_reason);
-  if (spec_.proc == "combined") {
-    out_ << "Combined objective (K=" << spec_.k << ", wg=" << spec_.weight_gates
-         << ", wp=" << spec_.weight_paths << "): " << st.replacements
-         << " replacements over " << st.passes << " pass(es)\n";
+  Netlist original;  // the irredundant start the result is verified against
+  FlowCheckpoint* ck = checkpoints.resume;
+  if (ck != nullptr) {
+    // Skip the stages the checkpoint already holds: the irredundant start,
+    // the passes done, and their spans and counters.
+    out << "resumed from " << checkpoints.resume_path << ": "
+        << ck->stats.passes << " pass(es) done, " << ck->ticks
+        << " ticks consumed\n";
+    obs_merge_json(ck->obs);
+    original = std::move(ck->original);
+    nl = std::move(ck->netlist);
   } else {
-    out_ << "Procedure " << spec_.proc << " (K=" << spec_.k
-         << "): " << st.replacements << " replacements over " << st.passes
-         << " pass(es)\n";
+    const Span phase("redundancy_removal", SpanKind::Phase);
+    const RedundancyRemovalStats rr = remove_redundancies(nl);
+    note_stage(rr.status, rr.stop_reason);
+    out << "redundancy removal: " << rr.removed
+        << " substitutions (irredundant start, as in the paper)\n";
+    original = nl.compacted();
+    out << "irredundant: " << original.equivalent_gate_count() << " gates, "
+        << format_path_total(count_paths_clamped(original).total)
+        << " paths, depth " << original.depth() << "\n";
   }
-  out_ << "  gates " << st.gates_before << " -> " << st.gates_after
-       << "\n  paths " << format_path_total(st.paths_before) << " -> "
-       << format_path_total(st.paths_after) << "\n";
+
+  // A checkpoint at every pass boundary: a snapshot of this very run.
+  PassBoundary on_boundary;
+  if (!checkpoints.save_path.empty()) {
+    on_boundary = [&](const Netlist& at, const ResynthStats& so_far) {
+      FlowCheckpoint cp{circuit,  spec,   robust::ticks_consumed(),
+                        original, at,     so_far,
+                        obs_snapshot_json()};
+      std::string err;
+      if (!cp.save(checkpoints.save_path, &err)) {
+        // A lost checkpoint costs resumability, not correctness.
+        std::cerr << "warning: checkpoint write failed: " << err << "\n";
+      }
+    };
+  }
+  ResynthStats st;
+  {
+    const Span phase("resynth", SpanKind::Phase);
+    st = resynthesize(nl, resynth_options(spec), on_boundary,
+                      ck != nullptr ? &ck->stats : nullptr);
+  }
+  note_stage(st.status, st.stop_reason);
+  if (spec.proc == "combined") {
+    out << "Combined objective (K=" << spec.k << ", wg=" << spec.weight_gates
+        << ", wp=" << spec.weight_paths << "): " << st.replacements
+        << " replacements over " << st.passes << " pass(es)\n";
+  } else {
+    out << "Procedure " << spec.proc << " (K=" << spec.k
+        << "): " << st.replacements << " replacements over " << st.passes
+        << " pass(es)\n";
+  }
+  out << "  gates " << st.gates_before << " -> " << st.gates_after
+      << "\n  paths " << format_path_total(st.paths_before) << " -> "
+      << format_path_total(st.paths_after) << "\n";
   for (const ResynthPassRecord& pr : st.history) {
-    out_ << "  pass " << pr.pass << ": " << pr.replacements
-         << " replacement(s) -> " << pr.gates << " gates, "
-         << format_path_total(pr.paths) << " paths\n";
+    out << "  pass " << pr.pass << ": " << pr.replacements
+        << " replacement(s) -> " << pr.gates << " gates, "
+        << format_path_total(pr.paths) << " paths\n";
   }
   if (st.status == robust::RunStatus::Degraded) {
-    out_ << "resynthesis degraded (" << robust::to_string(st.stop_reason)
-         << " after " << robust::ticks_consumed()
-         << " ticks): best-so-far result, every committed replacement "
-            "verified\n";
+    out << "resynthesis degraded (" << robust::to_string(st.stop_reason)
+        << " after " << robust::ticks_consumed()
+        << " ticks): best-so-far result, every committed replacement "
+           "verified\n";
   }
 
   RedundancyRemovalStats rr;
@@ -182,16 +205,16 @@ FlowOutcome Flow::finish(const Netlist& original, Netlist& nl,
   }
   note_stage(rr.status, rr.stop_reason);
   if (rr.removed) {
-    out_ << "post-resynthesis redundancy removal: " << rr.removed
-         << " substitutions -> " << nl.equivalent_gate_count() << " gates, "
-         << format_path_total(count_paths_clamped(nl).total) << " paths\n";
+    out << "post-resynthesis redundancy removal: " << rr.removed
+        << " substitutions -> " << nl.equivalent_gate_count() << " gates, "
+        << format_path_total(count_paths_clamped(nl).total) << " paths\n";
   } else {
-    out_ << "no redundant stuck-at faults after resynthesis\n";
+    out << "no redundant stuck-at faults after resynthesis\n";
   }
-  out_ << "depth: " << original.depth() << " -> " << nl.depth() << "\n";
+  out << "depth: " << original.depth() << " -> " << nl.depth() << "\n";
 
   const VerifyMode verify =
-      parse_verify_mode(spec_.verify).value_or(VerifyMode::Sim);
+      parse_verify_mode(spec.verify).value_or(VerifyMode::Sim);
   Rng rng(1);
   EquivalenceResult eq;
   {
@@ -212,44 +235,26 @@ FlowOutcome Flow::finish(const Netlist& original, Netlist& nl,
   if (verify != VerifyMode::Sim && !eq.exhaustive && eq.proven) {
     how = eq.equivalent ? " (proved by SAT)" : " (SAT counterexample)";
   }
-  out_ << "function preserved: " << (eq.equivalent ? "yes" : "NO") << how
-       << "\n";
+  out << "function preserved: " << (eq.equivalent ? "yes" : "NO") << how
+      << "\n";
+  if (!eq.equivalent) outcome.status = robust::RunStatus::Error;
 
-  const FlowOutcome outcome{eq.equivalent, degraded_reason_};
-  report.set_meta("circuit", circuit_);
-  report.set_meta("proc", spec_.proc);
-  report.set_meta("k", spec_.k);
+  report.set_meta("circuit", circuit);
+  report.set_meta("proc", spec.proc);
+  report.set_meta("k", spec.k);
   report.set_meta("gates_before", st.gates_before);
   report.set_meta("gates_after", st.gates_after);
   report.set_meta("paths_before", path_total_json(st.paths_before));
   report.set_meta("paths_after", path_total_json(st.paths_after));
   report.set_meta("function_preserved", eq.equivalent);
-  report.set_meta("verify", spec_.verify);
+  report.set_meta("verify", spec.verify);
   report.set_meta("verify_proven", eq.proven);
-  // Only when a robust flag is in play (or the run actually degraded), so a
-  // default-flag report keeps the shape it had before budgets existed.
-  if (robust_active || outcome.degraded()) {
-    report.set_meta("status", outcome.degraded() ? "degraded" : "ok");
-    if (outcome.degraded()) {
-      report.set_meta("stop_reason", robust::to_string(degraded_reason_));
-    }
-    report.set_meta("ticks", robust::ticks_consumed());
-    if (spec_.budget != 0) report.set_meta("budget", spec_.budget);
-  }
+  controls.write_meta(report, outcome.status, outcome.reason,
+                      /*with_budget=*/true);
   for (const ResynthPassRecord& pr : st.history) {
     report.add_record("passes", pass_record_json(pr));
   }
   return outcome;
-}
-
-FlowOutcome run_flow(const FlowSpec& spec, const std::string& circuit,
-                     Netlist& nl, bool robust_active, std::ostream& out,
-                     RunReport& report) {
-  Flow flow(spec, circuit, out);
-  flow.announce(nl);
-  const Netlist original = flow.irredundant_start(nl);
-  const ResynthStats st = flow.resynthesize(nl);
-  return flow.finish(original, nl, st, robust_active, report);
 }
 
 }  // namespace compsyn

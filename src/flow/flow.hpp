@@ -2,10 +2,8 @@
 // Procedure 2, Procedure 3 or the combined objective, redundancy removal
 // again, then the comparison -- gates, paths, depth and an equivalence
 // verdict. This module is the one statement of that flow and of its
-// options. `resynth_flow` runs the stages below, with a checkpoint written
-// at each pass boundary when asked; the serve daemon's job executor runs
-// run_flow(). Both print the same lines and fill the same report meta
-// because both get them from here.
+// options. `resynth_flow` and the serve daemon's job executor both run
+// run_flow(), so both print the same lines and fill the same report meta.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +14,7 @@
 #include "netlist/netlist.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "robust/guard.hpp"
 #include "robust/robust.hpp"
 #include "util/cli.hpp"
 
@@ -62,60 +61,37 @@ ResynthOptions resynth_options(const FlowSpec& spec);
 
 /// How a finished flow came out.
 struct FlowOutcome {
-  bool equivalent = false;  // the verification verdict
-  // The first stage the tick budget stopped early; None when none did.
-  robust::StopReason degraded_reason = robust::StopReason::None;
-
-  bool degraded() const {
-    return degraded_reason != robust::StopReason::None;
-  }
+  // Complete; Degraded when the tick budget stopped a stage early; Error
+  // when the verification failed.
+  robust::RunStatus status = robust::RunStatus::Complete;
+  // The stop of the first stage the budget stopped early; None if none did.
+  robust::StopReason reason = robust::StopReason::None;
 };
 
-/// The flow's stages, called in this order: announce, irredundant_start,
-/// resynthesize, finish. Each stage writes its lines to `out`. A stage that
-/// a signal or deadline interrupts throws robust::CancelledError; a stage
-/// that the tick budget stops early is remembered, and finish() reports the
-/// first one.
-class Flow {
- public:
-  /// `circuit` is the name the report records (a suite name or the path of
-  /// a .bench file). `spec` must be valid and outlive the Flow.
-  Flow(const FlowSpec& spec, std::string circuit, std::ostream& out);
+struct FlowCheckpoint;
 
-  /// The "circuit <name>: ..." line of the input circuit.
-  void announce(const Netlist& nl);
-
-  /// Removes the redundancies of `nl` in place: the paper's irredundant
-  /// starting point. Returns it compacted, the reference the result is
-  /// verified against.
-  Netlist irredundant_start(Netlist& nl);
-
-  /// Resynthesizes `nl` in place to a fixpoint with one resynthesize() call,
-  /// which passes `on_boundary` and `resume_from` through.
-  ResynthStats resynthesize(Netlist& nl, const PassBoundary& on_boundary = {},
-                            const ResynthStats* resume_from = nullptr) const;
-
-  /// Everything after resynthesis: the summary and per-pass lines,
-  /// redundancy removal on the result, the depth line, the verification
-  /// verdict, and the report's meta and "passes" records. `robust_active`
-  /// adds the status/ticks/budget meta, which each caller gates itself.
-  FlowOutcome finish(const Netlist& original, Netlist& nl,
-                     const ResynthStats& st, bool robust_active,
-                     RunReport& report);
-
- private:
-  void note_stage(robust::RunStatus status, robust::StopReason reason);
-
-  const FlowSpec& spec_;
-  std::string circuit_;
-  std::ostream& out_;
-  robust::StopReason degraded_reason_ = robust::StopReason::None;
+/// A run's checkpoints: the loaded one it resumes from (consumed: its
+/// netlists move into the run) and the file it came from, and the file a
+/// checkpoint is written to at every pass boundary ("" for none).
+struct FlowCheckpoints {
+  FlowCheckpoint* resume = nullptr;
+  std::string resume_path;
+  std::string save_path;
 };
 
-/// The whole flow on `nl` (left as the result, not yet compacted), as
-/// `resynth_flow` runs it without --resume.
+/// The whole flow on `nl` under `controls`: the "circuit" line, the
+/// irredundant start, resynthesis to a fixpoint, redundancy removal on the
+/// result, the depth line and the verification verdict, each line written
+/// to `out`, then the report's meta (the status meta through
+/// controls.write_meta()) and "passes" records. `nl` is left as the result,
+/// not yet compacted. A resumed run skips the stages its checkpoint holds,
+/// and merges its spans and counters. A stage that a signal or deadline
+/// interrupts throws robust::CancelledError. `circuit` is the name the
+/// report and checkpoints record (a suite name or the path of a .bench
+/// file).
 FlowOutcome run_flow(const FlowSpec& spec, const std::string& circuit,
-                     Netlist& nl, bool robust_active, std::ostream& out,
-                     RunReport& report);
+                     Netlist& nl, const robust::RunControls& controls,
+                     std::ostream& out, RunReport& report,
+                     const FlowCheckpoints& checkpoints = {});
 
 }  // namespace compsyn

@@ -200,64 +200,14 @@ Json RunReport::to_json() const {
   return doc;
 }
 
-void RunReport::write_jsonl(std::ostream& os) const {
-  const Json doc = to_json();
-  auto emit = [&os](const char* type, Json payload) {
-    Json line = Json::object();
-    line.set("type", type);
-    for (auto& [k, v] : payload.items()) line.set(k, v);
-    line.write(os, 0);
-    os << '\n';
-  };
-  {
-    Json head = Json::object();
-    head.set("name", *doc.find("name"));
-    head.set("meta", *doc.find("meta"));
-    head.set("wall_seconds", *doc.find("wall_seconds"));
-    emit("run", std::move(head));
-  }
-  for (std::size_t i = 0; i < doc.find("spans")->size(); ++i) {
-    emit("span", doc.find("spans")->at(i));
-  }
-  {
-    Json c = Json::object();
-    c.set("counters", *doc.find("counters"));
-    emit("counters", std::move(c));
-  }
-  for (std::size_t i = 0; i < doc.find("distributions")->size(); ++i) {
-    emit("distribution", doc.find("distributions")->at(i));
-  }
-  for (const auto& [label, table] : tables_) {
-    const Json* rows = table.find("rows");
-    for (std::size_t i = 0; i < rows->size(); ++i) {
-      Json r = Json::object();
-      r.set("table", label);
-      r.set("row", rows->at(i));
-      emit("row", std::move(r));
-    }
-  }
-  for (const auto& [section, arr] : sections_) {
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      Json r = Json::object();
-      r.set("section", section);
-      r.set("record", arr.at(i));
-      emit("record", std::move(r));
-    }
-  }
-}
-
 bool RunReport::write(const std::string& path, std::string* error) const {
   std::ofstream os(path);
   if (!os) {
     if (error != nullptr) *error = "cannot open " + path + " for writing";
     return false;
   }
-  if (path.size() > 6 && path.substr(path.size() - 6) == ".jsonl") {
-    write_jsonl(os);
-  } else {
-    to_json().write(os, 2);
-    os << '\n';
-  }
+  to_json().write(os, 2);
+  os << '\n';
   os.flush();
   if (!os) {
     if (error != nullptr) *error = "write to " + path + " failed";

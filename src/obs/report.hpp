@@ -1,7 +1,6 @@
 // Machine-readable run reports: one RunReport per bench/example invocation
 // collects run metadata, the plain-text tables as structured records, and a
-// snapshot of every span and counter, then writes a single JSON document
-// (or JSONL, one record per line, when the path ends in ".jsonl").
+// snapshot of every span and counter, then writes a single JSON document.
 //
 // The report layer is always compiled in -- it is the explicit, user-facing
 // sink behind --report=<file>; only the span/counter snapshots it embeds
@@ -50,12 +49,9 @@ class RunReport {
   /// distributions, tables, and every record section.
   Json to_json() const;
 
-  /// Writes to_json() to `path` (pretty JSON; JSONL when the extension is
-  /// ".jsonl"). Returns false and fills *error on I/O failure.
+  /// Writes to_json() to `path` as pretty JSON. Returns false and fills
+  /// *error on I/O failure.
   bool write(const std::string& path, std::string* error = nullptr) const;
-
-  /// JSONL form: one {"type": ...} record per line.
-  void write_jsonl(std::ostream& os) const;
 
   /// Human-readable sink: span and counter summary tables.
   void print_summary(std::ostream& os) const;

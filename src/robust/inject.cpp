@@ -5,6 +5,8 @@
 #include <cassert>
 #include <cstdlib>
 
+#include "util/cli.hpp"
+#include "util/errors.hpp"
 #include "util/strings.hpp"
 
 namespace compsyn::robust {
@@ -88,6 +90,14 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& spec,
       return std::nullopt;
     }
   }
+  return plan;
+}
+
+std::optional<FaultPlan> FaultPlan::from_cli(const Cli& cli) {
+  if (!cli.has("inject")) return std::nullopt;
+  std::string err;
+  std::optional<FaultPlan> plan = parse(cli.get("inject"), &err);
+  if (!plan) throw UsageError("--inject=" + cli.get("inject") + ": " + err);
   return plan;
 }
 

@@ -16,6 +16,10 @@
 #include <string>
 #include <vector>
 
+namespace compsyn {
+class Cli;
+}
+
 namespace compsyn::robust {
 
 /// Parsed --inject specification. Spec grammar (comma-separated):
@@ -24,8 +28,9 @@ namespace compsyn::robust {
 ///               receives the safe over-approximation "all combinations
 ///               reachable", i.e. no don't-cares)
 ///   write:N   — the Nth guarded file write fails
-///   budget:T  — the run behaves as if the budget tripped at tick T
-///               (equivalent to --budget=T with StopReason::Injected)
+///   budget:T  — the run's tick limit becomes T where that is tighter than
+///               its budget, and a stop there reports StopReason::Injected
+///               (robust::RunControls; a daemon's plan trips every job)
 ///   halt:N    — the process _Exit(137)s right after the Nth checkpoint
 ///               write, simulating a kill at a crash-consistent point
 /// Serve-layer kinds (drive the daemon's recovery paths deterministically):
@@ -53,6 +58,10 @@ struct FaultPlan {
   /// Parses a spec string; returns nullopt and sets *error on bad syntax.
   static std::optional<FaultPlan> parse(const std::string& spec,
                                         std::string* error);
+
+  /// The plan of an --inject flag; nullopt without one. A spec that does
+  /// not parse throws UsageError.
+  static std::optional<FaultPlan> from_cli(const Cli& cli);
 };
 
 /// Installs a plan for a scope (resets all event counters). Non-nesting,

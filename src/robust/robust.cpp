@@ -1,7 +1,5 @@
 #include "robust/robust.hpp"
 
-#include "robust/inject.hpp"
-
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -40,8 +38,17 @@ const char* to_string(RunStatus s) {
     case RunStatus::Complete: return "ok";
     case RunStatus::Degraded: return "degraded";
     case RunStatus::Interrupted: return "interrupted";
+    case RunStatus::Error: return "error";
   }
   return "?";
+}
+
+std::optional<RunStatus> parse_run_status(std::string_view s) {
+  for (RunStatus r : {RunStatus::Complete, RunStatus::Degraded,
+                      RunStatus::Interrupted, RunStatus::Error}) {
+    if (s == to_string(r)) return r;
+  }
+  return std::nullopt;
 }
 
 const char* to_string(StopReason r) {
@@ -160,21 +167,16 @@ int cancel_signal() noexcept {
 
 StopReason stop_reason() {
   if (cancel_requested()) return cancel_reason();
-  if (budget_exhausted()) {
-    // First observation of the trip gets a telemetry milestone. Emitted
-    // here -- a decision point -- rather than in charge(), which runs in
-    // the hot path.
-    static std::atomic<bool> announced{false};
-    if (!announced.exchange(true, std::memory_order_relaxed)) {
-      ChromeTrace::instant("budget.exhausted");
-      EventLog::milestone("budget.exhausted");
-    }
-    // A trip scripted by the fault-injection plan reports as Injected so
-    // chaos reports distinguish it from a user-requested --budget.
-    return injected_budget_trip() != 0 ? StopReason::Injected
-                                       : StopReason::Budget;
+  Budget* b = current_slot().budget.load(std::memory_order_relaxed);
+  if (b == nullptr || !b->exhausted()) return StopReason::None;
+  // The run's first observation of the trip gets a telemetry milestone.
+  // Emitted here -- a decision point -- rather than in charge(), which runs
+  // in the hot path.
+  if (b->first_trip()) {
+    ChromeTrace::instant("budget.exhausted");
+    EventLog::milestone("budget.exhausted");
   }
-  return StopReason::None;
+  return b->reason();
 }
 
 void install_signal_handlers() {

@@ -38,17 +38,20 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace compsyn::robust {
 
-/// How a run ended.
+/// How a run ended, in rising severity: the worst of several runs is the
+/// largest.
 enum class RunStatus {
   Complete,     // ran to its natural fixpoint
   Degraded,     // budget tripped: best-so-far result, fully verified
   Interrupted,  // signal / deadline: wound down at a poll point
+  Error,        // failed: bad input, a failed verification, an internal error
 };
 
 /// What triggered a stop (None while running normally).
@@ -60,8 +63,11 @@ enum class StopReason {
   Injected,  // fault-injection harness tripped the run
 };
 
+/// The one spelling of a status: "ok", "degraded", "interrupted", "error".
 const char* to_string(RunStatus s);
 const char* to_string(StopReason r);
+/// The status to_string() spells `s` as; nullopt for any other text.
+std::optional<RunStatus> parse_run_status(std::string_view s);
 
 /// The run status a stop reason maps to: budget-style stops degrade the
 /// run (deterministic best-so-far), asynchronous ones interrupt it.
@@ -81,11 +87,13 @@ inline RunStatus run_status_for(StopReason r) {
 
 /// Counts work ticks against an optional limit. `limit == 0` means
 /// unlimited (counting still happens so reports can show ticks consumed).
-/// The *decision* to stop is only taken at commit points.
+/// The *decision* to stop is only taken at commit points. `reason` names
+/// the limit: the user's budget, or a trip the fault plan scripted.
 class Budget {
  public:
-  explicit Budget(std::uint64_t limit = 0, std::uint64_t consumed = 0)
-      : ticks_(consumed), limit_(limit) {}
+  explicit Budget(std::uint64_t limit = 0, std::uint64_t consumed = 0,
+                  StopReason reason = StopReason::Budget)
+      : ticks_(consumed), limit_(limit), reason_(reason) {}
 
   void charge(std::uint64_t n) {
     ticks_.fetch_add(n, std::memory_order_relaxed);
@@ -93,10 +101,17 @@ class Budget {
   std::uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
   std::uint64_t limit() const { return limit_; }
   bool exhausted() const { return limit_ != 0 && ticks() >= limit_; }
+  StopReason reason() const { return reason_; }
+  /// True the first time only: the run's one budget.exhausted milestone.
+  bool first_trip() {
+    return !tripped_.exchange(true, std::memory_order_relaxed);
+  }
 
  private:
   std::atomic<std::uint64_t> ticks_;
   std::uint64_t limit_;
+  StopReason reason_;
+  std::atomic<bool> tripped_{false};
 };
 
 /// One isolation unit of robustness state: the installed budget and any
@@ -185,7 +200,7 @@ inline bool should_stop() {
 }
 
 /// The reason should_stop() fired: the cancel reason if one is pending,
-/// else Budget if the budget tripped, else None.
+/// else the tripped budget's reason, else None.
 StopReason stop_reason();
 
 /// Thrown from poll points when cancellation is pending. Engines either

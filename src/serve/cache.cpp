@@ -1,5 +1,7 @@
 #include "serve/cache.hpp"
 
+#include <cstring>
+
 #include "core/signature.hpp"
 #include "robust/robust.hpp"
 
@@ -15,7 +17,8 @@ std::uint64_t ResultCache::entry_bytes(const Entry& e) {
   // Accounting is intentionally coarse (string payloads dominate); the Json
   // report is charged at its serialized size.
   return e.canonical_bench.size() + e.option_key.size() +
-         e.result.status.size() + e.result.bench.size() +
+         std::strlen(robust::to_string(e.result.status)) +
+         e.result.bench.size() +
          e.result.stdout_text.size() + e.result.report.dump().size() + 128;
 }
 

@@ -27,13 +27,14 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "robust/robust.hpp"
 
 namespace compsyn::serve {
 
 /// What a hit serves back: the executed job's three artifacts plus its
-/// terminal status ("ok" or "degraded"; nothing else is cached).
+/// terminal status (complete or degraded; nothing else is cached).
 struct CachedResult {
-  std::string status;
+  robust::RunStatus status = robust::RunStatus::Complete;
   std::string bench;
   Json report;
   std::string stdout_text;

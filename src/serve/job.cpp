@@ -1,6 +1,5 @@
 #include "serve/job.hpp"
 
-#include <optional>
 #include <sstream>
 
 #include "bench_io/bench_io.hpp"
@@ -9,20 +8,13 @@
 #include "gen/circuits.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
+#include "obs/obs.hpp"
 #include "obs/report.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "robust/robust.hpp"
-#include "util/errors.hpp"
+#include "robust/guard.hpp"
 
 namespace compsyn::serve {
-
-Json job_error_report(const char* status, const std::string& message) {
-  RunReport report("resynth_flow");
-  report.set_meta("status", status);
-  if (!message.empty()) report.set_meta("error", message);
-  return report.to_json();
-}
 
 void begin_job_isolation() {
   Counters::reset();
@@ -34,71 +26,41 @@ void begin_job_isolation() {
 
 JobExecution run_resynth_job(const JobSpec& spec) {
   JobExecution out;
-
-  // Per-job robustness scopes, as resynth_flow installs them: the budget
-  // whenever a robust flag is present (limit 0 still counts ticks), the
-  // watchdog only when a deadline was given.
-  robust::Budget budget(spec.budget, 0);
-  std::optional<robust::BudgetScope> budget_scope;
-  if (spec.robust_active()) budget_scope.emplace(budget);
-  robust::DeadlineWatchdog watchdog(spec.deadline);
-
+  const robust::RunControls controls(spec.budget, spec.deadline);
   std::ostringstream cout;  // the flow's stdout, captured
   try {
     RunReport report("resynth_flow");
-    Netlist nl;
-    try {
-      nl = spec.bench.empty()
-               ? make_benchmark(spec.circuit)
-               : read_bench_string(spec.bench,
-                                   bench_name_from_path(spec.circuit));
-    } catch (const InputError&) {
-      throw;
-    } catch (const robust::CancelledError&) {
-      throw;
-    } catch (const std::exception& e) {
-      throw InputError(e.what());
-    }
+    Netlist nl = spec.bench.empty()
+                     ? make_benchmark(spec.circuit)
+                     : read_bench_string(spec.bench,
+                                         bench_name_from_path(spec.circuit));
     const FlowOutcome flow =
-        run_flow(spec, spec.circuit, nl, spec.robust_active(), cout, report);
+        run_flow(spec, spec.circuit, nl, controls, cout, report);
+    out.status = flow.status;
     out.bench = write_bench_string(nl.compacted());
     out.report = report.to_json();
     out.stdout_text = cout.str();
-    if (!flow.equivalent) {
-      out.status = "error";
+    if (flow.status == robust::RunStatus::Error) {
       out.error = "verification failed: function not preserved";
-      out.cacheable = false;
-    } else {
-      out.status = flow.degraded() ? "degraded" : "ok";
-      // Deterministic outcomes only: a deadline makes the stop point
-      // wall-clock dependent, so those results are never served twice.
-      out.cacheable = spec.deadline <= 0.0;
     }
+    // Deterministic outcomes of the job spec only: a deadline makes the
+    // stop point wall-clock dependent, and an injected trip is the daemon's,
+    // so neither result is served twice.
+    out.cacheable = flow.status != robust::RunStatus::Error &&
+                    spec.deadline <= 0.0 &&
+                    flow.reason != robust::StopReason::Injected;
     return out;
-  } catch (const robust::CancelledError& e) {
-    const char* status = e.reason == robust::StopReason::Budget ||
-                                 e.reason == robust::StopReason::Injected
-                             ? "degraded"
-                             : "interrupted";
-    out.status = status;
-    out.error = robust::to_string(e.reason);
-    out.report = job_error_report(status, out.error);
-    out.stdout_text = cout.str();
-    return out;
-  } catch (const InputError& e) {
-    out.status = "error";
-    out.error = e.what();
-    out.report = job_error_report("error", out.error);
-    return out;
-  } catch (const std::invalid_argument& e) {
-    out.status = "error";
-    out.error = e.what();
-    out.report = job_error_report("error", out.error);
-    return out;
-  } catch (const std::exception& e) {
-    out.status = "error";
-    out.error = std::string("internal error: ") + e.what();
-    out.report = job_error_report("error", out.error);
+  } catch (...) {
+    const robust::RunFailure failure = robust::classify_current_exception();
+    out.status = failure.status;
+    out.error = failure.error;
+    out.report =
+        robust::error_report("resynth_flow", failure.status, failure.error,
+                             now_ns())
+            .to_json();
+    if (failure.status != robust::RunStatus::Error) {
+      out.stdout_text = cout.str();
+    }
     return out;
   }
 }

@@ -20,24 +20,20 @@
 #include <iosfwd>
 
 #include "obs/json.hpp"
+#include "robust/robust.hpp"
 #include "serve/protocol.hpp"
 
 namespace compsyn::serve {
 
 /// Outcome of an executed (not cache-served) job.
 struct JobExecution {
-  std::string status;       // "ok" | "degraded" | "interrupted" | "error"
-  std::string error;        // set when status is "interrupted"/"error"
+  robust::RunStatus status = robust::RunStatus::Complete;
+  std::string error;        // set when status is interrupted or error
   std::string bench;        // write_bench of the final compacted netlist
   Json report;              // resynth_flow-shaped report document
   std::string stdout_text;  // the flow's stdout, byte-identical
   bool cacheable = false;   // deterministic outcome, safe to serve again
 };
-
-/// The guard_main error-report shape (robust/guard.cpp) for jobs that never
-/// produced a full report: {"name":"resynth_flow", meta.status, meta.error}.
-/// Used for cancelled/failed jobs and for queued jobs a drain abandons.
-Json job_error_report(const char* status, const std::string& message);
 
 /// Resets the global state a fresh resynth_flow process would not have:
 /// obs counters/distributions, span aggregates, histograms, extended
@@ -45,10 +41,11 @@ Json job_error_report(const char* status, const std::string& message);
 /// executor thread with no job in flight.
 void begin_job_isolation();
 
-/// Runs one job to completion on the calling thread. Installs the per-job
-/// budget scope and deadline watchdog, catches CancelledError (per-job
-/// degradation -- the daemon outlives its jobs), and never throws for
-/// malformed input (BenchParseError diagnostics come back in .error).
+/// Runs one job to completion on the calling thread under its own
+/// robust::RunControls (budget, deadline, and the daemon's budget:T trip),
+/// classifies whatever it throws (the daemon outlives its jobs), and never
+/// throws for malformed input (BenchParseError diagnostics come back in
+/// .error).
 /// Signal cancellations are NOT absorbed: status "interrupted" with the
 /// cancel flag left pending, so the server can drain.
 JobExecution run_resynth_job(const JobSpec& spec);

@@ -178,7 +178,7 @@ Json JobResult::to_json() const {
   Json j = Json::object();
   j.set("type", "result");
   j.set("id", id);
-  j.set("status", status);
+  j.set("status", robust::to_string(status));
   j.set("cache", cache_hit ? "hit" : "miss");
   if (!error.empty()) j.set("error", error);
   if (!bench.empty()) j.set("bench", bench);
@@ -202,7 +202,10 @@ std::optional<JobResult> JobResult::from_json(const Json& j,
   r.id = f->as_string();
   f = j.find("status");
   if (f == nullptr) return fail("result missing 'status'");
-  r.status = f->as_string();
+  const std::optional<robust::RunStatus> status =
+      robust::parse_run_status(f->as_string());
+  if (!status) return fail("result has an unknown 'status'");
+  r.status = *status;
   if ((f = j.find("cache")) != nullptr) r.cache_hit = f->as_string() == "hit";
   if ((f = j.find("error")) != nullptr) r.error = f->as_string();
   if ((f = j.find("bench")) != nullptr) r.bench = f->as_string();

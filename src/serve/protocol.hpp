@@ -38,6 +38,7 @@
 
 #include "flow/flow.hpp"
 #include "obs/json.hpp"
+#include "robust/robust.hpp"
 
 namespace compsyn::serve {
 
@@ -86,10 +87,6 @@ struct JobSpec : FlowSpec {
   std::string bench;         // .bench text ("" = build `circuit` via the suite)
   double deadline = 0.0;     // per-job wall-clock watchdog (0 = none)
 
-  /// True when any robust flag is in play: the gate of the report's
-  /// status/ticks meta, as resynth_flow gates it on --budget/--deadline.
-  bool robust_active() const { return budget != 0 || deadline > 0.0; }
-
   /// The flag-set part of the cache key: every field that changes the
   /// result or the report, in a fixed order. Deadline is excluded -- jobs
   /// with a deadline are never cached (their outcome is wall-clock
@@ -107,9 +104,9 @@ struct JobSpec : FlowSpec {
 /// One job's outcome as it travels back.
 struct JobResult {
   std::string id;
-  std::string status;   // "ok" | "degraded" | "interrupted" | "error"
+  robust::RunStatus status = robust::RunStatus::Complete;
   bool cache_hit = false;
-  std::string error;    // non-empty iff status == "error"/"interrupted"
+  std::string error;    // non-empty iff status is error or interrupted
   std::string bench;    // resynthesized .bench text (empty on error)
   Json report;          // the resynth_flow-shaped run report (object)
   std::string stdout_text;  // the one-shot flow's stdout, byte-identical

@@ -154,7 +154,7 @@ class JobSubmitter {
             backoff_ms(policy_, spec.id, attempt, last_hint_ms_)));
       }
       last_hint_ms_ = 0;
-      if (fd_ < 0 && connect_unix_(error) < 0) continue;
+      if (fd_ < 0 && (fd_ = connect_unix(socket_path_, error)) < 0) continue;
       bool timed_out = false;
       std::optional<Json> reply =
           round_trip(fd_, wire, error, policy_.timeout_s, &timed_out);
@@ -171,7 +171,8 @@ class JobSubmitter {
         disconnect();
         continue;
       }
-      if (result->status == "error" && result->error == "overloaded" &&
+      if (result->status == robust::RunStatus::Error &&
+          result->error == "overloaded" &&
           attempt < attempts) {
         last_hint_ms_ = result->retry_after_ms;
         *error = "daemon overloaded";
@@ -183,28 +184,6 @@ class JobSubmitter {
   }
 
  private:
-  int connect_unix_(std::string* error) {
-    sockaddr_un addr{};
-    if (socket_path_.size() >= sizeof(addr.sun_path)) {
-      *error = "socket path too long";
-      return -1;
-    }
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) {
-      *error = std::string("socket: ") + std::strerror(errno);
-      return -1;
-    }
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socket_path_.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-      *error = "connect " + socket_path_ + ": " + std::strerror(errno);
-      disconnect();
-      return -1;
-    }
-    return fd_;
-  }
-
   void disconnect() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
@@ -251,13 +230,6 @@ int spec_from_cli(const Cli& cli, const std::string& source, JobSpec* spec,
     if (!slurp(source, &spec->bench, error)) return robust::kExitInputError;
   }
   return robust::kExitOk;
-}
-
-int exit_code_for_status(const std::string& status) {
-  if (status == "ok") return robust::kExitOk;
-  if (status == "degraded") return robust::kExitDegraded;
-  if (status == "interrupted") return robust::kExitDeadline;
-  return robust::kExitVerifyFailed;
 }
 
 bool write_file(const std::string& path, const std::string& text,
@@ -404,7 +376,10 @@ int run_replay(const Cli& cli, const std::string& socket_path) {
                             .count();
 
   std::vector<double> latencies;
-  std::size_t ok = 0, degraded = 0, interrupted = 0, errors = 0, hits = 0;
+  // Jobs per status, indexed by robust::RunStatus (ok .. error).
+  std::size_t count[4] = {0, 0, 0, 0};
+  std::size_t& errors = count[static_cast<int>(robust::RunStatus::Error)];
+  std::size_t hits = 0;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const ReplayOutcome& out = outcomes[i];
     if (!out.transport_ok) {
@@ -414,11 +389,7 @@ int run_replay(const Cli& cli, const std::string& socket_path) {
       continue;
     }
     latencies.push_back(out.latency_ms);
-    const std::string& st = out.result.status;
-    if (st == "ok") ++ok;
-    else if (st == "degraded") ++degraded;
-    else if (st == "interrupted") ++interrupted;
-    else ++errors;
+    ++count[static_cast<int>(out.result.status)];
     if (out.result.cache_hit) ++hits;
     if (!out_dir.empty() && !out.result.bench.empty()) {
       std::string werr2;
@@ -436,8 +407,9 @@ int run_replay(const Cli& cli, const std::string& socket_path) {
   std::cout << "replayed " << work.size() << " job(s) (" << manifest.size()
             << " x " << rounds << " round(s)) at concurrency " << concurrency
             << " in " << wall_s << " s\n"
-            << "  status: " << ok << " ok, " << degraded << " degraded, "
-            << interrupted << " interrupted, " << errors << " error\n"
+            << "  status: " << count[0] << " ok, " << count[1]
+            << " degraded, " << count[2] << " interrupted, " << errors
+            << " error\n"
             << "  cache: " << hits << "/" << work.size() << " hits\n";
   if (!latencies.empty()) {
     std::cout << "  throughput: "
@@ -445,10 +417,10 @@ int run_replay(const Cli& cli, const std::string& socket_path) {
               << " jobs/s; latency p50 " << percentile(latencies, 0.50)
               << " ms, p95 " << percentile(latencies, 0.95) << " ms\n";
   }
-  if (errors != 0) return robust::kExitVerifyFailed;
-  if (interrupted != 0) return robust::kExitDeadline;
-  if (degraded != 0) return robust::kExitDegraded;
-  return robust::kExitOk;
+  // The worst status decides: the statuses rise in severity.
+  int worst = 3;
+  while (worst > 0 && count[worst] == 0) --worst;
+  return robust::exit_code(static_cast<robust::RunStatus>(worst));
 }
 
 int client_main(int argc, char** argv) {
@@ -533,7 +505,7 @@ int client_main(int argc, char** argv) {
     }
   }
   cli.warn_unrecognized(std::cerr);
-  return exit_code_for_status(result->status);
+  return robust::exit_code(result->status);
 }
 
 }  // namespace

@@ -49,7 +49,7 @@ int serve_main(int argc, char** argv) {
                  "  [--watchdog=SECS]  hung-lane watchdog, 0=off (default 0)\n"
                  "  [--events=PATH]    compsyn-events-v1 log (default off)\n"
                  "  [--inject=SPEC]    scripted chaos (frame:N accept:N "
-                 "lane:N wal:N ...)\n"
+                 "lane:N wal:N budget:T ...)\n"
                  "  exactly one of --socket / --stdio\n";
     return robust::kExitUsage;
   }
@@ -68,21 +68,12 @@ int serve_main(int argc, char** argv) {
               << " (expected a non-negative number of seconds)\n";
     return robust::kExitUsage;
   }
-  // The plan must outlive the InjectScope (which keeps a pointer to it),
-  // i.e. the whole serve loop.
-  robust::FaultPlan plan;
+  // One plan for the whole serve loop; its budget:T trips every job (the
+  // jobs' RunControls take it). It outlives the InjectScope pointing at it.
+  const std::optional<robust::FaultPlan> plan =
+      robust::FaultPlan::from_cli(cli);
   std::optional<robust::InjectScope> inject_scope;
-  if (cli.has("inject")) {
-    std::string err;
-    const auto parsed = robust::FaultPlan::parse(cli.get("inject"), &err);
-    if (!parsed) {
-      std::cerr << "error: --inject=" << cli.get("inject") << ": " << err
-                << "\n";
-      return robust::kExitUsage;
-    }
-    plan = *parsed;
-    inject_scope.emplace(plan);
-  }
+  if (plan) inject_scope.emplace(*plan);
   cli.warn_unrecognized(std::cerr);
   serve::Server server(std::move(config));
   return server.run();

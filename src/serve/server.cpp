@@ -27,10 +27,10 @@ namespace {
 /// working set (cache snapshot + live jobs) instead of the full history.
 constexpr std::size_t kWalCompactEvery = 256;
 
-/// Canonicalises a job's input netlist the way checkpoint resume does: parse,
-/// then write_bench_string. Two textually different .bench files describing
-/// the same structure map to one cache key. nullopt when the input does not
-/// parse (the job itself will produce the diagnostic).
+/// Canonicalises a job's input netlist: parse, then write_bench_string. Two
+/// textually different .bench files describing the same structure map to
+/// one cache key. nullopt when the input does not parse (the job itself
+/// will produce the diagnostic).
 std::optional<std::string> canonical_input(const JobSpec& spec) {
   try {
     Netlist nl = spec.bench.empty()
@@ -199,10 +199,11 @@ void Server::shed(const ConnPtr& conn, const std::string& id, const char* why,
                   std::uint64_t retry_after_ms) {
   JobResult r;
   r.id = id;
-  r.status = "error";
+  r.status = robust::RunStatus::Error;
   r.error = why;
   r.retry_after_ms = retry_after_ms;
-  r.report = job_error_report("error", r.error);
+  r.report = robust::error_report("resynth_flow", r.status, r.error, now_ns())
+                 .to_json();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.jobs_served;
@@ -286,9 +287,10 @@ void Server::handle_message(const ConnPtr& conn, const std::string& payload) {
     auto reject = [&](const std::string& why) {
       JobResult r;
       r.id = id;
-      r.status = "error";
+      r.status = robust::RunStatus::Error;
       r.error = why;
-      r.report = job_error_report("error", why);
+      r.report = robust::error_report("resynth_flow", r.status, why, now_ns())
+                   .to_json();
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.jobs_served;
@@ -472,7 +474,7 @@ void Server::wal_append_mark(const char* type, std::uint64_t seq) {
 void Server::wal_append_finished(std::uint64_t seq,
                                  const std::string& canonical,
                                  const std::string& option_key,
-                                 const JobExecutionArtifacts& artifacts) {
+                                 const JobExecution& exec) {
   bool compact = false;
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
@@ -480,14 +482,14 @@ void Server::wal_append_finished(std::uint64_t seq,
     WalRecord rec;
     rec.type = "finished";
     rec.seq = seq;
-    rec.fields.set("status", artifacts.status);
-    rec.fields.set("cacheable", artifacts.cacheable);
-    if (artifacts.cacheable) {
+    rec.fields.set("status", robust::to_string(exec.status));
+    rec.fields.set("cacheable", exec.cacheable);
+    if (exec.cacheable) {
       rec.fields.set("canonical", canonical);
       rec.fields.set("option_key", option_key);
-      rec.fields.set("bench", artifacts.bench);
-      rec.fields.set("report", artifacts.report);
-      rec.fields.set("stdout", artifacts.stdout_text);
+      rec.fields.set("bench", exec.bench);
+      rec.fields.set("report", exec.report);
+      rec.fields.set("stdout", exec.stdout_text);
     }
     std::string err;
     if (!wal_.append(rec, &err)) {
@@ -522,7 +524,7 @@ void Server::compact_wal() {
     WalRecord rec;
     rec.type = "finished";
     rec.seq = 0;  // compacted entries carry no job identity, only artifacts
-    rec.fields.set("status", e.result.status);
+    rec.fields.set("status", robust::to_string(e.result.status));
     rec.fields.set("cacheable", true);
     rec.fields.set("canonical", e.canonical_bench);
     rec.fields.set("option_key", e.option_key);
@@ -594,7 +596,10 @@ void Server::recover_wal() {
           const Json* report = rec.fields.find("report");
           const Json* stdout_text = rec.fields.find("stdout");
           CachedResult result;
-          result.status = status != nullptr ? status->as_string() : "ok";
+          result.status =
+              robust::parse_run_status(status != nullptr ? status->as_string()
+                                                         : "")
+                  .value_or(robust::RunStatus::Complete);
           result.bench = bench != nullptr ? bench->as_string() : "";
           result.report = report != nullptr ? *report : Json::object();
           result.stdout_text =
@@ -723,14 +728,14 @@ void Server::execute(Lane& lane, Pending job) {
   if (robust::inject_lane_crash()) {
     // Scripted lane crash: the job dies mid-flight with an internal
     // error; the lane (and the daemon) survive and keep serving.
-    r.status = "error";
+    r.status = robust::RunStatus::Error;
     r.error = "internal error: injected lane crash";
-    r.report = job_error_report("error", r.error);
+    r.report = robust::error_report("resynth_flow", r.status, r.error, now_ns())
+                 .to_json();
     if (job.journaled) {
-      JobExecutionArtifacts artifacts;
-      artifacts.status = r.status;
-      artifacts.cacheable = false;
-      wal_append_finished(job.seq, "", "", artifacts);
+      JobExecution crashed;
+      crashed.status = r.status;
+      wal_append_finished(job.seq, "", "", crashed);
     }
   } else {
     const std::optional<std::string> canonical = canonical_input(spec);
@@ -750,26 +755,21 @@ void Server::execute(Lane& lane, Pending job) {
     } else {
       begin_job_isolation();
       JobExecution exec = run_resynth_job(spec);
+      exec.cacheable = exec.cacheable && canonical.has_value();
       r.status = exec.status;
       r.error = exec.error;
       r.bench = exec.bench;
       r.report = exec.report;
       r.stdout_text = exec.stdout_text;
-      if (exec.cacheable && canonical) {
+      if (exec.cacheable) {
         std::lock_guard<std::mutex> lock(cache_mu_);
         cache_.insert(*canonical, spec.option_key(),
                       CachedResult{exec.status, exec.bench, exec.report,
                                    exec.stdout_text});
       }
       if (job.journaled) {
-        JobExecutionArtifacts artifacts;
-        artifacts.status = exec.status;
-        artifacts.bench = exec.bench;
-        artifacts.report = exec.report;
-        artifacts.stdout_text = exec.stdout_text;
-        artifacts.cacheable = exec.cacheable && canonical.has_value();
         wal_append_finished(job.seq, canonical ? *canonical : "",
-                            spec.option_key(), artifacts);
+                            spec.option_key(), exec);
       }
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.jobs_executed;
@@ -782,10 +782,12 @@ void Server::execute(Lane& lane, Pending job) {
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.jobs_served;
-      if (r.status == "ok") ++stats_.status_ok;
-      else if (r.status == "degraded") ++stats_.status_degraded;
-      else if (r.status == "interrupted") ++stats_.status_interrupted;
-      else ++stats_.status_error;
+      switch (r.status) {
+        case robust::RunStatus::Complete: ++stats_.status_ok; break;
+        case robust::RunStatus::Degraded: ++stats_.status_degraded; break;
+        case robust::RunStatus::Interrupted: ++stats_.status_interrupted; break;
+        case robust::RunStatus::Error: ++stats_.status_error; break;
+      }
     }
     job.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
     respond(job.conn, r.to_json());
@@ -795,7 +797,7 @@ void Server::execute(Lane& lane, Pending job) {
   ev.set("event", "finished");
   ev.set("id", spec.id);
   ev.set("circuit", spec.circuit);
-  ev.set("status", r.status);
+  ev.set("status", robust::to_string(r.status));
   ev.set("cache", r.cache_hit ? "hit" : "miss");
   ev.set("lane", static_cast<std::uint64_t>(lane.index));
   ev.set("wall_ms", r.wall_ms);
@@ -916,9 +918,10 @@ int Server::run() {
     if (p.conn == nullptr) continue;  // internal replay job: nobody to answer
     JobResult r;
     r.id = p.spec.id;
-    r.status = "interrupted";
+    r.status = robust::RunStatus::Interrupted;
     r.error = "daemon shutting down before this job ran";
-    r.report = job_error_report("interrupted", r.error);
+    r.report = robust::error_report("resynth_flow", r.status, r.error, now_ns())
+                 .to_json();
     respond(p.conn, r.to_json());
     p.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -946,7 +949,8 @@ int Server::run() {
     std::lock_guard<std::mutex> lock(wal_mu_);
     wal_.close();
   }
-  EventLog::finish(aborted ? "interrupted" : "ok");
+  EventLog::finish(robust::to_string(aborted ? robust::RunStatus::Interrupted
+                                             : robust::RunStatus::Complete));
   return aborted ? robust::exit_code_for_cancel() : robust::kExitOk;
 }
 

@@ -51,6 +51,7 @@
 #include "obs/domain.hpp"
 #include "robust/robust.hpp"
 #include "serve/cache.hpp"
+#include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/wal.hpp"
 
@@ -118,15 +119,6 @@ class Server {
   /// The calling thread becomes the monitor (signals + watchdog).
   int run();
 
-  /// The finished-record payload: what replay needs to preload the cache.
-  struct JobExecutionArtifacts {
-    std::string status;
-    std::string bench;
-    Json report;
-    std::string stdout_text;
-    bool cacheable = false;
-  };
-
  private:
   struct Connection {
     int rfd = -1;
@@ -181,7 +173,7 @@ class Server {
   void wal_append_mark(const char* type, std::uint64_t seq);
   void wal_append_finished(std::uint64_t seq, const std::string& canonical,
                            const std::string& option_key,
-                           const JobExecutionArtifacts& artifacts);
+                           const JobExecution& exec);
   void wal_note_failure(const std::string& err);
   void compact_wal();
 

@@ -251,33 +251,6 @@ TEST_F(ReportTest, CapturesTablesSpansAndCounters) {
   EXPECT_EQ(parsed->dump(), doc.dump());
 }
 
-TEST_F(ReportTest, JsonlEmitsOneParseableRecordPerLine) {
-  { const Span s("p"); }
-  Counters::incr("c", 2);
-  Counters::observe("d", 1.5);
-  RunReport report("jsonl_demo");
-  Table t({"a"});
-  t.row().add("v");
-  report.add_table("t", t);
-
-  std::ostringstream os;
-  report.write_jsonl(os);
-  std::istringstream is(os.str());
-  std::string line;
-  std::size_t lines = 0;
-  bool saw_run = false;
-  while (std::getline(is, line)) {
-    ++lines;
-    std::string error;
-    const auto rec = Json::parse(line, &error);
-    ASSERT_TRUE(rec.has_value()) << error << " in: " << line;
-    ASSERT_NE(rec->find("type"), nullptr);
-    saw_run |= rec->find("type")->as_string() == "run";
-  }
-  EXPECT_GE(lines, 4u);  // run + span + counter + row at minimum
-  EXPECT_TRUE(saw_run);
-}
-
 TEST_F(ReportTest, ResynthCountersMatchReturnedStats) {
   Netlist nl = make_benchmark("cmp8");
   ResynthOptions opt;

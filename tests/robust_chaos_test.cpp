@@ -17,6 +17,7 @@
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "robust/guard.hpp"
 #include "robust/inject.hpp"
 #include "robust/robust.hpp"
 #include "sat/cec.hpp"
@@ -163,11 +164,9 @@ TEST(ChaosInject, ScriptedBudgetTripReportsInjected) {
   std::string err;
   const auto plan = robust::FaultPlan::parse("budget:50", &err);
   ASSERT_TRUE(plan.has_value()) << err;
-  robust::InjectScope iscope(*plan);
+  const robust::RunControls controls(0, 0.0, plan);
   const Netlist original = make_benchmark("syn150");
   Netlist nl = original;
-  robust::Budget budget(robust::injected_budget_trip());
-  robust::BudgetScope bscope(budget);
   ResynthOptions opt;
   opt.k = 5;
   const ResynthStats st = resynthesize(nl, opt);

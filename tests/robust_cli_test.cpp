@@ -155,6 +155,30 @@ TEST(FlowCli, TinyBudgetDegradesWithVerifiedResult) {
   std::remove(report.c_str());
 }
 
+TEST(FlowCli, StopReasonNamesTheBindingLimit) {
+  // The tighter of --budget and --inject=budget:T stops the run, and the
+  // report names that one, whichever else is installed.
+  struct Case {
+    const char* flags;
+    const char* reason;
+  };
+  for (const Case& c :
+       {Case{"--budget=500 --inject=budget:100000000", "budget"},
+        Case{"--budget=100000000 --inject=budget:500", "injected"}}) {
+    const std::string report = temp_path("binding.json");
+    const RunResult r =
+        run_flow(std::string(c.flags) + " --report=" + report + " syn150");
+    EXPECT_EQ(r.exit_code, 20) << c.flags << ": " << r.err;
+    EXPECT_NE(r.out.find(std::string("resynthesis degraded (") + c.reason),
+              std::string::npos)
+        << c.flags << ": " << r.out;
+    const Json j = parse_report(report);
+    ASSERT_NE(meta_of(j, "stop_reason"), nullptr) << c.flags;
+    EXPECT_EQ(meta_of(j, "stop_reason")->as_string(), c.reason) << c.flags;
+    std::remove(report.c_str());
+  }
+}
+
 /// A run's masked report with the spans in label order (their order is by
 /// measured time) and, when `drop_memo`, without the identification memo's
 /// counters: the memo is a cache of the process, which a resumed process

@@ -32,6 +32,12 @@ TEST(RobustStatus, ToStringAndMapping) {
   EXPECT_STREQ(to_string(RunStatus::Complete), "ok");
   EXPECT_STREQ(to_string(RunStatus::Degraded), "degraded");
   EXPECT_STREQ(to_string(RunStatus::Interrupted), "interrupted");
+  EXPECT_STREQ(to_string(RunStatus::Error), "error");
+  for (RunStatus s : {RunStatus::Complete, RunStatus::Degraded,
+                      RunStatus::Interrupted, RunStatus::Error}) {
+    EXPECT_EQ(parse_run_status(to_string(s)), s);
+  }
+  EXPECT_FALSE(parse_run_status("complete").has_value());
   EXPECT_STREQ(to_string(StopReason::None), "none");
   EXPECT_STREQ(to_string(StopReason::Budget), "budget");
   EXPECT_STREQ(to_string(StopReason::Deadline), "deadline");
@@ -229,13 +235,83 @@ TEST(FaultInject, InjectedBudgetTripReportsInjected) {
   std::string err;
   auto plan = FaultPlan::parse("budget:4", &err);
   ASSERT_TRUE(plan.has_value());
-  InjectScope iscope(*plan);
+  const RunControls controls(0, 0.0, plan);
   EXPECT_EQ(injected_budget_trip(), 4u);
-  Budget b(plan->budget_trip);
-  BudgetScope bscope(b);
   charge(4);
   EXPECT_TRUE(should_stop());
   EXPECT_EQ(stop_reason(), StopReason::Injected);
+}
+
+TEST(RunControlsTest, StopReasonNamesTheLimitThatBinds) {
+  CancelGuard guard;
+  std::string err;
+  struct Case {
+    std::uint64_t budget;
+    const char* inject;
+    std::uint64_t trips_at;
+    StopReason reason;
+  };
+  for (const Case& c :
+       {Case{500, "budget:100000000", 500, StopReason::Budget},
+        Case{100000000, "budget:500", 500, StopReason::Injected},
+        Case{500, "budget:500", 500, StopReason::Budget},
+        Case{0, "budget:7", 7, StopReason::Injected},
+        Case{9, "sat:1", 9, StopReason::Budget}}) {
+    const RunControls controls(c.budget, 0.0, FaultPlan::parse(c.inject, &err));
+    EXPECT_TRUE(controls.active());
+    charge(c.trips_at - 1);
+    EXPECT_FALSE(should_stop()) << c.inject;
+    charge(1);
+    EXPECT_EQ(stop_reason(), c.reason) << c.budget << " " << c.inject;
+  }
+}
+
+TEST(RunControlsTest, InstalledPlanTripsARunWithoutItsOwnPlan) {
+  // The serve daemon's --inject: one plan for the process, and each job's
+  // controls take its budget:T trip without installing a plan of their own.
+  CancelGuard guard;
+  std::string err;
+  const auto plan = FaultPlan::parse("budget:3", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  InjectScope daemon(*plan);
+  for (int job = 0; job < 2; ++job) {
+    const RunControls controls(0, 0.0);
+    EXPECT_FALSE(controls.active());
+    charge(3);
+    EXPECT_EQ(stop_reason(), StopReason::Injected);
+  }
+}
+
+TEST(RunControlsTest, StatusMetaOnlyWhenActiveOrStopped) {
+  CancelGuard guard;
+  auto meta = [](const RunReport& r) {
+    return r.to_json().find("meta")->dump();
+  };
+  {
+    const RunControls quiet(0, 0.0);
+    RunReport r("t");
+    quiet.write_meta(r, RunStatus::Complete, StopReason::None, true);
+    EXPECT_EQ(meta(r), "{}");
+    quiet.write_meta(r, RunStatus::Degraded, StopReason::Budget, true);
+    EXPECT_EQ(meta(r),
+              R"({"status":"degraded","stop_reason":"budget","ticks":0})");
+  }
+  const RunControls resumed(40, 0.0, std::nullopt, 12);
+  EXPECT_EQ(ticks_consumed(), 12u);
+  RunReport r("t");
+  resumed.write_meta(r, RunStatus::Complete, StopReason::None, false);
+  EXPECT_EQ(meta(r), R"({"status":"ok","ticks":12})");
+  resumed.write_meta(r, RunStatus::Complete, StopReason::None, true);
+  EXPECT_EQ(meta(r), R"({"status":"ok","ticks":12,"budget":40})");
+}
+
+TEST(RunControlsTest, ExitCodeOfEachStatus) {
+  EXPECT_EQ(exit_code(RunStatus::Complete), kExitOk);
+  EXPECT_EQ(exit_code(RunStatus::Degraded), kExitDegraded);
+  EXPECT_EQ(exit_code(RunStatus::Interrupted), kExitDeadline);
+  EXPECT_EQ(exit_code(RunStatus::Interrupted, StopReason::Signal, 15), 143);
+  EXPECT_EQ(exit_code(RunStatus::Interrupted, StopReason::Signal), 130);
+  EXPECT_EQ(exit_code(RunStatus::Error), kExitVerifyFailed);
 }
 
 TEST(Checkpoint, Fnv1a64KnownValues) {

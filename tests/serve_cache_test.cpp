@@ -12,7 +12,7 @@ namespace {
 
 CachedResult result_named(const std::string& tag, std::size_t pad = 0) {
   CachedResult r;
-  r.status = "ok";
+  r.status = robust::RunStatus::Complete;
   r.bench = "# " + tag + "\n" + std::string(pad, 'b');
   Json rep = Json::object();
   rep.set("name", "resynth_flow");
@@ -30,7 +30,7 @@ TEST(ServeCache, MissThenInsertThenHitReturnsStoredArtifacts) {
   cache.insert("bench-a", "opts-1", result_named("a"));
   ASSERT_TRUE(cache.lookup("bench-a", "opts-1", &out));
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(out.status, "ok");
+  EXPECT_EQ(out.status, robust::RunStatus::Complete);
   EXPECT_EQ(out.bench, result_named("a").bench);
   EXPECT_EQ(out.report.dump(), result_named("a").report.dump());
   EXPECT_EQ(out.stdout_text, "stdout of a\n");

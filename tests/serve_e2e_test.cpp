@@ -32,6 +32,7 @@
 #include <unistd.h>
 
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "report_mask.hpp"
 #include "serve/protocol.hpp"
 #include "temp_path.hpp"
@@ -447,6 +448,51 @@ TEST(ServeE2e, FlowOptionsMatchOneShot) {
   run_cmd(std::string(RESYNTH_CLIENT_PATH) + " --socket=" + d.socket_path +
           " --shutdown");
   EXPECT_EQ(d.wait_exit(), 0);
+}
+
+TEST(ServeE2e, DaemonInjectedBudgetTripMatchesOneShot) {
+  // The daemon's --inject=budget:T trips every job it runs, as the same
+  // flag trips a one-shot run: the same stdout, .bench and status meta.
+  // Such a result is the daemon's, not the job spec's, so it is never
+  // cached: the second job runs again, and each run marks its own trip.
+  Daemon d("injected_budget");
+  d.start("--inject=budget:500");
+  const OneShot expect =
+      one_shot_flags("--inject=budget:500", "syn150", /*exit_code=*/20);
+  for (int round = 0; round < 2; ++round) {
+    const std::string bench_path = temp_path("injected_budget.bench");
+    const std::string report_path = temp_path("injected_budget.json");
+    const RunResult r = run_cmd(std::string(RESYNTH_CLIENT_PATH) +
+                                " --socket=" + d.socket_path + " --out=" +
+                                bench_path + " --report=" + report_path +
+                                " syn150");
+    EXPECT_EQ(r.exit_code, 20) << "round " << round << ": " << r.err;
+    std::string err;
+    const std::optional<Json> rep = Json::parse(slurp(report_path), &err);
+    ASSERT_TRUE(rep.has_value()) << err;
+    expect_matches_one_shot(expect, slurp(bench_path), *rep,
+                            without_wrote_lines(r.out),
+                            "round " + std::to_string(round));
+  }
+  const RunResult stats = run_cmd(std::string(RESYNTH_CLIENT_PATH) +
+                                  " --socket=" + d.socket_path + " --stats");
+  const std::optional<Json> counters = Json::parse(stats.out);
+  ASSERT_TRUE(counters.has_value()) << stats.out;
+  EXPECT_EQ(counters->find("jobs_executed")->as_u64(), 2u);
+  EXPECT_EQ(counters->find("cache_hits")->as_u64(), 0u);
+  run_cmd(std::string(RESYNTH_CLIENT_PATH) + " --socket=" + d.socket_path +
+          " --shutdown");
+  EXPECT_EQ(d.wait_exit(), 0);
+#if COMPSYN_TRACE  // a trace-off build compiles the milestones out
+  std::size_t milestones = 0;
+  std::istringstream events(slurp(d.events_path));
+  std::string line;
+  while (std::getline(events, line)) {
+    const std::optional<Json> ev = Json::parse(line);
+    if (ev && field(*ev, "what") == "budget.exhausted") ++milestones;
+  }
+  EXPECT_EQ(milestones, 2u);
+#endif
 }
 
 TEST(ServeE2e, ClientRejectsBadFlowFlagsBeforeConnecting) {

@@ -196,7 +196,6 @@ TEST(ServeJobSpec, DefaultsMatchResynthFlow) {
   EXPECT_EQ(spec->verify, "sim");
   EXPECT_EQ(spec->budget, 0u);
   EXPECT_EQ(spec->deadline, 0.0);
-  EXPECT_FALSE(spec->robust_active());
 }
 
 TEST(ServeJobSpec, ValidationRejectsBadFields) {
@@ -293,7 +292,7 @@ TEST(ServeJobSpec, OptionKeySeparatesEveryKnob) {
 TEST(ServeJobResult, RoundTrips) {
   JobResult r;
   r.id = "j9";
-  r.status = "degraded";
+  r.status = robust::RunStatus::Degraded;
   r.cache_hit = true;
   r.error = "budget";
   r.bench = "# c\nINPUT(a)\n";
