@@ -163,14 +163,16 @@ BENCHMARK(BM_NpnCanonicalize)
     ->Arg(1)
     ->Arg(2);
 
-// A tier-1 memo hit on a comparison function (the warm-up call plants it).
+// A tier-1 memo hit on a comparison function (the warm-up call plants it),
+// probed by word with its unit costs, as a resynthesis pass probes it.
 void BM_IdentifyMemoHit(benchmark::State& state) {
   const std::vector<TruthTable> tables = six_var_family(1);
   std::size_t specs = 0;
-  for (const TruthTable& t : tables) specs += identify_comparison(t).size();
+  for (const TruthTable& t : tables) specs += identify_scored(t, {}, {}).specs.size();
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(identify_comparison(tables[i++ & 63]).data());
+    const TruthTable& t = tables[i++ & 63];
+    benchmark::DoNotOptimize(identify_scored(6, t.word(0), {}, {}).costs.data());
   }
   state.counters["specs_per_query"] = static_cast<double>(specs) / 64.0;
 }
@@ -226,6 +228,58 @@ void BM_EnumerateCones(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(cones), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_EnumerateCones)->Unit(benchmark::kMillisecond);
+
+// Every cone of one syn300 pass at K = 6 scored as a resynthesis pass
+// scores it (one iteration covers all roots): each root's cones listed from
+// one cut database, each cut's function word support-reduced, a scored
+// tier-1 probe, and every spec's gates and paths from its unit cost. The
+// first iteration fills the memo; later ones only hit it.
+void BM_ScoreCones(benchmark::State& state) {
+  const Netlist nl = make_benchmark("syn300");
+  const std::vector<std::uint64_t> np = count_paths_clamped(nl).np;
+  const CutDatabase db(nl, 6);
+  std::vector<NodeId> roots;
+  for (NodeId n : nl.topo_order()) {
+    const GateType t = nl.node(n).type;
+    if (t != GateType::Input && t != GateType::Const0 && t != GateType::Const1) {
+      roots.push_back(n);
+    }
+  }
+  RootCones rc;
+  std::vector<NodeId> removable;
+  std::size_t cones = 0, specs = 0;
+  for (auto _ : state) {
+    std::int64_t score = 0;
+    for (NodeId r : roots) {
+      rc.collect(nl, db, r);
+      cones += rc.size();
+      for (std::size_t i = 0; i < rc.size(); ++i) {
+        const Cut& cut = *rc[i].cut;
+        std::uint64_t word = 0;
+        unsigned kept[CutDatabase::kFunctionLeaves];
+        const unsigned n = support_reduced_word(cut.num_leaves, cut.function, &word, kept);
+        if (n == 0) continue;
+        const ScoredSpecs scored = identify_scored(n, word, {}, {});
+        if (scored.specs.empty()) continue;
+        const auto freed = static_cast<std::int64_t>(
+            removable_gate_count(nl, r, rc[i].interior, &removable));
+        for (const UnitCost& cost : scored.costs) {
+          std::uint64_t paths = 0;
+          for (unsigned v = 0; v < n; ++v) paths += np[rc[i].leaves[kept[v]]] * cost.kp[v];
+          score += freed - static_cast<std::int64_t>(cost.equiv_gates) +
+                   static_cast<std::int64_t>(np[r] - paths);
+          ++specs;
+        }
+      }
+    }
+    benchmark::DoNotOptimize(score);
+  }
+  state.counters["cones"] =
+      benchmark::Counter(static_cast<double>(cones), benchmark::Counter::kAvgIterations);
+  state.counters["specs"] =
+      benchmark::Counter(static_cast<double>(specs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ScoreCones)->Unit(benchmark::kMillisecond);
 
 // One 64-pattern block per iteration on a simulator that lives across
 // iterations: after its first few blocks nearly every fault is dropped, so

@@ -19,13 +19,13 @@
 //
 //   $ ./table_atpg
 //   $ ./table_atpg --circuits=c17,s27,add8 --rtpg=weighted --report=r.json
-#include <chrono>
 #include <cstdio>
 #include <map>
 
 #include "atpg/compact.hpp"
 #include "atpg/guided.hpp"
 #include "bench/common.hpp"
+#include "obs/obs.hpp"
 #include "util/table.hpp"
 
 using namespace compsyn;
@@ -55,13 +55,6 @@ struct VariantTotals {
   std::uint64_t untestable = 0;
   std::uint64_t aborted = 0;
 };
-
-std::uint64_t now_ms() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 double coverage_pct(std::size_t detected, std::size_t total) {
   return total == 0 ? 100.0
@@ -123,11 +116,11 @@ int run_main(int argc, char** argv) {
       GuidedAtpgOptions opt = base_opt;
       opt.strategy = v.strategy;
       opt.order = v.order;
-      const std::uint64_t t0 = now_ms();
+      const std::uint64_t t0 = now_ns();
       const GuidedAtpgResult g = guided_atpg(nl, opt);
       const CompactionResult comp =
           compact_patterns(nl, g.faults, g.patterns, {opt.fill_seed});
-      const std::uint64_t wall_ms = now_ms() - t0;
+      const std::uint64_t wall_ns = now_ns() - t0;
 
       // Compaction invariant: the kept subset re-detects byte-exactly the
       // faults the full filled set detected.
@@ -182,7 +175,8 @@ int run_main(int argc, char** argv) {
       rec.set("backtracks", g.backtracks);
       rec.set("patterns", static_cast<std::uint64_t>(g.patterns.size()));
       rec.set("compacted", static_cast<std::uint64_t>(comp.patterns.size()));
-      rec.set("wall_ms", wall_ms);
+      // A *_ns field: report masking hides it like every other wall time.
+      rec.set("wall_ns", wall_ns);
       run.report().add_record("runs", std::move(rec));
     }
   }

@@ -1,12 +1,14 @@
 #include "core/comparison.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <numeric>
 #include <unordered_map>
 
+#include "core/comparison_unit.hpp"
 #include "core/signature.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/counters.hpp"
@@ -267,27 +269,90 @@ namespace {
 /// about the same reduced cone functions over and over; caching the answer is
 /// behaviour-preserving (identical spec vectors) and removes the dominant
 /// repeated work. Thread-local (the procedures are single-threaded per
-/// netlist) and bounded: the map is dropped wholesale past kMemoCap entries.
+/// netlist) and bounded: the table is dropped wholesale at kExactMemoCap
+/// entries.
 ///
-/// Keys are 64-bit functional signatures (core/signature.hpp) of the table
-/// plus the query flags; every bucket hit is confirmed by an exact table and
-/// flag compare, so a signature collision costs one extra compare but can
-/// never return a wrong cached answer -- hit/miss behaviour is identical to
-/// the full-string-key cache this replaces, at a fraction of the key cost.
-struct ExactMemoEntry {
-  TruthTable table;
-  bool try_complement = false;
+/// One flat open-addressed table keyed by the whole query -- arity, table
+/// words and flags. A slot holds the top half of the key's hash and the
+/// entry's index, so a probe touches an entry only on a tag match and
+/// confirms it there by an exact key compare. The slot array starts at
+/// kMemoInitialSlots and doubles at half load, so a short run never pays
+/// for a large table.
+///
+/// An entry also carries every spec's unit_cost, computed on the first
+/// scored lookup under each UnitOptions setting, so a pass that meets a
+/// function again re-costs nothing.
+struct MemoEntry {
+  std::uint64_t hash = 0;  // of the key, for regrowing the slot array
+  // The key.
   unsigned max_results = 0;
+  bool try_complement = false;
+  TruthTable table;
   std::vector<ComparisonSpec> specs;
+  // Indexed by UnitOptions::merge_gates: costs made under one setting never
+  // serve the other.
+  std::array<bool, 2> costed{};
+  std::array<std::vector<UnitCost>, 2> costs;
 };
+static_assert(sizeof(UnitOptions) == sizeof(bool),
+              "MemoEntry::costs is indexed by UnitOptions' only field");
 
-struct ExactMemo {
-  std::unordered_map<std::uint64_t, std::vector<ExactMemoEntry>> buckets;
-  std::size_t entries = 0;
+constexpr std::size_t kMemoInitialSlots = 1u << 8;
+
+class ExactMemo {
+ public:
+  ExactMemo() { reset(); }
+
+  /// The entry whose key `matches`, given the key's hash.
+  template <class Matches>
+  MemoEntry* find(std::uint64_t hash, const Matches& matches) {
+    const std::size_t mask = slots_.size() - 1;
+    const std::uint64_t tag = hash >> 32;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == 0) return nullptr;
+      if (slot >> 32 == tag) {
+        MemoEntry& e = entries_[(slot & 0xffffffffu) - 1];
+        if (matches(e)) return &e;
+      }
+    }
+  }
+
+  /// Adds an entry not in the table, first dropping every entry when the
+  /// table is at its cap.
+  MemoEntry& insert(MemoEntry&& e) {
+    if (entries_.size() >= kExactMemoCap) reset();
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      slots_.assign(2 * slots_.size(), 0);
+      for (std::size_t i = 0; i < entries_.size(); ++i) place(entries_[i].hash, i);
+    }
+    place(e.hash, entries_.size());
+    entries_.push_back(std::move(e));
+    return entries_.back();
+  }
+
+  /// Drops every entry and gives the memory back.
+  void reset() {
+    entries_ = {};
+    slots_.assign(kMemoInitialSlots, 0);
+    slots_.shrink_to_fit();
+  }
+
   // Per-thread query/hit tallies feeding the profile's memo hit-rate
   // counter track (timing-only data, never part of the report).
   std::uint64_t queries = 0;
   std::uint64_t hits = 0;
+
+ private:
+  void place(std::uint64_t hash, std::size_t index) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = hash & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = (hash >> 32 << 32) | (index + 1);
+  }
+
+  std::vector<MemoEntry> entries_;
+  std::vector<std::uint64_t> slots_;  // 0 = empty
 };
 
 /// Samples the memo hit rate onto the Chrome trace counter track every 256
@@ -303,26 +368,42 @@ void note_memo_query(ExactMemo& memo, bool hit) {
   }
 }
 
-constexpr std::size_t kMemoCap = 1u << 16;
-
 ExactMemo& exact_memo() {
   thread_local ExactMemo memo;
   return memo;
 }
 
-std::uint64_t memo_signature(const TruthTable& f, const IdentifyOptions& opt) {
-  std::uint64_t sig = table_signature(f);
-  const std::uint64_t flags =
-      (static_cast<std::uint64_t>(opt.max_results) << 1) |
-      (opt.try_complement ? 1u : 0u);
-  return signature_mix(sig, flags);
+/// A query's hash starts from its arity and flags; each table word is then
+/// mixed in with signature_mix.
+std::uint64_t hash_start(unsigned n, const IdentifyOptions& opt) {
+  return signature_mix(n | (opt.try_complement ? 0x100u : 0u), opt.max_results);
 }
 
-bool memo_entry_matches(const ExactMemoEntry& e, const TruthTable& f,
-                        const IdentifyOptions& opt) {
-  return e.try_complement == opt.try_complement &&
-         e.max_results == opt.max_results && e.table == f;
-}
+/// A tier-1 query given as a table.
+struct TableKey {
+  const TruthTable& f;
+  std::uint64_t hash(const IdentifyOptions& opt) const {
+    std::uint64_t h = hash_start(f.num_vars(), opt);
+    for (std::size_t i = 0; i < f.num_words(); ++i) h = signature_mix(h, f.word(i));
+    return h;
+  }
+  bool matches(const TruthTable& t) const { return t == f; }
+  TruthTable table() const { return f; }
+};
+
+/// A tier-1 query given as one word (n <= 6): hashes and compares equal to
+/// the TableKey of TruthTable::from_word(n, word).
+struct WordKey {
+  unsigned n;
+  std::uint64_t word;
+  std::uint64_t hash(const IdentifyOptions& opt) const {
+    return signature_mix(hash_start(n, opt), word);
+  }
+  bool matches(const TruthTable& t) const {
+    return t.num_vars() == n && t.word(0) == word;
+  }
+  TruthTable table() const { return TruthTable::from_word(n, word); }
+};
 
 // --- NPN-orbit memo tier ----------------------------------------------------
 //
@@ -517,139 +598,161 @@ bool derive_orbit_specs(const NpnOrbitEntry& e, const TruthTable& f,
   return true;
 }
 
-}  // namespace
-
-const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
-                                                       const IdentifyOptions& opt) {
-  // Answers the memo does not own (constants, the sampled engine) are
-  // returned from this per-thread buffer; a search's answer is built here
-  // and then moved into its tier-1 entry.
+/// The answer for a constant function (or one of zero variables), in a
+/// per-thread buffer; nullptr for any other function.
+const std::vector<ComparisonSpec>* constant_specs(const TruthTable& f) {
   thread_local std::vector<ComparisonSpec> out;
-  out.clear();
   const unsigned n = f.num_vars();
+  ComparisonSpec spec;
+  spec.n = n;
   if (n == 0) {
     // Constant function of zero variables: the empty-product interval.
-    ComparisonSpec spec;
-    spec.n = 0;
     spec.lower = 0;
     spec.upper = 0;
     spec.complemented = !f.get(0);
-    out.push_back(spec);
-    return out;
-  }
-  if (f.is_const_one() || f.is_const_zero()) {
-    ComparisonSpec spec;
-    spec.n = n;
+  } else if (f.is_const_one() || f.is_const_zero()) {
     spec.perm.resize(n);
     std::iota(spec.perm.begin(), spec.perm.end(), 0u);
     spec.lower = 0;
     spec.upper = f.num_minterms() - 1;
     spec.complemented = f.is_const_zero();
-    out.push_back(spec);
-    return out;
+  } else {
+    return nullptr;
   }
-  if (opt.exact) {
-    Counters::incr("identify.exact.attempts");
-    ExactMemo& memo = exact_memo();
-    const std::uint64_t sig = memo_signature(f, opt);
-    auto it = memo.buckets.find(sig);
-    if (it != memo.buckets.end()) {
-      for (const ExactMemoEntry& e : it->second) {
-        if (memo_entry_matches(e, f, opt)) {
-          Counters::incr("identify.memo.hits");
-          note_memo_query(memo, /*hit=*/true);
-          if (!e.specs.empty()) Counters::incr("identify.exact.hits");
-          return e.specs;
-        }
-      }
-      // Same signature, different query: a genuine 64-bit collision. The
-      // exact confirm above keeps it harmless; count it so reports surface
-      // how (in)frequent collisions are in practice.
-      Counters::incr("identify.memo.collisions");
-    }
-    Counters::incr("identify.memo.misses");
-    note_memo_query(memo, /*hit=*/false);
+  out.assign(1, std::move(spec));
+  return &out;
+}
 
-    // Tier 2: the NPN-orbit memo. Only for the flag shape the resynthesis
-    // hot path uses (try_complement, bounded results) and small arities;
-    // everything else takes the plain search below.
-    const bool use_npn = opt.npn_memo && opt.try_complement &&
-                         opt.max_results > 0 && n <= kNpnMemoMaxVars;
-    NpnMemo& nmemo = npn_memo();
-    NpnStatsAtomics& stats = npn_atomics();
-    std::uint64_t nsig = 0;
-    NpnCanonical canon;
-    NpnOrbitEntry* orbit = nullptr;
-    bool reused = false;
-    if (use_npn) {
-      canon = npn_canonicalize(f, NpnGroup::kPermOutputReflect);
-      npn_count(stats.canonicalizations, "identify.npn.canonicalizations");
-      nsig = signature_mix(table_signature(canon.table), opt.max_results);
-      auto nit = nmemo.buckets.find(nsig);
-      if (nit != nmemo.buckets.end()) {
-        for (NpnOrbitEntry& e : nit->second) {
-          if (e.max_results == opt.max_results && e.canonical == canon.table) {
-            orbit = &e;
-            break;
-          }
-        }
-        if (!orbit) {
-          npn_count(stats.confirm_rejects, "identify.npn.confirm_rejects");
+/// The exact engine's search for a non-constant f, tier 2 first: appends
+/// the spec vector a fresh search returns to `out` (empty on entry).
+void search_exact(const TruthTable& f, const IdentifyOptions& opt,
+                  std::vector<ComparisonSpec>& out) {
+  const unsigned n = f.num_vars();
+  // Tier 2: the NPN-orbit memo. Only for the flag shape the resynthesis
+  // hot path uses (try_complement, bounded results) and small arities;
+  // everything else takes the plain search below.
+  const bool use_npn = opt.npn_memo && opt.try_complement &&
+                       opt.max_results > 0 && n <= kNpnMemoMaxVars;
+  NpnMemo& nmemo = npn_memo();
+  NpnStatsAtomics& stats = npn_atomics();
+  std::uint64_t nsig = 0;
+  NpnCanonical canon;
+  NpnOrbitEntry* orbit = nullptr;
+  if (use_npn) {
+    canon = npn_canonicalize(f, NpnGroup::kPermOutputReflect);
+    npn_count(stats.canonicalizations, "identify.npn.canonicalizations");
+    nsig = signature_mix(table_signature(canon.table), opt.max_results);
+    auto nit = nmemo.buckets.find(nsig);
+    if (nit != nmemo.buckets.end()) {
+      for (NpnOrbitEntry& e : nit->second) {
+        if (e.max_results == opt.max_results && e.canonical == canon.table) {
+          orbit = &e;
+          break;
         }
       }
-      if (orbit) {
-        npn_count(stats.orbit_hits, "identify.npn.orbit_hits");
-        if (!orbit->has_specs) {
-          // The orbit has no comparison member under any permutation,
-          // output polarity, or reflection: empty result, no search.
-          npn_count(stats.negative_reuses, "identify.npn.negative_reuses");
-          reused = true;
-        } else if (derive_orbit_specs(*orbit, f, canon.transform, &out)) {
-          npn_count(stats.transform_reuses, "identify.npn.transform_reuses");
-          reused = true;
-        } else {
-          // Not derivable byte-exactly (truncated stored search under a
-          // real relabeling, or a confirm failed): fresh search below.
-          out.clear();
-          npn_count(stats.positive_fallbacks, "identify.npn.positive_fallbacks");
-        }
+      if (!orbit) {
+        npn_count(stats.confirm_rejects, "identify.npn.confirm_rejects");
       }
     }
-    if (!reused) {
-      npn_count(stats.exact_searches, "identify.npn.exact_searches");
-      std::vector<unsigned> lens;
-      bool plain_trunc = false;
-      bool comp_trunc = false;
-      collect_specs(f, /*complemented=*/false, opt, out,
-                    use_npn ? &lens : nullptr, use_npn ? &plain_trunc : nullptr);
-      if (opt.try_complement) {
-        collect_specs(f.complemented(), /*complemented=*/true, opt, out,
-                      use_npn ? &lens : nullptr, use_npn ? &comp_trunc : nullptr);
+    if (orbit) {
+      npn_count(stats.orbit_hits, "identify.npn.orbit_hits");
+      if (!orbit->has_specs) {
+        // The orbit has no comparison member under any permutation,
+        // output polarity, or reflection: empty result, no search.
+        npn_count(stats.negative_reuses, "identify.npn.negative_reuses");
+        return;
       }
-      if (use_npn && !orbit) {
-        if (nmemo.entries >= kNpnMemoCap) {
-          nmemo.buckets.clear();
-          nmemo.entries = 0;
-        }
-        nmemo.buckets[nsig].push_back(NpnOrbitEntry{
-            std::move(canon.table), f, std::move(canon.transform),
-            opt.max_results, !out.empty(), plain_trunc, comp_trunc, out,
-            std::move(lens)});
-        ++nmemo.entries;
+      if (derive_orbit_specs(*orbit, f, canon.transform, &out)) {
+        npn_count(stats.transform_reuses, "identify.npn.transform_reuses");
+        return;
       }
+      // Not derivable byte-exactly (truncated stored search under a real
+      // relabeling, or a confirm failed): fresh search below.
+      out.clear();
+      npn_count(stats.positive_fallbacks, "identify.npn.positive_fallbacks");
     }
-    if (memo.entries >= kMemoCap) {
-      memo.buckets.clear();
-      memo.entries = 0;
-    }
-    if (!out.empty()) Counters::incr("identify.exact.hits");
-    std::vector<ExactMemoEntry>& bucket = memo.buckets[sig];
-    bucket.push_back(
-        ExactMemoEntry{f, opt.try_complement, opt.max_results, std::move(out)});
-    ++memo.entries;
-    return bucket.back().specs;
   }
+  npn_count(stats.exact_searches, "identify.npn.exact_searches");
+  std::vector<unsigned> lens;
+  bool plain_trunc = false;
+  bool comp_trunc = false;
+  collect_specs(f, /*complemented=*/false, opt, out,
+                use_npn ? &lens : nullptr, use_npn ? &plain_trunc : nullptr);
+  if (opt.try_complement) {
+    collect_specs(f.complemented(), /*complemented=*/true, opt, out,
+                  use_npn ? &lens : nullptr, use_npn ? &comp_trunc : nullptr);
+  }
+  if (use_npn && !orbit) {
+    if (nmemo.entries >= kNpnMemoCap) {
+      nmemo.buckets.clear();
+      nmemo.entries = 0;
+    }
+    nmemo.buckets[nsig].push_back(NpnOrbitEntry{
+        std::move(canon.table), f, std::move(canon.transform),
+        opt.max_results, !out.empty(), plain_trunc, comp_trunc, out,
+        std::move(lens)});
+    ++nmemo.entries;
+  }
+}
 
+/// The tier-1 entry for a non-constant exact-engine query: the stored one,
+/// or a fresh search's answer stored as a new entry.
+template <class Key>
+MemoEntry& exact_entry(const Key& key, const IdentifyOptions& opt) {
+  Counters::incr("identify.exact.attempts");
+  ExactMemo& memo = exact_memo();
+  const std::uint64_t hash = key.hash(opt);
+  MemoEntry* hit = memo.find(hash, [&](const MemoEntry& e) {
+    return e.max_results == opt.max_results &&
+           e.try_complement == opt.try_complement && key.matches(e.table);
+  });
+  if (hit != nullptr) {
+    Counters::incr("identify.memo.hits");
+    note_memo_query(memo, /*hit=*/true);
+    if (!hit->specs.empty()) Counters::incr("identify.exact.hits");
+    return *hit;
+  }
+  Counters::incr("identify.memo.misses");
+  note_memo_query(memo, /*hit=*/false);
+  MemoEntry e;
+  e.hash = hash;
+  e.table = key.table();
+  e.max_results = opt.max_results;
+  e.try_complement = opt.try_complement;
+  search_exact(e.table, opt, e.specs);
+  if (!e.specs.empty()) Counters::incr("identify.exact.hits");
+  return memo.insert(std::move(e));
+}
+
+ScoredSpecs entry_scored(MemoEntry& e, const UnitOptions& unit) {
+  const std::size_t m = unit.merge_gates ? 1 : 0;
+  if (!e.costed[m]) {
+    e.costs[m].reserve(e.specs.size());
+    for (const ComparisonSpec& spec : e.specs) e.costs[m].push_back(unit_cost(spec, unit));
+    e.costed[m] = true;
+  }
+  return {e.specs, e.costs[m]};
+}
+
+/// Costs an answer the memo does not hold into a per-thread buffer.
+ScoredSpecs buffer_scored(const std::vector<ComparisonSpec>& specs,
+                          const UnitOptions& unit) {
+  thread_local std::vector<UnitCost> costs;
+  costs.clear();
+  for (const ComparisonSpec& spec : specs) costs.push_back(unit_cost(spec, unit));
+  return {specs, costs};
+}
+
+}  // namespace
+
+const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
+                                                       const IdentifyOptions& opt) {
+  if (const std::vector<ComparisonSpec>* c = constant_specs(f)) return *c;
+  if (opt.exact) return exact_entry(TableKey{f}, opt).specs;
+
+  // The sampled engine's answer is not memoised: it depends on the Rng.
+  thread_local std::vector<ComparisonSpec> out;
+  out.clear();
   Counters::incr("identify.sampled.attempts");
   collect_specs(f, /*complemented=*/false, opt, out);
   if (opt.try_complement) {
@@ -659,10 +762,28 @@ const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
   return out;
 }
 
+ScoredSpecs identify_scored(const TruthTable& f, const IdentifyOptions& opt,
+                            const UnitOptions& unit) {
+  if (!opt.exact || constant_specs(f) != nullptr) {
+    return buffer_scored(identify_comparison(f, opt), unit);
+  }
+  return entry_scored(exact_entry(TableKey{f}, opt), unit);
+}
+
+ScoredSpecs identify_scored(unsigned n, std::uint64_t word,
+                            const IdentifyOptions& opt, const UnitOptions& unit) {
+  assert(n <= 6);
+  const std::uint64_t full = n == 6 ? ~0ull : (1ull << (1u << n)) - 1ull;
+  assert((word & ~full) == 0);
+  if (!opt.exact || word == 0 || word == full) {
+    return identify_scored(TruthTable::from_word(n, word), opt, unit);
+  }
+  return entry_scored(exact_entry(WordKey{n, word}, opt), unit);
+}
+
 void clear_exact_identification_memo() {
   ExactMemo& memo = exact_memo();
-  memo.buckets.clear();
-  memo.entries = 0;
+  memo.reset();
   memo.queries = 0;
   memo.hits = 0;
   NpnMemo& nmemo = npn_memo();

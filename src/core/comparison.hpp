@@ -19,6 +19,7 @@
 // are consecutive, the unit is built for ~f and its output inverted).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -67,12 +68,37 @@ struct IdentifyOptions {
 const std::vector<ComparisonSpec>& identify_comparison(const TruthTable& f,
                                                        const IdentifyOptions& opt = {});
 
+struct UnitOptions;  // core/comparison_unit.hpp
+struct UnitCost;
+
+/// identify_comparison's answer together with every spec's unit_cost under
+/// `unit`, parallel to the specs: what a resynthesis pass scores a cone
+/// with. For the exact engine both live in the query's tier-1 memo entry,
+/// which computes the costs once per UnitOptions setting; other answers
+/// (constants, the sampled engine) are costed into per-thread buffers. Both
+/// stay valid until the thread's next identification call.
+struct ScoredSpecs {
+  const std::vector<ComparisonSpec>& specs;
+  const std::vector<UnitCost>& costs;
+};
+ScoredSpecs identify_scored(const TruthTable& f, const IdentifyOptions& opt,
+                            const UnitOptions& unit);
+/// The same for a function of n <= 6 variables given as one word in
+/// storage order (bits from 2^n up zero, as TruthTable::word(0) holds it):
+/// a tier-1 hit builds no TruthTable.
+ScoredSpecs identify_scored(unsigned n, std::uint64_t word,
+                            const IdentifyOptions& opt, const UnitOptions& unit);
+
 /// Convenience: true if the exact engine finds a spec.
 bool is_comparison_function(const TruthTable& f);
 
-/// Drops the calling thread's exact-identification memo (both the per-table
-/// tier and the NPN-orbit tier, buckets and hit/miss tallies). The serve
-/// daemon calls this between jobs so every job's identify.memo.* /
+/// Entries the exact engine's per-table memo tier holds: the miss that
+/// would add one more empties it first.
+inline constexpr std::size_t kExactMemoCap = std::size_t{1} << 18;
+
+/// Drops the calling thread's exact-identification memo (the per-table tier
+/// with its unit costs, the NPN-orbit tier, and the hit/miss tallies). The
+/// serve daemon calls this between jobs so every job's identify.memo.* /
 /// identify.npn.* counter stream matches a fresh process run; results never
 /// depend on memo state (every hit is exact-confirmed), only the hit/miss
 /// split does.

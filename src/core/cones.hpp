@@ -146,6 +146,8 @@ class RootCones {
   const Entry& operator[](std::size_t i) const { return entries_[i]; }
   /// Entry i as a Cone (interior sorted ascending).
   Cone cone(std::size_t i) const;
+  /// True when every entry's cut carries its function word (K <= 6).
+  bool has_functions() const { return db_->has_functions(); }
   /// Entry i's function over its leaves: the cut's word at K <= 6, a
   /// cone_function simulation above.
   TruthTable function(std::size_t i) const;

@@ -1,6 +1,7 @@
 #include "core/resynth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 #include <optional>
@@ -89,13 +90,23 @@ struct ConeProto {
   const Netlist* nl = nullptr;
   const RootCones* cones = nullptr;
   std::size_t index = 0;          // the cone is (*cones)[index]
-  std::vector<unsigned> kept;     // cone-leaf indices the function depends on
-  TruthTable reduced;
+  unsigned n = 0;                 // variables the function depends on
+  std::array<unsigned, CutDatabase::kMaxLeaves> kept{};  // their cone-leaf indices
+  std::uint64_t word = 0;         // the reduced function at K <= 6
+  std::optional<TruthTable> table;  // ... as a table: above K = 6, or once asked for
   bool have_removable = false;
   std::vector<NodeId> removable;  // interiors freed by the replacement
   std::int64_t n_old = 0;         // equivalent gates freed
 
   const RootCones::Entry& cone() const { return (*cones)[index]; }
+  NodeId leaf(unsigned v) const { return cone().leaves[kept[v]]; }
+
+  /// The reduced function as a table, built on first use at K <= 6: only
+  /// don't-care and multi-unit identification need it.
+  const TruthTable& reduced() {
+    if (!table) table = TruthTable::from_word(n, word);
+    return *table;
+  }
 
   /// Equivalent gates freed, counted on first use: most cones yield no
   /// candidate and never need it.
@@ -107,39 +118,41 @@ struct ConeProto {
     }
     return n_old;
   }
+
+  /// A candidate replacing this cone, with the fields every kind shares.
+  Candidate candidate(std::int64_t delta_gates, std::int64_t delta_paths) const {
+    Candidate c;
+    c.valid = true;
+    c.cone = cones->cone(index);
+    c.kept.assign(kept.begin(), kept.begin() + n);
+    c.removable = removable;
+    c.delta_gates = delta_gates;
+    c.delta_paths = delta_paths;
+    return c;
+  }
 };
 
-/// Scores one spec (or multi-unit spec) of a cone and makes it `best` when
-/// it is strictly better. Procedure 2 drops a spec that would increase
-/// gates. The candidate is built only for a winner.
+/// Scores one spec (or multi-unit spec) of a cone from its unit's `cost` and
+/// makes it `best` when it is strictly better. Procedure 2 drops a spec that
+/// would increase gates. The candidate is built only for a winner.
 void consider_spec(ConeProto& proto, std::uint64_t np_g,
                    const std::vector<std::uint64_t>& np,
                    const ComparisonSpec* spec, const MultiUnitSpec* multi,
-                   const ResynthOptions& opt, Candidate& best) {
-  const UnitCost cost =
-      multi ? multi_unit_cost(*multi, opt.unit) : unit_cost(*spec, opt.unit);
-  std::uint64_t paths_new = 0;
-  for (unsigned v = 0; v < proto.reduced.num_vars(); ++v) {
-    paths_new += np[proto.cone().leaves[proto.kept[v]]] * cost.kp[v];
-  }
+                   const UnitCost& cost, const ResynthOptions& opt,
+                   Candidate& best) {
   const std::int64_t delta_gates =
       proto.freed() - static_cast<std::int64_t>(cost.equiv_gates);
+  if (opt.objective == ResynthObjective::Gates && delta_gates < 0) return;
+  std::uint64_t paths_new = 0;
+  for (unsigned v = 0; v < proto.n; ++v) paths_new += np[proto.leaf(v)] * cost.kp[v];
   const std::int64_t delta_paths = static_cast<std::int64_t>(np_g) -
                                    static_cast<std::int64_t>(paths_new);
-  if (opt.objective == ResynthObjective::Gates && delta_gates < 0) return;
   if (!beats(delta_gates, delta_paths, proto.cone().interior.size(), best, opt)) {
     return;
   }
-  Candidate c;
-  c.valid = true;
-  c.cone = proto.cones->cone(proto.index);
-  c.kept = proto.kept;
-  c.removable = proto.removable;
-  if (multi) c.multi = *multi;
-  else c.spec = *spec;
-  c.delta_gates = delta_gates;
-  c.delta_paths = delta_paths;
-  best = std::move(c);
+  best = proto.candidate(delta_gates, delta_paths);
+  if (multi) best.multi = *multi;
+  else best.spec = *spec;
 }
 
 /// The don't-care identification step for one cone (Section 6 (1)): folds
@@ -152,12 +165,13 @@ void consider_dc_specs(ConeProto& proto, const ReachabilityOracle& reach,
   // the base candidates stand unmodified.
   if (robust::inject_oracle_timeout()) return;
   std::vector<NodeId> kept_nodes;
-  for (unsigned v : proto.kept) kept_nodes.push_back(proto.cone().leaves[v]);
+  for (unsigned v = 0; v < proto.n; ++v) kept_nodes.push_back(proto.leaf(v));
   const TruthTable care = reach.reachable_combos(kept_nodes);
   if (care.is_const_one()) return;
   for (const ComparisonSpec& spec :
-       identify_comparison_dc(proto.reduced, care, opt.identify)) {
-    consider_spec(proto, np_g, np, &spec, nullptr, opt, best);
+       identify_comparison_dc(proto.reduced(), care, opt.identify)) {
+    consider_spec(proto, np_g, np, &spec, nullptr, unit_cost(spec, opt.unit), opt,
+                  best);
   }
 }
 
@@ -165,6 +179,11 @@ void consider_dc_specs(ConeProto& proto, const ReachabilityOracle& reach,
 /// don't-care specs (when `reach` is non-null), multi-unit rewrite. Every
 /// fold replaces only on "strictly better", so the earliest candidate wins
 /// ties that beats() leaves.
+///
+/// At K <= 6 the cone is scored from its cut's function word: a word-level
+/// support reduction, then a tier-1 memo probe that returns the specs with
+/// their unit costs, so a function met before costs no table, search or
+/// unit_cost call.
 void consider_cone(const Netlist& nl, const RootCones& cones, std::size_t index,
                    const std::vector<std::uint64_t>& np,
                    const ReachabilityOracle* reach, const ResynthOptions& opt,
@@ -175,41 +194,47 @@ void consider_cone(const Netlist& nl, const RootCones& cones, std::size_t index,
   proto.nl = &nl;
   proto.cones = &cones;
   proto.index = index;
-  proto.reduced = cones.function(index).support_reduced(&proto.kept);
+  if (cones.has_functions()) {
+    const Cut& cut = *cones[index].cut;
+    proto.n = support_reduced_word(cut.num_leaves, cut.function, &proto.word,
+                                   proto.kept.data());
+  } else {
+    std::vector<unsigned> kept;
+    proto.table = cones.function(index).support_reduced(&kept);
+    proto.n = static_cast<unsigned>(kept.size());
+    std::copy(kept.begin(), kept.end(), proto.kept.begin());
+  }
   const std::uint64_t np_g = np[cones.root()];
 
-  if (proto.reduced.num_vars() == 0) {
+  if (proto.n == 0) {
     // The cone computes a constant: everything removable goes away.
     ++stats.comparison_cones;
     const auto delta_paths = static_cast<std::int64_t>(np_g);
     if (!beats(proto.freed(), delta_paths, cones[index].interior.size(), best, opt)) {
       return;
     }
-    Candidate c;
-    c.valid = true;
-    c.cone = cones.cone(index);
-    c.kept = std::move(proto.kept);
-    c.removable = std::move(proto.removable);
-    c.is_constant = true;
-    c.constant_value = proto.reduced.get(0);
-    c.delta_gates = proto.n_old;
-    c.delta_paths = delta_paths;
-    best = std::move(c);
+    best = proto.candidate(proto.n_old, delta_paths);
+    best.is_constant = true;
+    best.constant_value = proto.reduced().get(0);
     return;
   }
 
-  const auto& specs = identify_comparison(proto.reduced, opt.identify);
-  const bool comparison = !specs.empty();
+  const ScoredSpecs scored =
+      proto.table ? identify_scored(*proto.table, opt.identify, opt.unit)
+                  : identify_scored(proto.n, proto.word, opt.identify, opt.unit);
+  const bool comparison = !scored.specs.empty();
   if (comparison) ++stats.comparison_cones;
-  for (const ComparisonSpec& spec : specs) {
-    consider_spec(proto, np_g, np, &spec, nullptr, opt, best);
+  for (std::size_t i = 0; i < scored.specs.size(); ++i) {
+    consider_spec(proto, np_g, np, &scored.specs[i], nullptr, scored.costs[i], opt,
+                  best);
   }
   if (reach != nullptr) consider_dc_specs(proto, *reach, np_g, np, opt, best);
   if (!comparison && opt.max_units > 1) {
     MultiIdentifyOptions mopt;
     mopt.max_units = opt.max_units;
-    if (const auto multi = identify_multi_comparison(proto.reduced, mopt)) {
-      consider_spec(proto, np_g, np, nullptr, &*multi, opt, best);
+    if (const auto multi = identify_multi_comparison(proto.reduced(), mopt)) {
+      consider_spec(proto, np_g, np, nullptr, &*multi,
+                    multi_unit_cost(*multi, opt.unit), opt, best);
     }
   }
 }

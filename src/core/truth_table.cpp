@@ -273,6 +273,29 @@ TruthTable TruthTable::support_reduced(std::vector<unsigned>* kept) const {
   return t;
 }
 
+unsigned support_reduced_word(unsigned n, std::uint64_t w,
+                              std::uint64_t* reduced, unsigned* kept) {
+  assert(n <= 6);
+  // Replicate the table across minterm bits n..5, so w is a 6-variable
+  // function in which those variables are vacuous.
+  if (n < 6) w &= (1ull << (1u << n)) - 1ull;
+  for (unsigned b = n; b < 6; ++b) w |= w << (1u << b);
+  // Variable v sits at minterm bit n-1-v; visiting bits from the top keeps
+  // every bit below the current one in place, and `kept` ascending.
+  unsigned r = 0;
+  for (unsigned s = n; s-- > 0;) {
+    const unsigned d = 1u << s;
+    if ((((w >> d) ^ w) & ~kVarMask[s]) != 0) {
+      kept[r++] = n - 1 - s;
+      continue;
+    }
+    // Vacuous: bubble it to bit 5, shifting the bits above it down by one.
+    for (unsigned b = s; b < 5; ++b) w = word_swap_adjacent_bits(w, b);
+  }
+  *reduced = r == 6 ? w : w & ((1ull << (1u << r)) - 1ull);
+  return r;
+}
+
 bool TruthTable::interval_bounds(std::uint32_t* lo, std::uint32_t* hi) const {
   const std::span<const std::uint64_t> ws = words();
   std::size_t first = ws.size();

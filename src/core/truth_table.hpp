@@ -132,4 +132,14 @@ class TruthTable {
   std::vector<std::uint64_t> heap_;
 };
 
+/// TruthTable::support_reduced for a function of n <= 6 variables given as
+/// one word in storage order (bits from 2^n up are ignored, as in
+/// from_word), with no table and no heap: writes the support variables,
+/// ascending, to kept[0..r) and the function over them to *reduced as
+/// from_word(r, *reduced) would hold it (bits from 2^r up zero). Returns r.
+/// Word-level: one shift-compare per vacuity test and adjacent delta swaps
+/// that move each vacuous variable above the rest.
+unsigned support_reduced_word(unsigned n, std::uint64_t word,
+                              std::uint64_t* reduced, unsigned* kept);
+
 }  // namespace compsyn

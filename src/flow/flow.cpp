@@ -30,7 +30,7 @@ FlowSpec FlowSpec::from_cli(const Cli& cli) {
   spec.weight_gates = cli.get_double("weight-gates", spec.weight_gates);
   spec.weight_paths = cli.get_double("weight-paths", spec.weight_paths);
   spec.verify = cli.get("verify", spec.verify);
-  spec.budget = cli.get_u64("budget", spec.budget);
+  if (cli.has("budget")) spec.budget = cli.get_u64("budget", 0);
   return spec;
 }
 
@@ -53,7 +53,7 @@ void FlowSpec::write_json(Json& j) const {
   j.set("weight_gates", weight_gates);
   j.set("weight_paths", weight_paths);
   j.set("verify", verify);
-  if (budget != 0) j.set("budget", budget);
+  if (budget) j.set("budget", *budget);
 }
 
 bool FlowSpec::read_json(const Json& j, std::string* error) {
@@ -67,12 +67,14 @@ bool FlowSpec::read_json(const Json& j, std::string* error) {
       *field = v->as_string();
     }
   }
-  for (auto [key, field] : {std::pair{"k", &k}, {"budget", &budget}}) {
+  std::uint64_t budget_value = 0;
+  for (auto [key, field] : {std::pair{"k", &k}, {"budget", &budget_value}}) {
     if (const Json* v = j.find(key)) {
       if (v->type() != Json::Type::Uint) return fail(key, "an unsigned integer");
       *field = v->as_u64();
     }
   }
+  if (j.find("budget") != nullptr) budget = budget_value;
   for (auto [key, field] : {std::pair{"weight_gates", &weight_gates},
                             {"weight_paths", &weight_paths}}) {
     if (const Json* v = j.find(key)) {

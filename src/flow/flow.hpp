@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "core/resynth.hpp"
@@ -29,7 +30,9 @@ struct FlowSpec {
   double weight_gates = 1.0;   // combined-objective weights
   double weight_paths = 1.0;
   std::string verify = "sim";  // "sim" | "sat" | "both"
-  std::uint64_t budget = 0;    // deterministic tick budget (0 = none)
+  // Deterministic tick budget; 0 sets no limit. A budget that is set, even
+  // to 0, asks for the report's status meta, as --budget=0 does.
+  std::optional<std::uint64_t> budget;
 
   /// Reads --proc, --k, --weight-gates, --weight-paths, --verify and
   /// --budget; validate() the result before running it.
@@ -40,7 +43,7 @@ struct FlowSpec {
   bool validate(std::string* error) const;
 
   /// Sets the spec's fields on the object `j` under their wire names
-  /// ("budget" only when there is one).
+  /// ("budget" only when it is set).
   void write_json(Json& j) const;
 
   /// Reads the fields the object `j` carries (an absent one keeps its

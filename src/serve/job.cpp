@@ -26,7 +26,9 @@ void begin_job_isolation() {
 
 JobExecution run_resynth_job(const JobSpec& spec) {
   JobExecution out;
-  const robust::RunControls controls(spec.budget, spec.deadline);
+  const robust::RunControls controls(spec.budget.value_or(0), spec.deadline,
+                                     std::nullopt, /*resume_ticks=*/0,
+                                     /*requested=*/spec.budget.has_value());
   std::ostringstream cout;  // the flow's stdout, captured
   try {
     RunReport report("resynth_flow");

@@ -128,8 +128,10 @@ std::string JobSpec::option_key() const {
   key += Json(weight_paths).dump();
   key += "|verify=";
   key += verify;
-  key += "|budget=";
-  key += std::to_string(budget);
+  if (budget) {
+    key += "|budget=";
+    key += std::to_string(*budget);
+  }
   return key;
 }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -15,10 +16,14 @@
 
 #include "obs/bench_schema.hpp"
 #include "obs/json.hpp"
+#include "report_mask.hpp"
 #include "temp_path.hpp"
 
 #ifndef BENCH_DIFF_PATH
 #error "BENCH_DIFF_PATH must be defined by the build"
+#endif
+#ifndef TABLE_ATPG_PATH
+#error "TABLE_ATPG_PATH must be defined by the build"
 #endif
 
 namespace compsyn {
@@ -215,6 +220,26 @@ TEST(BenchDiff, TrajectoryAppendsOneRecordPerRun) {
   EXPECT_EQ(n, 2);
   std::remove(a.c_str());
   std::remove(t.c_str());
+}
+
+// Two runs of one bench binary must compare equal once the wall-clock
+// fields are masked, or no report diff can tell a change from noise.
+// table_atpg records a wall time per run in its "runs" section.
+TEST(BenchReports, TableAtpgReportRepeatsAfterMasking) {
+  const std::string report = temp_path("table_atpg.json");
+  std::string masked[2];
+  for (std::string& m : masked) {
+    const std::string cmd = std::string(TABLE_ATPG_PATH) + " --report=" + report +
+                            " >/dev/null 2>&1";
+    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+    std::string err;
+    const std::optional<Json> j = Json::parse(slurp(report), &err);
+    ASSERT_TRUE(j.has_value()) << err;
+    ASSERT_NE(j->find("runs"), nullptr);
+    m = label_ordered_spans(masked_report_dump(*j));
+  }
+  EXPECT_EQ(masked[0], masked[1]);
+  std::remove(report.c_str());
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <unordered_set>
 #include <vector>
 
 #include "core/comparison.hpp"
+#include "core/comparison_unit.hpp"
 #include "obs/counters.hpp"
 #include "obs/obs.hpp"
 #include "util/rng.hpp"
@@ -242,7 +242,6 @@ bool same_specs(const std::vector<ComparisonSpec>& a,
 }
 
 TEST(ComparisonLifetime, ReturnedSpecsValidUntilNextCallAcrossMemoFlush) {
-  constexpr std::size_t kMemoCap = std::size_t{1} << 16;  // tier-1 cap
   const ObsLevel saved_level = obs_level();
   obs_set_level(ObsLevel::report);
 
@@ -268,25 +267,34 @@ TEST(ComparisonLifetime, ReturnedSpecsValidUntilNextCallAcrossMemoFlush) {
   ASSERT_FALSE(probe_expected.empty());
   ASSERT_FALSE(flusher_expected.empty());
 
-  // Fill tier 1 to exactly its cap: the probe plus distinct, non-constant
-  // 6-variable fillers (each a miss, so each adds one entry).
-  Rng rng(0x11FEu);
-  std::unordered_set<std::uint64_t> seen{probe.word(0), flusher.word(0)};
-  for (std::size_t i = 1; i < kMemoCap; ++i) {
-    std::uint64_t w = 0;
-    do {
-      w = rng.next();
-    } while (w == 0 || w == ~0ull || !seen.insert(w).second);
-    TruthTable f(6);
-    for (std::uint32_t m = 0; m < 64; ++m) f.set(m, (w >> m) & 1u);
-    const std::vector<ComparisonSpec>& specs = identify_comparison(f);
-    for (const ComparisonSpec& s : specs) ASSERT_TRUE(spec_matches(s, f));
+  // Fill tier 1 to exactly its cap: the probe plus distinct fillers, each
+  // a miss that adds one entry. The result cap is part of the key, so the
+  // non-constant 4-variable functions under a few result caps are enough,
+  // and each is a quick search.
+  std::size_t filled = 1;
+  for (unsigned max_results = 1; filled < kExactMemoCap; ++max_results) {
+    IdentifyOptions opt;
+    opt.max_results = max_results;
+    for (std::uint64_t w = 1; w < 0xffff && filled < kExactMemoCap; ++w, ++filled) {
+      const TruthTable f = TruthTable::from_word(4, w);
+      for (const ComparisonSpec& s : identify_comparison(f, opt)) {
+        ASSERT_TRUE(spec_matches(s, f));
+      }
+    }
   }
 
-  // Full memo: the probe is a hit and returns its stored vector.
+  // Full memo: the probe is a hit and returns its stored vector, and a
+  // scored query by word is the same entry.
   {
     const std::vector<ComparisonSpec>& hit = identify_comparison(probe);
     EXPECT_TRUE(same_specs(hit, probe_expected));
+  }
+  const std::uint64_t misses_at_cap = npn_identify_stats().canonicalizations;
+  {
+    const ScoredSpecs hit = identify_scored(6, probe.word(0), {}, {});
+    EXPECT_TRUE(same_specs(hit.specs, probe_expected));
+    ASSERT_EQ(hit.costs.size(), hit.specs.size());
+    EXPECT_EQ(npn_identify_stats().canonicalizations, misses_at_cap);
   }
   // The next miss flushes the memo; its answer lives in the fresh memo.
   {
@@ -297,10 +305,18 @@ TEST(ComparisonLifetime, ReturnedSpecsValidUntilNextCallAcrossMemoFlush) {
   // The flush dropped the probe: it is searched again, with the same answer,
   // and then hit again.
   const std::uint64_t misses_before = Counters::value("identify.memo.misses");
+  const std::uint64_t canon_before = npn_identify_stats().canonicalizations;
   {
-    const std::vector<ComparisonSpec>& again = identify_comparison(probe);
-    EXPECT_TRUE(same_specs(again, probe_expected));
+    const ScoredSpecs again = identify_scored(6, probe.word(0), {}, {});
+    EXPECT_TRUE(same_specs(again.specs, probe_expected));
+    ASSERT_EQ(again.costs.size(), again.specs.size());
+    for (std::size_t i = 0; i < again.specs.size(); ++i) {
+      EXPECT_EQ(again.costs[i].equiv_gates, unit_cost(again.specs[i]).equiv_gates);
+      EXPECT_EQ(again.costs[i].kp, unit_cost(again.specs[i]).kp);
+    }
   }
+  EXPECT_EQ(npn_identify_stats().canonicalizations, canon_before + 1)
+      << "the flush must have dropped the probe";
 #if COMPSYN_TRACE
   EXPECT_EQ(Counters::value("identify.memo.misses"), misses_before + 1)
       << "the fill loop must reach the tier-1 cap and flush it";
@@ -313,6 +329,146 @@ TEST(ComparisonLifetime, ReturnedSpecsValidUntilNextCallAcrossMemoFlush) {
   }
   clear_exact_identification_memo();
   obs_set_level(saved_level);
+}
+
+// --- The flat tier-1 memo and its unit costs ---------------------------------
+//
+// identify_scored answers from the query's tier-1 entry: the specs a fresh
+// search returns and, parallel to them, unit_cost of each under the
+// UnitOptions asked for. npn_identify_stats().canonicalizations counts
+// tier-1 misses (each miss of a default query canonicalizes), so the tests
+// see hits and misses without the report counters.
+
+bool same_cost(const UnitCost& a, const UnitCost& b) {
+  return a.equiv_gates == b.equiv_gates && a.kp == b.kp && a.depth == b.depth;
+}
+
+void expect_scored(const ScoredSpecs& got, const std::vector<ComparisonSpec>& expected,
+                   const UnitOptions& unit) {
+  EXPECT_TRUE(same_specs(got.specs, expected));
+  ASSERT_EQ(got.costs.size(), got.specs.size());
+  for (std::size_t i = 0; i < got.specs.size(); ++i) {
+    EXPECT_TRUE(same_cost(got.costs[i], unit_cost(got.specs[i], unit)))
+        << "spec " << i << " merge_gates=" << unit.merge_gates;
+  }
+}
+
+/// Non-constant functions of 2..6 variables: comparison functions (some
+/// with vacuous-looking structure, some complemented) and random ones.
+std::vector<TruthTable> memo_queries() {
+  Rng rng(0x7AB1Eu);
+  std::vector<TruthTable> out;
+  for (unsigned i = 0; i < 600; ++i) {
+    const unsigned n = 2 + i % 5;
+    TruthTable f(n);
+    if (i % 3 != 0) {
+      ComparisonSpec spec;
+      spec.n = n;
+      const auto p32 = rng.permutation(n);
+      spec.perm.assign(p32.begin(), p32.end());
+      const std::uint32_t a = static_cast<std::uint32_t>(rng.next() % (1u << n));
+      const std::uint32_t b = static_cast<std::uint32_t>(rng.next() % (1u << n));
+      spec.lower = std::min(a, b);
+      spec.upper = std::max(a, b);
+      spec.complemented = i % 2 == 0;
+      f = spec.to_truth_table();
+    } else {
+      f = TruthTable::from_word(n, rng.next());
+    }
+    if (!f.is_const_zero() && !f.is_const_one()) out.push_back(f);
+  }
+  return out;
+}
+
+TEST(IdentifyMemo, ScoredEntriesEqualFreshSearchAndUnitCost) {
+  const std::vector<TruthTable> queries = memo_queries();
+  // A fresh search per function: a cold memo for every reference answer.
+  std::vector<std::vector<ComparisonSpec>> expected;
+  for (const TruthTable& f : queries) {
+    clear_exact_identification_memo();
+    expected.push_back(identify_comparison(f));
+  }
+  // One warm memo for all of them: first queries miss (some answered by the
+  // orbit tier), repeats hit -- by word and by table, under both settings.
+  clear_exact_identification_memo();
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const TruthTable& f = queries[i];
+      for (const bool merge : {true, false}) {
+        UnitOptions unit;
+        unit.merge_gates = merge;
+        expect_scored(identify_scored(f.num_vars(), f.word(0), {}, unit), expected[i],
+                      unit);
+        expect_scored(identify_scored(f, {}, unit), expected[i], unit);
+      }
+    }
+  }
+  clear_exact_identification_memo();
+}
+
+TEST(IdentifyMemo, MergeSettingsNeverShareCosts) {
+  // L = 0b000111 over six variables: the >= L chain has two runs of equal
+  // stage types, so merging changes the unit's depth but not its gates.
+  ComparisonSpec spec;
+  spec.n = 6;
+  spec.perm = {0, 1, 2, 3, 4, 5};
+  spec.lower = 7;
+  spec.upper = 63;
+  const TruthTable f = spec.to_truth_table();
+  UnitOptions merged, unmerged;
+  unmerged.merge_gates = false;
+  ASSERT_NE(unit_cost(spec, merged).depth, unit_cost(spec, unmerged).depth);
+
+  clear_exact_identification_memo();
+  const std::vector<ComparisonSpec> specs = identify_comparison(f);
+  ASSERT_FALSE(specs.empty());
+  bool depth_differs = false;
+  std::vector<UnitCost> first;
+  {
+    const ScoredSpecs s = identify_scored(6, f.word(0), {}, merged);
+    expect_scored(s, specs, merged);
+    first = s.costs;
+  }
+  for (const UnitOptions& unit : {unmerged, merged, unmerged}) {
+    const ScoredSpecs s = identify_scored(6, f.word(0), {}, unit);
+    expect_scored(s, specs, unit);
+    for (std::size_t i = 0; i < s.costs.size(); ++i) {
+      depth_differs = depth_differs || s.costs[i].depth != first[i].depth;
+    }
+  }
+  EXPECT_TRUE(depth_differs);
+  clear_exact_identification_memo();
+}
+
+TEST(IdentifyMemo, WordAndTableQueriesShareOneEntryUntilCleared) {
+  ComparisonSpec spec;
+  spec.n = 5;
+  spec.perm = {3, 0, 4, 2, 1};
+  spec.lower = 5;
+  spec.upper = 22;
+  const TruthTable f = spec.to_truth_table();
+  auto misses = [] { return npn_identify_stats().canonicalizations; };
+
+  clear_exact_identification_memo();
+  std::uint64_t before = misses();
+  const std::vector<ComparisonSpec> specs = identify_scored(5, f.word(0), {}, {}).specs;
+  EXPECT_EQ(misses(), before + 1);
+  before = misses();
+  expect_scored(identify_scored(f, {}, {}), specs, {});
+  EXPECT_TRUE(same_specs(identify_comparison(f), specs));
+  EXPECT_EQ(misses(), before) << "the table query must hit the word query's entry";
+
+  // Other flags are another query.
+  IdentifyOptions single;
+  single.max_results = 1;
+  identify_scored(5, f.word(0), single, {});
+  EXPECT_EQ(misses(), before + 1);
+
+  clear_exact_identification_memo();
+  before = misses();
+  expect_scored(identify_scored(5, f.word(0), {}, {}), specs, {});
+  EXPECT_EQ(misses(), before + 1) << "clearing must empty the table";
+  clear_exact_identification_memo();
 }
 
 }  // namespace

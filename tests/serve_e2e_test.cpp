@@ -416,8 +416,9 @@ TEST(ServeE2e, SingleJobClientMatchesOneShot) {
 TEST(ServeE2e, FlowOptionsMatchOneShot) {
   // Jobs beyond (circuit, proc, k), each submitted through the client's own
   // flag parsing: the combined objective with non-default weights, a budget
-  // that trips and one that does not (the status/ticks/budget meta), and a
-  // SAT-proven verdict.
+  // that trips and one that does not (the status/ticks/budget meta), a
+  // budget of 0 (no limit, but the status/ticks meta), and a SAT-proven
+  // verdict.
   struct Case {
     const char* flags;
     int exit_code;
@@ -426,6 +427,7 @@ TEST(ServeE2e, FlowOptionsMatchOneShot) {
       {"--proc=combined --weight-gates=0.5 --weight-paths=2 --k=5", 0},
       {"--budget=2000 --k=5", 20},
       {"--budget=1000000 --k=5", 0},
+      {"--budget=0 --k=5", 0},
       {"--verify=sat --k=5", 0},
   };
   Daemon d("options");

@@ -194,8 +194,23 @@ TEST(ServeJobSpec, DefaultsMatchResynthFlow) {
   EXPECT_EQ(spec->weight_gates, 1.0);
   EXPECT_EQ(spec->weight_paths, 1.0);
   EXPECT_EQ(spec->verify, "sim");
-  EXPECT_EQ(spec->budget, 0u);
+  EXPECT_FALSE(spec->budget.has_value());
   EXPECT_EQ(spec->deadline, 0.0);
+}
+
+TEST(ServeJobSpec, BudgetZeroIsKept) {
+  // --budget=0 sets no limit but asks for the status meta, so a job must
+  // carry it as given, not drop it as "no budget".
+  JobSpec spec;
+  spec.id = "z";
+  spec.circuit = "c17";
+  spec.budget = 0;
+  const Json j = spec.to_json();
+  ASSERT_NE(j.find("budget"), nullptr);
+  std::string err;
+  const std::optional<JobSpec> back = JobSpec::from_json(j, &err);
+  ASSERT_TRUE(back.has_value()) << err;
+  EXPECT_EQ(back->budget, std::optional<std::uint64_t>(0));
 }
 
 TEST(ServeJobSpec, ValidationRejectsBadFields) {
@@ -271,13 +286,14 @@ TEST(ServeJobSpec, OptionKeySeparatesEveryKnob) {
   JobSpec a;
   a.id = "a";
   a.circuit = "c17";
-  std::vector<JobSpec> variants(6, a);
+  std::vector<JobSpec> variants(7, a);
   variants[0].proc = "3";
   variants[1].k = 7;
   variants[2].weight_gates = 2.0;
   variants[3].weight_paths = 0.5;
   variants[4].verify = "sat";
   variants[5].budget = 99;
+  variants[6].budget = 0;  // set, so the report carries the status meta
   for (const JobSpec& v : variants) {
     EXPECT_NE(v.option_key(), a.option_key());
   }

@@ -120,4 +120,32 @@ inline TruthTable support_reduced(const TruthTable& f,
   return t;
 }
 
+/// Per-bit support reduction of an n <= 6 variable word (bits from 2^n up
+/// ignored): a variable is kept when some minterm pair differing only in it
+/// differs in value; the reduced word gathers the kept variables' minterms.
+inline unsigned support_reduced_word(unsigned n, std::uint64_t word,
+                                     std::uint64_t* reduced, unsigned* kept) {
+  auto bit = [&](std::uint32_t m) { return (word >> m) & 1u; };
+  unsigned r = 0;
+  for (unsigned v = 0; v < n; ++v) {
+    const std::uint32_t flip = 1u << (n - 1 - v);
+    bool depends = false;
+    for (std::uint32_t m = 0; m < (1u << n); ++m) {
+      if (bit(m) != bit(m ^ flip)) depends = true;
+    }
+    if (depends) kept[r++] = v;
+  }
+  std::uint64_t out = 0;
+  for (std::uint32_t m = 0; m < (1u << r); ++m) {
+    std::uint32_t full = 0;
+    for (unsigned j = 0; j < r; ++j) {
+      const std::uint32_t b = (m >> (r - 1 - j)) & 1u;
+      full |= b << (n - 1 - kept[j]);
+    }
+    out |= static_cast<std::uint64_t>(bit(full)) << m;
+  }
+  *reduced = out;
+  return r;
+}
+
 }  // namespace compsyn::ref

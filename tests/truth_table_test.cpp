@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -313,6 +314,64 @@ TEST(TruthTableKernels, SupportReducedMatchesReference) {
                 ref::support_reduced(f, &kept_r).to_bits())
           << "n=" << n;
       EXPECT_EQ(kept_k, kept_r);
+    }
+  }
+}
+
+/// Checks support_reduced_word on one n <= 6 word against the per-bit
+/// reference and against TruthTable::support_reduced of the same function.
+void expect_word_reduction_matches(unsigned n, std::uint64_t word) {
+  std::uint64_t reduced = 0, reduced_ref = 0;
+  unsigned kept[6], kept_ref[6];
+  const unsigned r = support_reduced_word(n, word, &reduced, kept);
+  const unsigned r_ref = ref::support_reduced_word(n, word, &reduced_ref, kept_ref);
+  ASSERT_EQ(r, r_ref) << "n=" << n << " word=" << std::hex << word;
+  EXPECT_EQ(reduced, reduced_ref) << "n=" << n << " word=" << std::hex << word;
+  EXPECT_TRUE(std::equal(kept, kept + r, kept_ref));
+
+  std::vector<unsigned> kept_table;
+  const TruthTable table = TruthTable::from_word(n, word).support_reduced(&kept_table);
+  ASSERT_EQ(table.num_vars(), r);
+  EXPECT_EQ(table.word(0), reduced) << "n=" << n << " word=" << std::hex << word;
+  EXPECT_EQ(kept_table, std::vector<unsigned>(kept, kept + r));
+}
+
+/// `word` (an n-variable table, bits from 2^n up zero) copied across minterm
+/// bits n..5, as a cut carries its function.
+std::uint64_t replicated(unsigned n, std::uint64_t word) {
+  for (unsigned b = n; b < 6; ++b) word |= word << (1u << b);
+  return word;
+}
+
+TEST(TruthTableKernels, SupportReducedWordMatchesReferenceOnAllSmallFunctions) {
+  for (unsigned n = 0; n <= 4; ++n) {
+    for (std::uint64_t w = 0; w < (1ull << (1u << n)); ++w) {
+      expect_word_reduction_matches(n, w);
+      expect_word_reduction_matches(n, replicated(n, w));
+    }
+  }
+}
+
+TEST(TruthTableKernels, SupportReducedWordMatchesReferenceOnSeededWords) {
+  Rng rng(0x5EEDC07Eu);
+  for (unsigned n = 5; n <= 6; ++n) {
+    for (unsigned iter = 0; iter < 2000; ++iter) {
+      // A random function of a random subset of the variables, so every
+      // support size and vacuous pattern occurs.
+      const std::uint64_t used = rng.next() & ((1ull << n) - 1ull);
+      const std::uint64_t g = rng.next();
+      std::uint64_t w = 0;
+      for (std::uint32_t m = 0; m < (1u << n); ++m) {
+        std::uint32_t sub = 0;
+        for (unsigned v = 0; v < n; ++v) {
+          if ((used >> v) & 1u) sub = (sub << 1) | ((m >> (n - 1 - v)) & 1u);
+        }
+        w |= ((g >> sub) & 1u) << m;
+      }
+      expect_word_reduction_matches(n, w);
+      expect_word_reduction_matches(n, replicated(n, w));
+      // Bits from 2^n up are ignored, whatever they hold.
+      if (n < 6) expect_word_reduction_matches(n, w | (rng.next() << 32));
     }
   }
 }
